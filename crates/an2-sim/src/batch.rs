@@ -1,7 +1,7 @@
 //! Batched structure-of-arrays crossbar engine for large radices.
 //!
 //! [`CrossbarSwitch`](crate::switch::CrossbarSwitch) walks heap-allocated
-//! per-flow queues (`HashMap<FlowId, VecDeque<Cell>>`) every slot. That
+//! per-flow queues (a slab of `VecDeque<Cell>` FIFOs) every slot. That
 //! layout supports the general many-flows-per-pair experiments, but at
 //! N=1024 the pointer chasing and per-cell `Cell` bookkeeping dominate the
 //! slot loop. [`BatchCrossbar`] is the wide-radix engine behind the
@@ -416,7 +416,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// The per-slot engine shared by [`BatchCrossbar::step_slot`] (no
     /// faults) and [`BatchCrossbar::step_faulted`].
     // an2-lint: hot
-    // an2-lint: allow(overflow-discipline) slot and delivery counters are monotone u64; delays are slot - inject_slot >= 0 by injection order
+    // an2-lint: allow(overflow-discipline) slot and delivery counters are monotone u64; a delay is the wrapping difference of u32 arrival stamps, exact while every queued cell is younger than 2^32 slots
     // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so all indices are < n
     fn advance(
         &mut self,
@@ -427,7 +427,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         mut log: Option<&mut FaultLog>,
     ) {
         let slot = self.slot;
-        assert!(slot < u32::MAX as u64, "batch engine caps runs at 2^32 slots");
+        // Pair queues stamp cells with the slot's low 32 bits; a delay is
+        // the wrapping difference of stamps, so runs may pass 2^32 slots.
+        let stamp = slot as u32;
         let n = self.n;
         // Warming sweep: the slot's arrivals address random pair records,
         // and the update loop below chains a dependent load into each one.
@@ -486,7 +488,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             if q.len == 0 {
                 self.requests.set(a.input, a.output);
             }
-            q.enqueue(slot as u32);
+            q.enqueue(stamp);
             self.queued += 1;
             self.arrivals += 1;
             self.admitted_total += 1;
@@ -513,6 +515,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             "{} scheduled a pair with no queued cell",
             self.scheduler.name()
         );
+        // A departing cell arrived in the measurement window iff its delay
+        // is at most the window's age: `slot - d >= measure_start`.
+        let window = slot - self.measure_start;
         // Same warming sweep for the matched pairs' records.
         let mut warm = 0u32;
         for (i, j) in matching.pairs() {
@@ -522,7 +527,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         for (i, j) in matching.pairs() {
             let p = i.index() * n + j.index();
             let q = &mut self.pairs[p];
-            let at = q.dequeue() as u64;
+            let d = u64::from(stamp.wrapping_sub(q.dequeue()));
             q.count += 1;
             if q.len == 0 {
                 self.requests.clear(i, j);
@@ -531,14 +536,25 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             self.departures += 1;
             self.departed_total += 1;
             self.per_output[j.index()] += 1;
-            if at >= self.measure_start {
-                let d = slot - at;
+            if d <= window {
                 self.delay.record(d);
                 self.sketch.record(d);
             }
         }
         self.peak_occupancy = self.peak_occupancy.max(self.queued);
         self.slot += 1;
+    }
+}
+
+#[cfg(test)]
+impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
+    /// Moves a fresh engine's clock to `slot`, as if that many empty slots
+    /// had passed, so tests can cross the `u32` stamp wrap without
+    /// simulating four billion slots.
+    fn start_at_slot(&mut self, slot: u64) {
+        assert_eq!(self.slot, 0, "only a fresh engine can be moved");
+        self.slot = slot;
+        self.measure_start = slot;
     }
 }
 
@@ -671,6 +687,33 @@ mod tests {
         let rb = simulate(&mut batch, &mut RateMatrixTraffic::uniform(16, 1.0, 9), cfg);
         let rs = simulate(&mut scalar, &mut RateMatrixTraffic::uniform(16, 1.0, 9), cfg);
         reports_match(&rb, &rs);
+    }
+
+    #[test]
+    fn delays_stay_exact_across_the_u32_stamp_wrap() {
+        // Same arrivals, one engine from slot 0 and one from just below
+        // 2^32: warmup, measurement start and queued cells all straddle
+        // the wrap in the second, and both must report the same delays.
+        let run = |start: u64| {
+            let mut batch = BatchCrossbar::new(8, Pim::new(8, 42));
+            batch.start_at_slot(start);
+            let mut traffic = RateMatrixTraffic::uniform(8, 0.97, 7);
+            let mut buf = Vec::new();
+            for s in 0..400u64 {
+                if s == 60 {
+                    batch.start_measurement();
+                }
+                buf.clear();
+                crate::traffic::Traffic::arrivals(&mut traffic, s, &mut buf);
+                batch.step_slot(&buf);
+            }
+            batch.report()
+        };
+        let (plain, wrapped) = (run(0), run(u64::from(u32::MAX) - 100));
+        assert!(plain.delay.count() > 1000 && plain.delay.max() > 2);
+        reports_match(&plain, &wrapped);
+        let beyond = run(u64::from(u32::MAX) + 1);
+        reports_match(&plain, &beyond);
     }
 
     #[test]

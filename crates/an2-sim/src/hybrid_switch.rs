@@ -194,7 +194,7 @@ impl HybridSwitch {
     }
 
     fn record_departure(&mut self, cell: &Cell, class: ServiceClass, slot: u64) {
-        self.metrics.on_departure(cell);
+        self.metrics.on_voq_departure(cell);
         match class {
             ServiceClass::Cbr => {
                 self.cbr_departures += 1;
@@ -233,13 +233,16 @@ impl SwitchModel for HybridSwitch {
 
     fn start_measurement(&mut self) {
         self.metrics.restart();
+        self.cbr.reset_flow_departures();
+        self.vbr.reset_flow_departures();
         self.cbr_delay = DelayStats::new();
         self.cbr_departures = 0;
         self.vbr_departures = 0;
     }
 
     fn report(&self) -> SwitchReport {
-        self.metrics.report(self.queued())
+        self.metrics
+            .report_voq(self.queued(), &[&self.cbr, &self.vbr])
     }
 }
 

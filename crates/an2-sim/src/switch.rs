@@ -210,11 +210,11 @@ impl<S: Scheduler> CrossbarSwitch<S> {
             let requests = self.voq.requests();
             if self.scheduler.wants_queue_observations() {
                 for (i, j) in requests.pairs() {
-                    let depth = self.voq.pair_occupancy(i, j) as u32;
+                    let depth = saturate_u32(self.voq.pair_occupancy(i, j));
                     let age = self
                         .voq
                         .pair_head_arrival(i, j)
-                        .map_or(0, |arrived| slot.saturating_sub(arrived) as u32);
+                        .map_or(0, |arrived| saturate_u32(slot.saturating_sub(arrived)));
                     self.scheduler.observe_queue(i, j, depth, age);
                 }
             }
@@ -230,7 +230,7 @@ impl<S: Scheduler> CrossbarSwitch<S> {
                     .voq
                     .pop(i, j)
                     .expect("scheduler contract: matched pairs have queued cells");
-                self.metrics.on_departure(&cell);
+                self.metrics.on_voq_departure(&cell);
             }
         }
         self.metrics.end_slot(self.voq.len());
@@ -284,11 +284,19 @@ impl<S: Scheduler> SwitchModel for CrossbarSwitch<S> {
 
     fn start_measurement(&mut self) {
         self.metrics.restart();
+        self.voq.reset_flow_departures();
     }
 
     fn report(&self) -> SwitchReport {
-        self.metrics.report(self.voq.len())
+        self.metrics.report_voq(self.voq.len(), &[&self.voq])
     }
+}
+
+/// Narrows a queue depth or cell age to the `u32` a queue observation
+/// carries, saturating: a weight past `u32::MAX` stays the largest weight
+/// instead of wrapping to a small one.
+fn saturate_u32<T: TryInto<u32>>(v: T) -> u32 {
+    v.try_into().unwrap_or(u32::MAX)
 }
 
 /// Schedulers that know their own port count, enabling
@@ -601,6 +609,18 @@ mod tests {
         assert_eq!(sw.buffers().drops(), log.cells_dropped());
         let r = sw.report();
         assert_eq!(r.arrivals, r.departures + r.final_occupancy as u64);
+    }
+
+    #[test]
+    fn queue_observation_weights_saturate() {
+        let past = u64::from(u32::MAX) + 1;
+        assert_eq!(saturate_u32(past), u32::MAX);
+        assert_eq!(saturate_u32(u64::MAX), u32::MAX);
+        assert_eq!(saturate_u32(u64::from(u32::MAX)), u32::MAX);
+        assert_eq!(saturate_u32(past as usize), u32::MAX);
+        assert_eq!(saturate_u32(7usize), 7);
+        // A truncating cast would have wrapped the oldest age to zero.
+        assert_eq!(past as u32, 0);
     }
 
     #[test]

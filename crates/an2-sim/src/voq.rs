@@ -13,10 +13,38 @@
 //! be. Because every cell of a flow is routed to the same output, "either
 //! none of the cells of a flow are blocked or all are" — no head-of-line
 //! blocking (§3.1).
+//!
+//! # Layout
+//!
+//! ```text
+//! index: DetHashMap<FlowId, u32>   flow -> slab index, touched once per new flow
+//! slab:  [FlowSlot]                id, route pin, next-eligible link,
+//!                                  departure count, FIFO of (seq, Cell)
+//! free:  [u32]                     slots released by drop_flow, reused first
+//! pairs: [PairSlot; n*n]           row-major: eligible-list head/tail,
+//!                                  last-flow cache, queued-cell count
+//! ```
+//!
+//! A flow is *interned* on first sight: it gets a slot in a dense flow
+//! slab holding its id, its route pin and its cell FIFO, and the only hash
+//! map lookup maps the flow id to that slot. Each pair remembers the slot
+//! of the flow last pushed on it, so a steady-state `push` — the same flow
+//! arriving on the same pair again, which is every push under the
+//! one-flow-per-pair convention — checks the cache and never hashes. A
+//! pair's list of eligible flows is threaded through the slab itself
+//! (head/tail in the pair record, a `next` link per slot), so `pop` walks
+//! slab indices and does no hashing at all. The per-cell cost is therefore
+//! bounded by **one hash per new flow** (plus one per cache miss when
+//! several flows interleave on one pair).
+//!
+//! `drop_flow` releases a flow's slot to a free list that the next new flow
+//! reuses, so the slab tracks the live flows, not every flow ever seen.
+//! Each slot also counts its departures, which lets a switch report
+//! per-flow departure counts without a hash per departed cell.
 
 use crate::cell::{Cell, FlowId};
-use an2_sched::{InputPort, OutputPort, RequestMatrix};
 use an2_sched::det::DetHashMap;
+use an2_sched::{InputPort, OutputPort, RequestMatrix};
 use std::collections::VecDeque;
 
 /// Outcome of [`VoqBuffers::push`]: whether the buffer admitted the cell.
@@ -62,6 +90,49 @@ pub enum ServiceDiscipline {
     Fifo,
 }
 
+/// Slab index meaning "no flow": the end of an eligible list, an empty
+/// list's head and tail, and an empty last-flow cache.
+const NIL: u32 = u32::MAX;
+
+/// One interned flow.
+#[derive(Clone, Debug)]
+struct FlowSlot {
+    id: FlowId,
+    /// The output every cell of the flow must take (flows are
+    /// route-pinned, §2; only [`VoqBuffers::redirect_flow`] moves it).
+    output: OutputPort,
+    /// `false` once [`VoqBuffers::drop_flow`] released the slot to the
+    /// free list; a stale last-flow cache entry must not resurrect it.
+    live: bool,
+    /// The next flow in this flow's pair's eligible list, or [`NIL`].
+    next: u32,
+    /// Cells popped since the last [`VoqBuffers::reset_flow_departures`].
+    departed: u64,
+    /// Queued cells with their push sequence numbers, oldest first.
+    cells: VecDeque<(u64, Cell)>,
+}
+
+/// The per-pair state, one record per input–output pair.
+#[derive(Clone, Copy, Debug)]
+struct PairSlot {
+    /// First flow of the pair's eligible list (round-robin order), or
+    /// [`NIL`] when no flow of the pair has a queued cell.
+    head: u32,
+    /// Last flow of the eligible list, or [`NIL`].
+    tail: u32,
+    /// Slab index of the flow last pushed on this pair, or [`NIL`].
+    last: u32,
+    /// Queued cells of the pair across all its flows.
+    count: usize,
+}
+
+const EMPTY_PAIR: PairSlot = PairSlot {
+    head: NIL,
+    tail: NIL,
+    last: NIL,
+    count: 0,
+};
+
 /// The input-side buffer pool of one switch: per-flow FIFO queues plus
 /// per-(input, output) round-robin lists of eligible flows.
 ///
@@ -86,19 +157,24 @@ pub struct VoqBuffers {
     discipline: ServiceDiscipline,
     /// Monotonic push counter; orders cells across flows for `Fifo`.
     next_seq: u64,
-    /// Per-flow FIFO queues of (arrival sequence, cell).
-    flows: DetHashMap<FlowId, VecDeque<(u64, Cell)>>,
-    /// Fixed output of each flow seen so far (flows never change route, §2).
-    flow_output: DetHashMap<FlowId, OutputPort>,
-    /// `eligible[i][j]` = round-robin queue of flows with cells at input
-    /// `i` for output `j`.
-    eligible: Vec<Vec<VecDeque<FlowId>>>,
+    /// Flow id -> slab index of every live flow (see the module docs).
+    index: DetHashMap<FlowId, u32>,
+    /// The interned flows; indices are stable while a flow lives.
+    slab: Vec<FlowSlot>,
+    /// Slab slots released by [`VoqBuffers::drop_flow`], reused first.
+    free: Vec<u32>,
+    /// `pairs[i * n + j]`: eligible list, last-flow cache and cell count
+    /// of pair `(i, j)`.
+    pairs: Vec<PairSlot>,
+    /// Departures of flows whose slots `drop_flow` released, kept until
+    /// the next [`VoqBuffers::reset_flow_departures`].
+    retired: DetHashMap<FlowId, u64>,
     /// Total queued cells.
     total: usize,
     /// Queued cells per input (for occupancy metrics).
     per_input: Vec<usize>,
     /// Incrementally maintained request matrix: bit `(i, j)` is set iff
-    /// `eligible[i][j]` is non-empty. Kept in sync by `push`/`pop` so
+    /// pair `(i, j)` has an eligible flow. Kept in sync by `push`/`pop` so
     /// [`VoqBuffers::requests`] is a free borrow instead of an `O(N²)`
     /// rebuild every slot.
     requests: RequestMatrix,
@@ -108,9 +184,6 @@ pub struct VoqBuffers {
     head_seqs: Vec<u64>,
     /// Per-pair cell budget; `None` = unbounded (the pre-fault default).
     capacity: Option<usize>,
-    /// `pair_count[i][j]` = queued cells of pair `(i, j)`, maintained so
-    /// capacity checks and [`VoqBuffers::pair_occupancy`] are O(1).
-    pair_count: Vec<Vec<usize>>,
     /// Cells discarded (drop-tail, redirect overflow, stranded flows).
     drops_total: u64,
     /// Discards per input port.
@@ -140,16 +213,17 @@ impl VoqBuffers {
             n,
             discipline,
             next_seq: 0,
-            flows: DetHashMap::default(),
-            flow_output: DetHashMap::default(),
-            eligible: vec![vec![VecDeque::new(); n]; n],
+            index: DetHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            pairs: vec![EMPTY_PAIR; n * n],
+            retired: DetHashMap::default(),
             total: 0,
             per_input: vec![0; n],
             requests: RequestMatrix::new(n),
             heads: Vec::new(),
             head_seqs: Vec::new(),
             capacity: None,
-            pair_count: vec![vec![0; n]; n],
             drops_total: 0,
             drops_per_input: vec![0; n],
         }
@@ -178,9 +252,7 @@ impl VoqBuffers {
         let Some(cap) = self.capacity else {
             return true;
         };
-        self.pair_count
-            .iter()
-            .all(|row| row.iter().all(|&c| c <= cap))
+        self.pairs.iter().all(|p| p.count <= cap)
     }
 
     /// Cells discarded so far (drop-tail on full VOQs, redirect overflow,
@@ -229,20 +301,39 @@ impl VoqBuffers {
         self.per_input[i.index()]
     }
 
-    /// Queued cells for the pair `(i, j)` across all its flows. O(1): the
-    /// count is maintained incrementally by push/pop (it also backs the
-    /// finite-capacity admission check).
-    pub fn pair_occupancy(&self, i: InputPort, j: OutputPort) -> usize {
+    /// The row-major index of pair `(i, j)` in `pairs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either port is out of range.
+    #[inline]
+    // an2-lint: allow(panic-freedom) the range assert is the "# Panics" contract of every public per-pair method that calls this
+    // an2-lint: allow(overflow-discipline) i, j < n <= MAX_PORTS, so i * n + j < n * n fits in usize
+    fn pair_index(&self, i: InputPort, j: OutputPort) -> usize {
         assert!(
             i.index() < self.n && j.index() < self.n,
             "pair ({i},{j}) outside switch"
         );
-        self.pair_count[i.index()][j.index()]
+        i.index() * self.n + j.index()
+    }
+
+    /// Queued cells for the pair `(i, j)` across all its flows. O(1): the
+    /// count is maintained incrementally by push/pop (it also backs the
+    /// finite-capacity admission check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either port is out of range.
+    pub fn pair_occupancy(&self, i: InputPort, j: OutputPort) -> usize {
+        self.pairs[self.pair_index(i, j)].count
     }
 
     /// Total queued cells of one flow.
     pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.flows.get(&flow).map_or(0, VecDeque::len)
+        self.index
+            .get(&flow)
+            .and_then(|&k| self.slab.get(k as usize))
+            .map_or(0, |s| s.cells.len())
     }
 
     /// The arrival slot of the pair's head-of-line cell — the oldest cell
@@ -257,15 +348,146 @@ impl VoqBuffers {
     ///
     /// Panics if either port is out of range.
     pub fn pair_head_arrival(&self, i: InputPort, j: OutputPort) -> Option<u64> {
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "pair ({i},{j}) outside switch"
-        );
-        self.eligible[i.index()][j.index()]
-            .iter()
-            .filter_map(|flow| self.flows[flow].front())
-            .min_by_key(|&&(seq, _)| seq)
+        let (_, k) = self.oldest_eligible(self.pair_index(i, j));
+        self.slab
+            .get(k as usize)
+            .and_then(|s| s.cells.front())
             .map(|&(_, cell)| cell.arrival_slot)
+    }
+
+    /// Walks pair `p`'s eligible list for the flow whose head cell was
+    /// pushed first. Returns `(predecessor, flow)` slab indices, either of
+    /// which is [`NIL`] (no predecessor: the flow heads the list; no flow:
+    /// the list is empty).
+    fn oldest_eligible(&self, p: usize) -> (u32, u32) {
+        let mut best = (NIL, NIL, u64::MAX);
+        let (mut prev, mut k) = (NIL, self.pairs[p].head);
+        while k != NIL {
+            let s = &self.slab[k as usize];
+            if let Some(&(seq, _)) = s.cells.front() {
+                if seq < best.2 {
+                    best = (prev, k, seq);
+                }
+            }
+            prev = k;
+            k = s.next;
+        }
+        (best.0, best.1)
+    }
+
+    /// The predecessor of flow `k` in pair `p`'s eligible list (`Some(NIL)`
+    /// when `k` heads it), or `None` if `k` is not listed.
+    fn find_eligible(&self, p: usize, k: u32) -> Option<u32> {
+        let (mut prev, mut at) = (NIL, self.pairs[p].head);
+        while at != NIL {
+            if at == k {
+                return Some(prev);
+            }
+            prev = at;
+            at = self.slab[at as usize].next;
+        }
+        None
+    }
+
+    /// Appends flow `k` to the back of pair `p`'s eligible list.
+    #[inline]
+    // an2-lint: allow(panic-freedom) p < n * n and k, tail are live slab indices < slab.len()
+    fn link_back(&mut self, p: usize, k: u32) {
+        self.slab[k as usize].next = NIL;
+        let tail = self.pairs[p].tail;
+        if tail == NIL {
+            self.pairs[p].head = k;
+        } else {
+            self.slab[tail as usize].next = k;
+        }
+        self.pairs[p].tail = k;
+    }
+
+    /// Removes flow `k`, whose predecessor in pair `p`'s eligible list is
+    /// `prev` ([`NIL`] if `k` is the head), keeping the others' order.
+    #[inline]
+    fn unlink(&mut self, p: usize, prev: u32, k: u32) {
+        let next = self.slab[k as usize].next;
+        if prev == NIL {
+            self.pairs[p].head = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+        if self.pairs[p].tail == k {
+            self.pairs[p].tail = prev;
+        }
+    }
+
+    /// The slab index of `flow`, pushed on pair `p` towards output `j`:
+    /// the pair's last-flow cache when it still names this live flow on
+    /// this output, else the intern map.
+    #[inline]
+    // an2-lint: allow(panic-freedom) p < n * n (the caller validated both ports)
+    fn flow_slot(&mut self, p: usize, flow: FlowId, j: OutputPort) -> u32 {
+        let k = self.pairs[p].last;
+        if let Some(s) = self.slab.get(k as usize) {
+            if s.id == flow && s.live && s.output == j {
+                return k;
+            }
+        }
+        self.lookup_flow(p, flow, j)
+    }
+
+    /// The cache-miss half of [`VoqBuffers::flow_slot`]: one hash lookup,
+    /// interning the flow if it is new, then the route-pin check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow is pinned to an output other than `j`.
+    #[inline(never)]
+    // an2-lint: allow(panic-freedom) the pin assert is push's documented "# Panics" contract; k is a live slab index and p < n * n
+    fn lookup_flow(&mut self, p: usize, flow: FlowId, j: OutputPort) -> u32 {
+        let k = match self.index.get(&flow) {
+            Some(&k) => k,
+            None => self.intern(flow, j),
+        };
+        let pinned = self.slab[k as usize].output;
+        assert_eq!(
+            pinned, j,
+            "flow {flow} changed output ({pinned} -> {j}); flows are route-pinned"
+        );
+        self.pairs[p].last = k;
+        k
+    }
+
+    /// Gives a new flow a slab slot — a released one if any — pinned to
+    /// `output`, and records it in the intern map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab would need more than `u32::MAX - 1` slots.
+    // an2-lint: cold
+    #[cold]
+    fn intern(&mut self, flow: FlowId, output: OutputPort) -> u32 {
+        let k = if let Some(k) = self.free.pop() {
+            let s = &mut self.slab[k as usize];
+            debug_assert!(!s.live && s.cells.is_empty() && s.departed == 0);
+            s.id = flow;
+            s.output = output;
+            s.live = true;
+            k
+        } else {
+            let k = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&k| k != NIL)
+                .expect("flow slab exceeds u32 indices");
+            self.slab.push(FlowSlot {
+                id: flow,
+                output,
+                live: true,
+                next: NIL,
+                departed: 0,
+                cells: VecDeque::new(),
+            });
+            k
+        };
+        self.index.insert(flow, k);
+        k
     }
 
     /// Enqueues an arrived cell, or drops it (drop-tail) if the pair's VOQ
@@ -274,50 +496,37 @@ impl VoqBuffers {
     /// A drop rejects the *arriving* cell only: queued cells, flow head
     /// cells, and eligibility lists are untouched, so
     /// [`VoqBuffers::oldest_per_input`] and in-flow FIFO order stay valid
-    /// across drops.
+    /// across drops. The flow is still pinned to the cell's output.
     ///
     /// # Panics
     ///
     /// Panics if the cell's ports are out of range, or if its flow was
     /// previously seen with a different output (flows are route-pinned;
     /// reroute via [`VoqBuffers::redirect_flow`]).
-    // an2-lint: allow(panic-freedom) the leading asserts are this API's
-    // documented "# Panics" contract; every later index is < n because they
-    // validated both ports
+    // an2-lint: allow(panic-freedom) pair_index validated both ports, so p < n * n and i < n; k is a live slab index from flow_slot
     pub fn push(&mut self, cell: Cell) -> PushOutcome {
-        let (i, j) = (cell.input, cell.output);
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "cell for ({i},{j}) outside switch"
-        );
-        let pinned = self.flow_output.entry(cell.flow).or_insert(j);
-        assert_eq!(
-            *pinned, j,
-            "flow {} changed output ({} -> {j}); flows are route-pinned",
-            cell.flow, pinned
-        );
+        let i = cell.input.index();
+        let p = self.pair_index(cell.input, cell.output);
+        let k = self.flow_slot(p, cell.flow, cell.output);
         if let Some(cap) = self.capacity {
-            if self.pair_count[i.index()][j.index()] >= cap {
+            if self.pairs[p].count >= cap {
                 self.drops_total = self.drops_total.wrapping_add(1);
-                self.drops_per_input[i.index()] =
-                    self.drops_per_input[i.index()].wrapping_add(1);
+                self.drops_per_input[i] = self.drops_per_input[i].wrapping_add(1);
                 return PushOutcome::Dropped;
             }
         }
-        let q = self.flows.entry(cell.flow).or_default();
-        if q.is_empty() {
-            // Flow becomes eligible for its pair.
-            // an2-lint: allow(alloc-in-hot-path) amortized deque growth, bounded by live flows
-            self.eligible[i.index()][j.index()].push_back(cell.flow);
-            self.requests.set(i, j);
+        let cells = &mut self.slab[k as usize].cells;
+        let newly_eligible = cells.is_empty();
+        // an2-lint: allow(alloc-in-hot-path) amortized deque growth, bounded by the flow's queued cells
+        cells.push_back((self.next_seq, cell));
+        if newly_eligible {
+            self.link_back(p, k);
+            self.requests.set(cell.input, cell.output);
         }
-        // an2-lint: allow(alloc-in-hot-path) amortized deque growth, bounded by queued cells
-        q.push_back((self.next_seq, cell));
         self.next_seq = self.next_seq.wrapping_add(1);
         self.total = self.total.wrapping_add(1);
-        self.per_input[i.index()] = self.per_input[i.index()].wrapping_add(1);
-        self.pair_count[i.index()][j.index()] =
-            self.pair_count[i.index()][j.index()].wrapping_add(1);
+        self.per_input[i] = self.per_input[i].wrapping_add(1);
+        self.pairs[p].count = self.pairs[p].count.wrapping_add(1);
         PushOutcome::Admitted
     }
 
@@ -331,39 +540,30 @@ impl VoqBuffers {
     ///
     /// Panics if either port index is `>= n`.
     pub fn pop(&mut self, i: InputPort, j: OutputPort) -> Option<Cell> {
-        assert!(
-            i.index() < self.n && j.index() < self.n,
-            "pair ({i},{j}) outside switch"
-        );
-        let list = &mut self.eligible[i.index()][j.index()];
-        let pos = match self.discipline {
-            ServiceDiscipline::RoundRobin => 0,
-            ServiceDiscipline::Fifo => {
-                // Oldest head cell across the pair's flows.
-                let pos = (0..list.len()).min_by_key(|&k| {
-                    self.flows[&list[k]]
-                        .front()
-                        .expect("eligible flow has a queued cell")
-                        .0
-                })?;
-                pos
-            }
+        let p = self.pair_index(i, j);
+        let (prev, k) = match self.discipline {
+            ServiceDiscipline::RoundRobin => (NIL, self.pairs[p].head),
+            ServiceDiscipline::Fifo => self.oldest_eligible(p),
         };
-        let flow = *list.get(pos)?;
-        list.remove(pos);
-        let q = self.flows.get_mut(&flow).expect("eligible flow has a queue");
-        let (_, cell) = q.pop_front().expect("eligible flow has a queued cell");
-        if !q.is_empty() {
+        let slot = self.slab.get_mut(k as usize)?;
+        let (_, cell) = slot.cells.pop_front()?;
+        slot.departed = slot.departed.wrapping_add(1);
+        if slot.cells.is_empty() {
+            self.unlink(p, prev, k);
+            if self.pairs[p].head == NIL {
+                // The pair's last eligible flow drained; retract its request.
+                self.requests.clear(i, j);
+            }
+        } else if self.pairs[p].tail != k {
             // The flow rejoins at the back (round-robin rotation; harmless
-            // under Fifo, which ignores list order).
-            list.push_back(flow);
-        } else if list.is_empty() {
-            // The pair's last eligible flow drained; retract its request.
-            self.requests.clear(i, j);
+            // under Fifo, which ignores list order). Already the tail, as
+            // a pair's only flow is, it stays put.
+            self.unlink(p, prev, k);
+            self.link_back(p, k);
         }
         self.total -= 1;
         self.per_input[i.index()] -= 1;
-        self.pair_count[i.index()][j.index()] -= 1;
+        self.pairs[p].count -= 1;
         Some(cell)
     }
 
@@ -383,49 +583,50 @@ impl VoqBuffers {
             new_output.index() < self.n,
             "output {new_output} outside switch"
         );
-        let Some(&old_output) = self.flow_output.get(&flow) else {
+        let Some(&k) = self.index.get(&flow) else {
             // Unknown flow: pin it so future cells take the new route.
-            self.flow_output.insert(flow, new_output);
+            self.intern(flow, new_output);
             return 0;
         };
+        let slot = &mut self.slab[k as usize];
+        let old_output = slot.output;
         if old_output == new_output {
             return 0;
         }
-        self.flow_output.insert(flow, new_output);
-        let Some(q) = self.flows.get_mut(&flow) else {
+        slot.output = new_output;
+        let Some(&(_, head)) = slot.cells.front() else {
             return 0;
         };
-        if q.is_empty() {
-            return 0;
-        }
-        let i = q.front().expect("non-empty queue").1.input;
-        let count = q.len();
-        let (oi, oj) = (i.index(), old_output.index());
-        let list = &mut self.eligible[oi][oj];
-        if let Some(pos) = list.iter().position(|f| *f == flow) {
-            list.remove(pos);
-            if list.is_empty() {
+        let i = head.input;
+        let count = slot.cells.len();
+        let (op, np) = (
+            self.pair_index(i, old_output),
+            self.pair_index(i, new_output),
+        );
+        if let Some(prev) = self.find_eligible(op, k) {
+            self.unlink(op, prev, k);
+            if self.pairs[op].head == NIL {
                 self.requests.clear(i, old_output);
             }
         }
-        self.pair_count[oi][oj] -= count;
-        let nj = new_output.index();
+        self.pairs[op].count -= count;
         let room = self
             .capacity
-            .map_or(usize::MAX, |cap| cap.saturating_sub(self.pair_count[oi][nj]));
+            .map_or(usize::MAX, |cap| cap.saturating_sub(self.pairs[np].count));
         let kept = count.min(room);
         let dropped = count - kept;
-        q.truncate(kept);
-        for (_, cell) in q.iter_mut() {
+        let cells = &mut self.slab[k as usize].cells;
+        cells.truncate(kept);
+        for (_, cell) in cells.iter_mut() {
             cell.output = new_output;
         }
-        self.pair_count[oi][nj] += kept;
+        self.pairs[np].count += kept;
         self.total -= dropped;
-        self.per_input[oi] -= dropped;
+        self.per_input[i.index()] -= dropped;
         self.drops_total += dropped as u64;
-        self.drops_per_input[oi] += dropped as u64;
+        self.drops_per_input[i.index()] += dropped as u64;
         if kept > 0 {
-            self.eligible[oi][nj].push_back(flow);
+            self.link_back(np, k);
             self.requests.set(i, new_output);
         }
         dropped
@@ -435,31 +636,66 @@ impl VoqBuffers {
     /// Used by network-level recovery for flows stranded by a failure with
     /// no surviving path through this switch. Returns the number of cells
     /// discarded (all counted as drops).
+    ///
+    /// The flow's slab slot goes back to the free list for the next new
+    /// flow; its departure count so far is kept for
+    /// [`VoqBuffers::flow_departures`].
     pub fn drop_flow(&mut self, flow: FlowId) -> usize {
-        let count = match self.flows.remove(&flow) {
-            Some(q) if !q.is_empty() => {
-                let i = q.front().expect("non-empty queue").1.input;
-                let j = q.front().expect("non-empty queue").1.output;
-                let count = q.len();
-                let (ii, jj) = (i.index(), j.index());
-                let list = &mut self.eligible[ii][jj];
-                if let Some(pos) = list.iter().position(|f| *f == flow) {
-                    list.remove(pos);
-                    if list.is_empty() {
-                        self.requests.clear(i, j);
-                    }
-                }
-                self.pair_count[ii][jj] -= count;
-                self.total -= count;
-                self.per_input[ii] -= count;
-                self.drops_total += count as u64;
-                self.drops_per_input[ii] += count as u64;
-                count
-            }
-            _ => 0,
+        let Some(k) = self.index.remove(&flow) else {
+            return 0;
         };
-        self.flow_output.remove(&flow);
+        let count = self.slab[k as usize].cells.len();
+        if let Some(&(_, head)) = self.slab[k as usize].cells.front() {
+            let (i, j) = (head.input, head.output);
+            let p = self.pair_index(i, j);
+            if let Some(prev) = self.find_eligible(p, k) {
+                self.unlink(p, prev, k);
+                if self.pairs[p].head == NIL {
+                    self.requests.clear(i, j);
+                }
+            }
+            self.pairs[p].count -= count;
+            self.total -= count;
+            self.per_input[i.index()] -= count;
+            self.drops_total += count as u64;
+            self.drops_per_input[i.index()] += count as u64;
+        }
+        let slot = &mut self.slab[k as usize];
+        slot.cells.clear();
+        slot.live = false;
+        slot.next = NIL;
+        let departed = std::mem::take(&mut slot.departed);
+        if departed > 0 {
+            *self.retired.entry(flow).or_insert(0) += departed;
+        }
+        self.free.push(k);
         count
+    }
+
+    /// Cells popped per flow since construction or the last
+    /// [`VoqBuffers::reset_flow_departures`], as `(flow id, departures)`
+    /// for every flow with at least one, appended to `out` in no
+    /// particular order. Flows released by [`VoqBuffers::drop_flow`] keep
+    /// their count; a flow dropped and seen again may appear twice, once
+    /// per incarnation, so callers that need one entry per flow sort and
+    /// merge (as `SwitchReport::departures_per_flow` does).
+    pub fn flow_departures(&self, out: &mut Vec<(u64, u64)>) {
+        out.extend(
+            self.slab
+                .iter()
+                .filter(|s| s.departed > 0)
+                .map(|s| (s.id.0, s.departed)),
+        );
+        out.extend(self.retired.iter().map(|(f, &c)| (f.0, c)));
+    }
+
+    /// Zeroes every per-flow departure count (a switch's measurement
+    /// window restarting).
+    pub fn reset_flow_departures(&mut self) {
+        for s in &mut self.slab {
+            s.departed = 0;
+        }
+        self.retired.clear();
     }
 
     /// The request matrix for the next slot: pair `(i, j)` requests iff it
@@ -479,8 +715,8 @@ impl VoqBuffers {
         self.heads.resize(self.n, None);
         self.head_seqs.clear();
         self.head_seqs.resize(self.n, u64::MAX);
-        for q in self.flows.values() {
-            if let Some(&(seq, cell)) = q.front() {
+        for s in &self.slab {
+            if let Some(&(seq, cell)) = s.cells.front() {
                 let idx = cell.input.index();
                 if seq < self.head_seqs[idx] {
                     self.head_seqs[idx] = seq;
@@ -736,5 +972,76 @@ mod tests {
         push_ok(&mut voq, flow_cell(7, 2, 3, 9));
         // Dropping an unknown flow is a no-op.
         assert_eq!(voq.drop_flow(FlowId(999)), 0);
+    }
+
+    #[test]
+    fn drop_flow_churn_reuses_slab_slots() {
+        let mut voq = VoqBuffers::new(4);
+        for f in 0..1000u64 {
+            let (i, j) = ((f % 4) as usize, ((f / 4) % 4) as usize);
+            push_ok(&mut voq, flow_cell(f, i, j, f));
+            if f >= 8 {
+                assert_eq!(voq.drop_flow(FlowId(f - 8)), 1);
+            }
+        }
+        // At most nine flows were ever live at once (eight kept plus the
+        // newest before its predecessor's drop), so the slab never grew
+        // past nine slots although a thousand flows passed through.
+        assert_eq!(voq.slab.len(), 9);
+        assert_eq!(voq.index.len(), 8);
+        assert_eq!(voq.len(), 8);
+        assert_eq!(voq.drops(), 992);
+    }
+
+    #[test]
+    fn last_flow_cache_never_resurrects_a_dropped_flow() {
+        let mut voq = VoqBuffers::new(4);
+        push_ok(&mut voq, flow_cell(7, 0, 1, 0));
+        assert_eq!(voq.drop_flow(FlowId(7)), 1);
+        // The pair's cache still names the released slot, which still
+        // carries id 7: flow 7 must be interned afresh, not resurrected.
+        push_ok(&mut voq, flow_cell(7, 0, 1, 1));
+        assert_eq!(voq.flow_occupancy(FlowId(7)), 1);
+        assert_eq!(voq.drop_flow(FlowId(7)), 1);
+        // Flow 8 takes the released slot the cache names; flow 7, new
+        // again, must miss the cache (the slot now holds 8).
+        push_ok(&mut voq, flow_cell(8, 0, 1, 2));
+        push_ok(&mut voq, flow_cell(7, 0, 1, 3));
+        assert_eq!(voq.slab.len(), 2);
+        assert_eq!(voq.flow_occupancy(FlowId(7)), 1);
+        assert_eq!(voq.flow_occupancy(FlowId(8)), 1);
+        let order: Vec<u64> = (0..2)
+            .map(|_| {
+                voq.pop(InputPort::new(0), OutputPort::new(1))
+                    .unwrap()
+                    .flow
+                    .0
+            })
+            .collect();
+        assert_eq!(order, vec![8, 7]);
+    }
+
+    #[test]
+    fn flow_departures_count_pops_and_survive_drop_flow() {
+        let mut voq = VoqBuffers::new(4);
+        for s in 0..3 {
+            push_ok(&mut voq, flow_cell(5, 0, 1, s));
+            push_ok(&mut voq, flow_cell(6, 1, 1, s));
+        }
+        voq.pop(InputPort::new(0), OutputPort::new(1)).unwrap();
+        voq.pop(InputPort::new(0), OutputPort::new(1)).unwrap();
+        voq.pop(InputPort::new(1), OutputPort::new(1)).unwrap();
+        assert_eq!(voq.drop_flow(FlowId(5)), 1);
+        // Flow 5 comes back on another pair and departs once more.
+        push_ok(&mut voq, flow_cell(5, 2, 3, 9));
+        voq.pop(InputPort::new(2), OutputPort::new(3)).unwrap();
+        let mut out = Vec::new();
+        voq.flow_departures(&mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![(5, 1), (5, 2), (6, 1)]);
+        voq.reset_flow_departures();
+        out.clear();
+        voq.flow_departures(&mut out);
+        assert!(out.is_empty());
     }
 }

@@ -1,5 +1,6 @@
 //! Proof that the batch engine's slot loop and the quantile sketch's
-//! record path perform no heap allocation in steady state.
+//! record path perform no heap allocation in steady state, and that the
+//! scalar engine's slot loop allocates only at high-water marks.
 //!
 //! Same counting-allocator scheme as `an2-sched/tests/zero_alloc.rs`: a
 //! thread-local counter wraps the system allocator, the code under test is
@@ -278,4 +279,66 @@ fn wide_sparse_batch_slot_loop_does_not_allocate_after_warmup() {
     drive(&mut engine, 300);
     let allocs = local_count() - before;
     assert_eq!(allocs, 0, "wide sparse slot loop allocated {allocs} times");
+}
+
+/// The scalar engine's slot loop at the paper's radix, under the Figure 4
+/// client–server workload: flow interning, the last-flow cache, the
+/// intrusive eligible lists, per-flow FIFOs and departure counts.
+///
+/// Its only allocations are high-water-mark growth: a flow's FIFO (and, on
+/// first sight, the flow's slab slot) growing past the deepest backlog it
+/// has held, or the delay histogram extending to a delay never seen
+/// before. The test allows exactly that: after a short warmup, every slot
+/// that allocates must set a new per-pair depth record (one flow per pair
+/// here) or a new maximum delay, and records grow rare as the run goes on.
+#[test]
+fn scalar_client_server_slot_loop_allocates_only_at_high_water_marks() {
+    use an2_sim::model::SwitchModel;
+    use an2_sim::switch::CrossbarSwitch;
+    use an2_sim::traffic::{RateMatrixTraffic, Traffic};
+    let n = 16usize;
+    let mut engine = CrossbarSwitch::new(Pim::new(n, 0x5CA1));
+    let mut traffic = RateMatrixTraffic::client_server(n, 4, 0.9, 0.05, 0x5CA2);
+    let mut buf: Vec<Arrival> = Vec::with_capacity(n);
+    let mut deepest = vec![0usize; n * n];
+    let mut max_delay = 0u64;
+    let (mut allocating_slots, mut records) = (0u32, 0u32);
+    for slot in 0..30_000u64 {
+        buf.clear();
+        traffic.arrivals(slot, &mut buf);
+        // A pair peaks within the slot right after its arrival (at most
+        // one: one cell per input per slot), before any departure.
+        let mut record = false;
+        for a in &buf {
+            let peak = engine.buffers().pair_occupancy(a.input, a.output) + 1;
+            let deep = &mut deepest[a.input.index() * n + a.output.index()];
+            if peak > *deep {
+                *deep = peak;
+                record = true;
+            }
+        }
+        let before = local_count();
+        engine.step(&buf);
+        let allocs = local_count() - before;
+        // `report` builds vectors, so it stays outside the counted region.
+        let delay = engine.report().delay.max();
+        if delay > max_delay {
+            max_delay = delay;
+            record = true;
+        }
+        if slot >= 2_000 {
+            records += u32::from(record);
+            if allocs > 0 {
+                allocating_slots += 1;
+                assert!(
+                    record,
+                    "slot {slot} allocated {allocs} times without a new high-water mark"
+                );
+            }
+        }
+    }
+    // Records, and with them allocations, thin out once warm.
+    assert!(records < 300, "{records} high-water marks after warmup");
+    assert!(allocating_slots <= records);
+    assert!(engine.report().departures > 150_000);
 }

@@ -13,6 +13,9 @@
 //!   Hopcroft–Karp, a brute-force frame-schedule feasibility search for
 //!   the Slepian–Duguid construction, and confidence-bound helpers for
 //!   the analytic M/D/1 and Karol cross-checks.
+//! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
+//!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
+//!   oracle for the interned-slab `an2_sim::voq::VoqBuffers`.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
 //!   scheduler + VOQ pair slot by slot, re-verifying after every slot
 //!   that the matching is a legal (optionally maximal) permutation
@@ -36,9 +39,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod oracle;
+pub mod reference_voq;
 pub mod replay;
 pub mod runner;
 
 pub use oracle::ReferencePim;
+pub use reference_voq::ReferenceVoq;
 pub use replay::{shrink, ReplayCase};
 pub use runner::{run_case, RunOutcome};
