@@ -4,21 +4,28 @@
 //! simulator (arbitrary topologies, faults, rerouting); stepping a
 //! 1000-switch network through 10k slots with it is a minutes-scale job.
 //! This module is the scale-out companion: a fixed **ring** of identical
-//! crossbar switches whose per-slot work is sharded across an
-//! [`an2_task::Pool`] with a deterministic serial merge, so the same run
-//! is bit-identical at any thread count.
+//! crossbar switches stepped in lockstep by an [`an2_task::Pool`] team
+//! ([`Pool::lockstep`]), so the same run is bit-identical at any thread
+//! count.
 //!
 //! Determinism argument: every switch's state — its traffic generator,
 //! its PIM scheduler streams, its VOQ contents — is a function of its own
 //! seed (`task_seed(root, "sw{k}")`) and of the cells its ring
-//! predecessor hands it. A slot advances in two phases:
+//! predecessor hands it. Each ring link is a pair of per-sender cells
+//! indexed by slot parity. In slot `s`, switch `k`:
 //!
-//! 1. **Phase A (parallel)**: each switch consumes its inbox, injects
-//!    host traffic from its private RNG, schedules its crossbar and fills
-//!    its outbox. Switches touch only their own state, so how the pool
-//!    chunks them across workers cannot affect any value.
-//! 2. **Phase B (serial merge)**: outboxes are moved to successor
-//!    inboxes in switch-index order (one-slot link latency).
+//! 1. takes its predecessor's cell from the link's slot `s - 1` half
+//!    (one-slot link latency),
+//! 2. injects host traffic from its private RNG, schedules its crossbar
+//!    and delivers local cells,
+//! 3. writes its outgoing cell (or the empty sentinel) into its own
+//!    link's slot `s` half.
+//!
+//! A switch writes only its own state and the slot-`s` half of its own
+//! link, and reads only the slot-`s - 1` half of its predecessor's. The
+//! pool's barrier between slots orders every slot-`s - 1` write before
+//! every slot-`s` read, so how the team partitions the ring cannot affect
+//! any value.
 //!
 //! The end-of-run [`ShardReport`] aggregates per-switch counters in index
 //! order and carries an FNV digest over them, so `--threads 1` and
@@ -30,12 +37,47 @@ use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
 use an2_sim::metrics::QuantileSketch;
 use an2_task::{task_seed, Pool};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of switch chunks handed to the pool per slot. Fixed (not the
-/// worker count) so the chunk boundaries are part of the scenario, not of
-/// the machine; correctness does not depend on it because switches are
-/// independent within a phase.
-const CHUNKS: usize = 64;
+/// Largest ring: [`pack`] keeps the destination switch in 20 bits.
+const MAX_SWITCHES: usize = 1 << 20;
+
+/// A ring-link half carrying no cell. [`pack`] never produces it: a
+/// packed cell's port field is below the radix (at most 256, not `0xFFF`)
+/// and its slot field is below `u32::MAX`, both enforced by
+/// [`ShardNetConfig::validate`].
+const EMPTY: u64 = u64::MAX;
+
+/// One ring link, owned by its sender: the cell sent in slot `s` waits in
+/// the half of `s`'s parity until the receiver takes it in slot `s + 1`.
+/// Each half holds a packed cell or [`EMPTY`]. Halves are accessed with
+/// `Relaxed` ordering: the cell is the only data they publish, and the
+/// [`Pool::lockstep`] barrier between slots orders every store of slot
+/// `s` before every load of slot `s + 1`.
+#[derive(Debug)]
+struct Link {
+    even: AtomicU64,
+    odd: AtomicU64,
+}
+
+impl Link {
+    fn new() -> Self {
+        Link {
+            even: AtomicU64::new(EMPTY),
+            odd: AtomicU64::new(EMPTY),
+        }
+    }
+
+    /// The half carrying the cell sent in `slot`.
+    #[inline]
+    fn half(&self, slot: u64) -> &AtomicU64 {
+        if slot & 1 == 0 {
+            &self.even
+        } else {
+            &self.odd
+        }
+    }
+}
 
 /// Longest gap between ring-link re-reservation probes (slots). Backoff
 /// doubles from 1 up to this bound, so a switch whose outgoing link died
@@ -134,8 +176,15 @@ impl ShardNetConfig {
         }
     }
 
+    /// Checks every range the packed cell format and the ring links rely
+    /// on; together they keep a packed cell distinct from the link's
+    /// [`EMPTY`] sentinel.
     fn validate(&self) {
         assert!(self.switches >= 2, "a ring needs at least two switches");
+        assert!(
+            self.switches <= MAX_SWITCHES,
+            "the destination switch is packed in 20 bits (at most 2^20 switches)"
+        );
         assert!(
             self.radix >= 2 && self.radix <= 256,
             "shard switches use the narrow scheduler width (radix 2..=256)"
@@ -153,6 +202,10 @@ impl ShardNetConfig {
 /// port (12 bits), injection slot (32 bits).
 #[inline]
 fn pack(dst_switch: usize, dst_port: usize, slot: u64) -> u64 {
+    debug_assert!(
+        dst_switch < MAX_SWITCHES && dst_port < 0xFFF && slot < u64::from(u32::MAX),
+        "cell fields out of range: switch {dst_switch}, port {dst_port}, slot {slot}"
+    );
     ((dst_switch as u64) << 44) | ((dst_port as u64) << 32) | slot
 }
 
@@ -172,7 +225,7 @@ fn inject_slot(cell: u64) -> u64 {
 }
 
 /// One ring switch: private RNG, PIM scheduler, per-pair VOQ rings, and
-/// the single-cell link buffers the merge phase moves.
+/// the single-cell buffers for the ring link's receive and send ends.
 #[derive(Debug)]
 struct SwitchShard {
     k: usize,
@@ -285,23 +338,46 @@ impl SwitchShard {
         self.queued += 1;
     }
 
-    /// Phase A for one slot: consume the inbox, inject host traffic,
-    /// schedule the crossbar, deliver local cells and fill the outbox.
+    /// One slot: take the predecessor's cell off its link, run the slot
+    /// (under this switch's fault plan when `FAULTED`), then put the
+    /// outgoing cell, or [`EMPTY`], on this switch's own link.
     // an2-lint: hot
-    fn step(&mut self, slot: u64) {
-        let none = PortSet::new();
-        self.advance(slot, &none, &none, false);
+    fn step<const FAULTED: bool>(&mut self, slot: u64, links: &[Link]) {
+        debug_assert_eq!(links.len(), self.switches, "one link per switch");
+        self.receive(links, slot);
+        if FAULTED {
+            self.faulted_slot(slot);
+        } else {
+            let none = PortSet::new();
+            self.advance(slot, &none, &none, false);
+        }
+        let out = self.outbox.take().unwrap_or(EMPTY);
+        if let Some(link) = links.get(self.k) {
+            link.half(slot).store(out, Ordering::Relaxed);
+        }
     }
 
-    /// Phase A under this switch's fault plan: applies due events (mask
-    /// changes, on-the-wire cell losses, clock drift), runs the bounded-
-    /// backoff re-reservation probe for a failed ring link, then the
-    /// ordinary inject/schedule/transmit sequence. With an empty plan the
-    /// slot is bit-identical to [`SwitchShard::step`] — the RNG draw order
+    /// Takes into the inbox the predecessor's cell, if any, that was sent
+    /// in the slot before `slot`.
+    #[inline]
+    fn receive(&mut self, links: &[Link], slot: u64) {
+        let pred = if self.k == 0 { self.switches } else { self.k } - 1;
+        let cell = links.get(pred).map_or(EMPTY, |link| {
+            link.half(slot.wrapping_sub(1)).load(Ordering::Relaxed)
+        });
+        self.inbox = (cell != EMPTY).then_some(cell);
+    }
+
+    /// Applies this switch's due fault events (mask changes, on-the-wire
+    /// cell losses, clock drift), runs the bounded-backoff
+    /// re-reservation probe for a failed ring link, then the ordinary
+    /// inject/schedule/transmit sequence. A cell sent while the ring link
+    /// is physically down is lost here, at the sender. With an empty plan
+    /// the slot is bit-identical to a fault-free one — the RNG draw order
     /// never depends on fault state.
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) monotone u64 fault counters; slot >= down_since and backoff is clamped to MAX_BACKOFF, so the slot arithmetic cannot wrap
-    fn step_faulted(&mut self, slot: u64) {
+    fn faulted_slot(&mut self, slot: u64) {
         let mut injected = PortSet::new();
         let mut corrupted = PortSet::new();
         let mut mask_changed = false;
@@ -311,12 +387,10 @@ impl SwitchShard {
             match ev.kind {
                 FaultKind::LinkDown { output, .. } => {
                     if output == 0 {
-                        // The outgoing ring link died: lose anything on
-                        // the wire and start the re-reservation loop.
+                        // The outgoing ring link died: start the
+                        // re-reservation loop. The cell already on the
+                        // wire is the successor's to drop (`split_plan`).
                         self.link_up = false;
-                        if self.outbox.take().is_some() {
-                            self.dropped += 1;
-                        }
                         if !self.reserving {
                             self.reserving = true;
                             self.down_since = slot;
@@ -381,12 +455,16 @@ impl SwitchShard {
         }
         let skip_schedule = slot < self.drift_until;
         self.advance(slot, &injected, &corrupted, skip_schedule);
+        if !self.link_up && self.outbox.take().is_some() {
+            self.dropped += 1;
+        }
     }
 
-    /// The Phase A engine shared by [`SwitchShard::step`] (no faults) and
-    /// [`SwitchShard::step_faulted`]. RNG draws happen for every host
-    /// arrival whether or not a fault consumes it, so masking and drops
-    /// are draw-neutral.
+    /// The slot engine shared by fault-free and faulted slots. RNG draws
+    /// happen for every host arrival whether or not a fault consumes it,
+    /// so masking and drops are draw-neutral. An idle crossbar skips the
+    /// scheduler call, which PIM declares draw-neutral
+    /// ([`Scheduler::idle_slot_is_noop`]).
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) queued mirrors ring occupancy; slot >= inject_slot(cell) since cells are injected at or before the current slot; delivery counters are monotone u64
     // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < rings.len()
@@ -412,7 +490,7 @@ impl SwitchShard {
                 }
             }
         }
-        if skip_schedule {
+        if skip_schedule || (self.requests.is_empty() && self.sched.idle_slot_is_noop()) {
             return;
         }
         let matching = self.sched.schedule(&self.requests);
@@ -507,86 +585,17 @@ impl fmt::Display for ShardReport {
 /// Panics if the configuration is out of range (see [`ShardNetConfig`]
 /// field docs) or if cell conservation is violated.
 pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
-    cfg.validate();
-    let k = cfg.switches;
-    let mut chunks: Vec<Vec<SwitchShard>> = Vec::new();
-    let chunk_len = k.div_ceil(CHUNKS.min(k));
-    let mut next = 0usize;
-    while next < k {
-        let end = (next + chunk_len).min(k);
-        chunks.push((next..end).map(|i| SwitchShard::new(cfg, i)).collect());
-        next = end;
+    let r = drive::<false>(cfg, &FaultPlan::new(), pool);
+    ShardReport {
+        slots: r.slots,
+        switches: r.switches,
+        injected: r.injected,
+        delivered: r.delivered,
+        in_flight: r.in_flight,
+        delay: r.delay,
+        mean_delay: r.mean_delay,
+        digest: r.digest,
     }
-    let locate = |i: usize| (i / chunk_len, i % chunk_len);
-
-    for slot in 0..cfg.slots {
-        // Phase A: independent per-switch work, sharded across the pool.
-        chunks = pool.map(std::mem::take(&mut chunks), |_, mut chunk| {
-            for sw in &mut chunk {
-                sw.step(slot);
-            }
-            chunk
-        });
-        // Phase B: serial merge in switch-index order — ring links carry
-        // one cell with one slot of latency.
-        for i in 0..k {
-            let (c, o) = locate(i);
-            let Some(cell) = chunks[c][o].outbox.take() else {
-                continue;
-            };
-            let (nc, no) = locate((i + 1) % k);
-            debug_assert!(chunks[nc][no].inbox.is_none());
-            chunks[nc][no].inbox = Some(cell);
-        }
-    }
-
-    // Deterministic reduction in switch-index order.
-    let mut injected = 0u64;
-    let mut delivered = 0u64;
-    let mut in_flight = 0u64;
-    let mut delay_sum = 0u128;
-    let mut delay = QuantileSketch::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let fold = |d: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *d ^= b as u64;
-            *d = d.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
-    for i in 0..k {
-        let (c, o) = locate(i);
-        let sw = &chunks[c][o];
-        injected += sw.injected;
-        delivered += sw.delivered;
-        in_flight += sw.in_flight();
-        delay_sum += sw.delay_sum;
-        delay.merge(&sw.sketch);
-        fold(&mut digest, sw.injected);
-        fold(&mut digest, sw.delivered);
-        fold(&mut digest, sw.in_flight());
-    }
-    let report = ShardReport {
-        slots: cfg.slots,
-        switches: k,
-        injected,
-        delivered,
-        in_flight,
-        mean_delay: if delivered == 0 {
-            0.0
-        } else {
-            delay_sum as f64 / delivered as f64
-        },
-        delay,
-        digest,
-    };
-    assert!(
-        report.is_conserved(),
-        "cell conservation violated: {} injected, {} delivered, {} in flight",
-        report.injected,
-        report.delivered,
-        report.in_flight
-    );
-    report
 }
 
 /// Aggregate result of a faulted sharded run; identical at any thread
@@ -683,9 +692,9 @@ impl fmt::Display for ShardFaultReport {
 ///
 /// A ring `LinkDown {..., output: 0}` is additionally mirrored as a
 /// synthetic `CellDrop { switch: successor, input: 0 }` at the same slot:
-/// the cell in flight on the dying link sits in the successor's inbox
-/// under the one-slot link-latency model, and only the successor can
-/// drop it without crossing shard boundaries during the parallel phase.
+/// under the one-slot link-latency model the cell in flight on the dying
+/// link is the one the successor takes in that slot, so the successor
+/// drops it as it arrives, and no switch writes another's state.
 fn split_plan(plan: &FaultPlan, switches: usize) -> Vec<Vec<FaultEvent>> {
     let mut per_switch: Vec<Vec<FaultEvent>> = vec![Vec::new(); switches];
     for ev in plan.events() {
@@ -722,53 +731,43 @@ pub fn run_shard_net_faulted(
     plan: &FaultPlan,
     pool: &Pool,
 ) -> ShardFaultReport {
+    drive::<true>(cfg, plan, pool)
+}
+
+/// The driver behind both runners. It builds the ring on the calling
+/// thread, steps it on `pool` with one lockstep round per slot, and
+/// reduces the per-switch counters in switch-index order. A fault-free
+/// run (`FAULTED == false`) ignores `plan`, keeps no window buckets, and
+/// leaves its always-zero drop count out of the digest.
+fn drive<const FAULTED: bool>(
+    cfg: &ShardNetConfig,
+    plan: &FaultPlan,
+    pool: &Pool,
+) -> ShardFaultReport {
     cfg.validate();
     let k = cfg.switches;
-    let mut plans = split_plan(plan, k);
-    let buckets = cfg.slots.div_ceil(FAULT_WINDOW).max(1) as usize;
-    let mut chunks: Vec<Vec<SwitchShard>> = Vec::new();
-    let chunk_len = k.div_ceil(CHUNKS.min(k));
-    let mut next = 0usize;
-    while next < k {
-        let end = (next + chunk_len).min(k);
-        chunks.push(
-            (next..end)
-                .map(|i| {
-                    let mut sw = SwitchShard::new(cfg, i);
-                    sw.plan = FaultPlan::from_events(std::mem::take(&mut plans[i]));
-                    sw.windows = vec![0u32; buckets];
-                    sw
-                })
-                .collect(),
-        );
-        next = end;
-    }
-    let locate = |i: usize| (i / chunk_len, i % chunk_len);
-
-    for slot in 0..cfg.slots {
-        // Phase A: independent per-switch faulted work.
-        chunks = pool.map(std::mem::take(&mut chunks), |_, mut chunk| {
-            for sw in &mut chunk {
-                sw.step_faulted(slot);
-            }
-            chunk
-        });
-        // Phase B: serial merge in switch-index order. A sender whose
-        // ring link is physically down loses the cell (defensive: the
-        // mask normally prevents the outbox from filling while down).
-        for i in 0..k {
-            let (c, o) = locate(i);
-            let Some(cell) = chunks[c][o].outbox.take() else {
-                continue;
-            };
-            if !chunks[c][o].link_up {
-                chunks[c][o].dropped += 1;
-                continue;
-            }
-            let (nc, no) = locate((i + 1) % k);
-            debug_assert!(chunks[nc][no].inbox.is_none());
-            chunks[nc][no].inbox = Some(cell);
+    let buckets = if FAULTED {
+        cfg.slots.div_ceil(FAULT_WINDOW).max(1) as usize
+    } else {
+        0
+    };
+    let mut switches: Vec<SwitchShard> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
+    if FAULTED {
+        for (sw, events) in switches.iter_mut().zip(split_plan(plan, k)) {
+            sw.plan = FaultPlan::from_events(events);
+            sw.windows = vec![0u32; buckets];
         }
+    }
+    let links: Vec<Link> = (0..k).map(|_| Link::new()).collect();
+    pool.lockstep(&mut switches, cfg.slots, |slot, part| {
+        for sw in part {
+            sw.step::<FAULTED>(slot, &links);
+        }
+    });
+    // Cells sent in the last slot are still on the wire; they count as
+    // in flight at their receiver, as if it were starting one more slot.
+    for sw in &mut switches {
+        sw.receive(&links, cfg.slots);
     }
 
     // Deterministic reduction in switch-index order.
@@ -791,9 +790,7 @@ pub fn run_shard_net_faulted(
             *d = d.wrapping_mul(0x1_0000_0000_01b3);
         }
     };
-    for i in 0..k {
-        let (c, o) = locate(i);
-        let sw = &chunks[c][o];
+    for sw in &switches {
         injected += sw.injected;
         delivered += sw.delivered;
         in_flight += sw.in_flight();
@@ -811,7 +808,9 @@ pub fn run_shard_net_faulted(
         fold(&mut digest, sw.injected);
         fold(&mut digest, sw.delivered);
         fold(&mut digest, sw.in_flight());
-        fold(&mut digest, sw.dropped);
+        if FAULTED {
+            fold(&mut digest, sw.dropped);
+        }
     }
     let report = ShardFaultReport {
         slots: cfg.slots,
@@ -836,7 +835,7 @@ pub fn run_shard_net_faulted(
     };
     assert!(
         report.is_conserved(),
-        "cell conservation violated under faults: {} injected, {} delivered, {} in flight, {} dropped",
+        "cell conservation violated: {} injected, {} delivered, {} in flight, {} dropped",
         report.injected,
         report.delivered,
         report.in_flight,
@@ -912,6 +911,24 @@ mod tests {
         let mut cfg = small();
         cfg.switches = 1;
         run_shard_net(&cfg, &Pool::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "packed in 20 bits")]
+    fn ring_wider_than_the_switch_field_rejected() {
+        let mut cfg = small();
+        cfg.switches = MAX_SWITCHES + 1;
+        run_shard_net(&cfg, &Pool::serial());
+    }
+
+    #[test]
+    fn packed_cells_at_the_field_limits_round_trip_and_stay_off_the_sentinel() {
+        let slot = u64::from(u32::MAX) - 1;
+        let cell = pack(MAX_SWITCHES - 1, 255, slot);
+        assert_ne!(cell, EMPTY);
+        assert_eq!(dst_switch(cell), MAX_SWITCHES - 1);
+        assert_eq!(dst_port(cell), 255);
+        assert_eq!(inject_slot(cell), slot);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 use an2_net::cbr::{simulate_cbr_chain, CbrChainConfig};
 use an2_net::clock::ClockPolicy;
 use an2_net::netsim::Network;
+use an2_net::shard::{run_shard_net, run_shard_net_faulted, ShardNetConfig};
 use an2_sched::{InputPort, OutputPort};
 use an2_sim::cell::FlowId;
+use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
+use an2_task::Pool;
 use proptest::prelude::*;
 
 fn any_policy(which: u8, a: u64, b: u64) -> ClockPolicy {
@@ -15,6 +18,98 @@ fn any_policy(which: u8, a: u64, b: u64) -> ClockPolicy {
             slow_frames: 1 + a % 50,
             fast_frames: 1 + b % 50,
         },
+    }
+}
+
+/// Decodes one fault event on a ring of `switches` switches of `radix`
+/// ports from two raw draws. A third of link faults hit the ring link
+/// (output 0); event slots run a little past the end of the run.
+fn ring_fault(a: u64, b: u64, switches: usize, radix: usize, slots: u64) -> FaultEvent {
+    let switch = ((a >> 8) % switches as u64) as usize;
+    let port = ((b >> 32) % radix as u64) as usize;
+    let link = if a.is_multiple_of(3) { 0 } else { port };
+    let side = if a & 0x10 == 0 {
+        PortSide::Input
+    } else {
+        PortSide::Output
+    };
+    let kind = match (a >> 5) % 7 {
+        0 => FaultKind::LinkDown {
+            switch,
+            output: link,
+        },
+        1 => FaultKind::LinkUp {
+            switch,
+            output: link,
+        },
+        2 => FaultKind::PortFail { switch, side, port },
+        3 => FaultKind::PortRecover { switch, side, port },
+        4 => FaultKind::CellDrop {
+            switch,
+            input: port,
+        },
+        5 => FaultKind::CellCorrupt {
+            switch,
+            input: port,
+        },
+        _ => FaultKind::ClockDrift {
+            switch,
+            slots: 1 + (b >> 40) % 24,
+        },
+    };
+    FaultEvent {
+        slot: b % (slots + 8),
+        kind,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sharded ring's report is byte-identical to the serial run's
+    /// at any thread count, faulted or not. Small rings with up to five
+    /// threads cover uneven partitions and teams clamped to fewer parts
+    /// than threads.
+    #[test]
+    fn shard_ring_matches_serial_at_any_thread_count(
+        switches in 2usize..=40,
+        radix in 2usize..=8,
+        span_draw in any::<u64>(),
+        host_load in 0.0f64..1.0,
+        slots in 0u64..150,
+        threads in 1usize..=5,
+        seed in any::<u64>(),
+        faults in proptest::option::of(
+            proptest::collection::vec((any::<u64>(), any::<u64>()), 1..16)
+        ),
+    ) {
+        let cfg = ShardNetConfig {
+            switches,
+            radix,
+            span: 1 + (span_draw % (switches as u64 - 1)) as usize,
+            host_load,
+            seed,
+            slots,
+        };
+        let pool = Pool::new(threads);
+        match faults {
+            None => prop_assert_eq!(
+                run_shard_net(&cfg, &pool).to_string(),
+                run_shard_net(&cfg, &Pool::serial()).to_string(),
+                "{:?} threads={}", cfg, threads
+            ),
+            Some(raw) => {
+                let plan = FaultPlan::from_events(
+                    raw.iter()
+                        .map(|&(a, b)| ring_fault(a, b, switches, radix, slots))
+                        .collect(),
+                );
+                let par = run_shard_net_faulted(&cfg, &plan, &pool);
+                let serial = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
+                prop_assert_eq!(par.to_string(), serial.to_string(), "{:?} threads={}", cfg, threads);
+                prop_assert_eq!(par.windows, serial.windows);
+            }
+        }
     }
 }
 

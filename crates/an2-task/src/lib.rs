@@ -9,7 +9,9 @@
 //! * [`Pool`] — a scoped-thread worker pool with per-worker deques and
 //!   work stealing. [`Pool::map`] runs one closure per item and returns
 //!   results in *item order*, so callers see the same `Vec` whatever the
-//!   worker count or completion order was.
+//!   worker count or completion order was. [`Pool::lockstep`] is the
+//!   time-stepped counterpart: a fixed team of workers steps contiguous
+//!   parts of one slice through many rounds, separated by a barrier.
 //! * [`task_seed`] — derives a task's RNG seed as a pure hash of
 //!   `(root_seed, task_key)`. Because no task's seed is "the next draw"
 //!   of a shared generator, adding, removing, or reordering tasks never
@@ -23,6 +25,8 @@
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Derives a task's RNG seed from the experiment's root seed and a
@@ -68,10 +72,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// work stealing.
 ///
 /// The pool is a *policy* object — it owns no threads between calls.
-/// Each [`map`](Pool::map) call spawns scoped workers, runs the batch,
-/// and joins them, so a `Pool` can be passed freely down a call tree
-/// (including from inside another pool's task, where the nested call
-/// simply runs with its own workers).
+/// Each [`map`](Pool::map) or [`lockstep`](Pool::lockstep) call spawns
+/// scoped workers, runs to completion, and joins them, so a `Pool` can be
+/// passed freely down a call tree (including from inside another pool's
+/// task, where the nested call simply runs with its own workers).
+///
+/// `map` suits one batch of independent tasks. `lockstep` suits a
+/// simulation that advances many small rounds: it spawns its team once
+/// per call and separates rounds with a barrier, where a `map` per round
+/// would pay a spawn, a join and the task bookkeeping every round.
 ///
 /// # Examples
 ///
@@ -186,6 +195,88 @@ impl Pool {
             .collect()
     }
 
+    /// Steps `items` through `rounds` rounds on a fixed team of workers.
+    ///
+    /// `items` is split into `min(threads, items.len())` contiguous parts
+    /// whose lengths differ by at most one (earlier parts take the extra
+    /// items). The helper threads are spawned once per call; the calling
+    /// thread runs part 0. In round `r` every part runs `step(r, part)`,
+    /// then all parts wait at one barrier before round `r + 1` starts.
+    ///
+    /// The contract for `step`: state a part writes in round `r` may be
+    /// read by other parts (through shared state `step` captures, such as
+    /// atomics) only in round `r + 1` or later. The barrier orders every
+    /// write of round `r` before every read of round `r + 1`, so relaxed
+    /// atomics suffice. Under that contract the outcome does not depend on
+    /// the worker count. A serial pool, or a one-item slice, runs every
+    /// round on the caller with no spawn and no barrier; an empty slice
+    /// has no parts, so `step` never runs.
+    ///
+    /// A barrier waiter spins for a bounded number of iterations, then
+    /// yields its CPU between checks. Nothing is allocated per round.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use an2_task::Pool;
+    /// use std::sync::atomic::{AtomicU64, Ordering};
+    /// // A four-stage shift register: each round, every stage takes its
+    /// // predecessor's value from the previous round.
+    /// let wires: Vec<[AtomicU64; 2]> =
+    ///     (0..4u64).map(|i| [AtomicU64::new(i), AtomicU64::new(i)]).collect();
+    /// let mut stages: Vec<(usize, u64)> = (0..4).map(|i| (i, i as u64)).collect();
+    /// Pool::new(2).lockstep(&mut stages, 3, |round, part| {
+    ///     let (read, write) = ((round as usize + 1) % 2, round as usize % 2);
+    ///     for (i, v) in part.iter_mut() {
+    ///         *v = wires[(*i + 3) % 4][read].load(Ordering::Relaxed);
+    ///         wires[*i][write].store(*v, Ordering::Relaxed);
+    ///     }
+    /// });
+    /// // Three rounds moved every value three stages along the ring.
+    /// assert_eq!(stages, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// If `step` panics in any part, the barrier is poisoned, the other
+    /// parts stop at their next barrier wait, and the call panics with
+    /// `pool worker panicked` once every worker has been joined.
+    pub fn lockstep<T, F>(&self, items: &mut [T], rounds: u64, step: F)
+    where
+        T: Send,
+        F: Fn(u64, &mut [T]) + Sync,
+    {
+        let parts = self.threads.min(items.len());
+        if parts == 0 {
+            return;
+        }
+        if parts == 1 {
+            for round in 0..rounds {
+                step(round, items);
+            }
+            return;
+        }
+        let (base, extra) = (items.len() / parts, items.len() % parts);
+        let barrier = Barrier::new(parts);
+        let (barrier, step) = (&barrier, &step);
+        std::thread::scope(|scope| {
+            let (first, mut rest) = items.split_at_mut(base + usize::from(extra > 0));
+            let mut helpers = Vec::with_capacity(parts - 1);
+            for p in 1..parts {
+                let (part, tail) = rest.split_at_mut(base + usize::from(p < extra));
+                rest = tail;
+                helpers.push(scope.spawn(move || run_part(barrier, rounds, step, part)));
+            }
+            let caller = catch_unwind(AssertUnwindSafe(|| run_part(barrier, rounds, step, first)));
+            // Join every helper before re-raising, so none outlives the call.
+            let mut helpers_ok = true;
+            for h in helpers {
+                helpers_ok &= h.join().is_ok();
+            }
+            assert!(caller.is_ok() && helpers_ok, "pool worker panicked");
+        });
+    }
+
     /// Runs a batch of heterogeneous boxed tasks; sugar over [`map`](Pool::map)
     /// for callers whose tasks are distinct closures rather than uniform
     /// items.
@@ -220,6 +311,95 @@ fn next_task(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     None
 }
 
+/// Spin iterations a barrier waiter burns before it starts yielding its
+/// CPU between checks. Lockstep rounds are short and the parts are
+/// balanced, so most waits end within the spin; the yield keeps a long
+/// wait (an uneven round, an oversubscribed host) from starving others.
+const SPIN_LIMIT: u32 = 1 << 10;
+
+/// One part's loop in [`Pool::lockstep`]: step, then wait for the other
+/// parts. The last round needs no barrier — the join orders it.
+fn run_part<T, F>(barrier: &Barrier, rounds: u64, step: &F, part: &mut [T])
+where
+    F: Fn(u64, &mut [T]),
+{
+    let _poison = PoisonOnUnwind(barrier);
+    for round in 0..rounds {
+        step(round, part);
+        if round + 1 < rounds && !barrier.wait() {
+            // Another part panicked; its round will never complete.
+            return;
+        }
+    }
+}
+
+/// A reusable generation-counting barrier for a fixed team that can be
+/// poisoned, so a panicking member releases the others instead of
+/// leaving them waiting for an arrival that never comes.
+#[derive(Debug)]
+struct Barrier {
+    parts: usize,
+    /// Arrivals in the current generation.
+    arrived: AtomicUsize,
+    /// Completed generations; waiters leave when it moves.
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+impl Barrier {
+    fn new(parts: usize) -> Self {
+        Barrier {
+            parts,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Waits until all `parts` members have arrived. Returns `false`
+    /// (without waiting further) once the barrier is poisoned.
+    ///
+    /// The release/acquire chain — each arrival's `AcqRel` increment, the
+    /// last arrival's `Release` store of the generation, every waiter's
+    /// `Acquire` load of it — orders everything a member wrote before
+    /// arriving before everything any member does after leaving.
+    fn wait(&self) -> bool {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parts {
+            // Reset before publishing the new generation: a released
+            // member's next arrival must count from zero.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            return true;
+        }
+        let mut spins = 0u32;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                return false;
+            }
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+}
+
+/// Poisons the barrier if its owner unwinds out of a lockstep part.
+struct PoisonOnUnwind<'a>(&'a Barrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Locks ignoring poisoning: a panicked worker is re-raised at join, so
 /// survivors may keep draining the queue in the meantime.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -233,7 +413,7 @@ fn lock_owned<T>(m: Mutex<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_preserves_item_order() {
@@ -303,6 +483,116 @@ mod tests {
         let _ = Pool::new(2).map((0..8).collect::<Vec<u32>>(), |_, x| {
             assert!(x != 5, "boom");
             x
+        });
+    }
+
+    /// A shift-register ring stepped through `rounds` rounds: item `i`
+    /// folds its predecessor's previous-round output into its state and
+    /// publishes the result on its own double-buffered wire.
+    fn shift_ring(pool: Pool, len: usize, rounds: u64) -> Vec<(usize, u64)> {
+        let wires: Vec<[AtomicU64; 2]> = (0..len as u64)
+            .map(|i| [AtomicU64::new(i), AtomicU64::new(i)])
+            .collect();
+        let mut items: Vec<(usize, u64)> = (0..len).map(|i| (i, i as u64 * 7)).collect();
+        pool.lockstep(&mut items, rounds, |round, part| {
+            let (read, write) = ((round as usize + 1) % 2, round as usize % 2);
+            for (i, state) in part.iter_mut() {
+                let pred = (*i + len - 1) % len;
+                let v = wires[pred][read].load(Ordering::Relaxed);
+                *state = state.wrapping_mul(0x9E37_79B9).wrapping_add(v ^ round);
+                wires[*i][write].store(*state, Ordering::Relaxed);
+            }
+        });
+        items
+    }
+
+    #[test]
+    fn lockstep_shift_ring_matches_serial() {
+        for len in [1, 2, 5, 100] {
+            let serial = shift_ring(Pool::serial(), len, 37);
+            for threads in [1, 2, 3, 7] {
+                assert_eq!(
+                    shift_ring(Pool::new(threads), len, 37),
+                    serial,
+                    "threads={threads} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_clamps_parts_to_the_item_count() {
+        for (threads, len, want) in [
+            (8, 3, vec![1, 1, 1]),
+            (2, 5, vec![3, 2]),
+            (3, 7, vec![3, 2, 2]),
+        ] {
+            let seen = Mutex::new(Vec::new());
+            let mut items: Vec<usize> = (0..len).collect();
+            Pool::new(threads).lockstep(&mut items, 4, |round, part| {
+                lock(&seen).push((round, part[0], part.len(), std::thread::current().id()));
+            });
+            let mut seen = lock_owned(seen);
+            seen.sort_by_key(|&(round, first, _, _)| (round, first));
+            assert_eq!(seen.len(), 4 * want.len(), "threads={threads} len={len}");
+            let lens: Vec<usize> = seen[..want.len()].iter().map(|s| s.2).collect();
+            assert_eq!(lens, want, "threads={threads} len={len}");
+            // Each part keeps its own thread for the whole call.
+            let mut ids: Vec<_> = seen.iter().map(|s| format!("{:?}", s.3)).collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), want.len(), "threads={threads} len={len}");
+        }
+    }
+
+    #[test]
+    fn lockstep_with_zero_rounds_never_steps() {
+        let mut items = vec![1u8; 10];
+        for threads in [1, 4] {
+            Pool::new(threads).lockstep(&mut items, 0, |_, _| panic!("stepped"));
+        }
+        Pool::new(4).lockstep(&mut Vec::<u8>::new(), 5, |_, _| panic!("stepped"));
+        assert_eq!(items, vec![1u8; 10]);
+    }
+
+    #[test]
+    fn lockstep_nested_inside_map() {
+        let out = Pool::new(2).map(vec![5usize, 9], |_, len| shift_ring(Pool::new(3), len, 20));
+        assert_eq!(
+            out,
+            vec![
+                shift_ring(Pool::serial(), 5, 20),
+                shift_ring(Pool::serial(), 9, 20)
+            ]
+        );
+    }
+
+    /// Panics in the part starting at item `first` at round 7 of 50.
+    fn lockstep_panicking_at(first: usize) {
+        let mut items: Vec<usize> = (0..9).collect();
+        Pool::new(3).lockstep(&mut items, 50, |round, part| {
+            assert!(!(round == 7 && part[0] == first), "boom");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "pool worker panicked")]
+    fn lockstep_helper_panic_propagates() {
+        lockstep_panicking_at(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool worker panicked")]
+    fn lockstep_caller_part_panic_propagates() {
+        lockstep_panicking_at(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool worker panicked")]
+    fn lockstep_last_round_panic_propagates() {
+        let mut items: Vec<usize> = (0..4).collect();
+        Pool::new(2).lockstep(&mut items, 3, |round, part| {
+            assert!(!(round == 2 && part[0] == 2), "boom");
         });
     }
 
