@@ -1,22 +1,18 @@
-//! Criterion microbenchmark: dense vs sparse wide-iSLIP grant walks.
+//! Criterion microbenchmark: the sparse wide-iSLIP grant walk.
 //!
 //! The sparse active-pair scheduling path prunes the grant phase to the
 //! outputs that actually have requests and finds each grant pointer's
 //! successor through the per-column nonzero-word bitmap, so decision cost
-//! tracks traffic instead of N. This bench pins that claim by running the
-//! same wide (16-word) iSLIP kernel through both entry points —
-//! `schedule` (sparse) and `schedule_dense` (the retained dense oracle) —
-//! at N ∈ {256, 1024} under offered loads {0.05, 0.25}.
+//! tracks traffic instead of N. This bench times the wide (16-word)
+//! iSLIP kernel at N ∈ {256, 1024} under offered loads {0.05, 0.25}.
 //!
 //! "Load" here matches the perf harness's scaling curve: the per-input
 //! offered load of the batch engine, whose steady-state request matrix
 //! holds about `load × N` active pairs. The matrices are therefore drawn
 //! at per-pair density `load / N` (≈51 pairs at N=1024, load 0.05), not
 //! at density `load` like the saturated kernel grid — the sparse regime
-//! is exactly where the pointer walk's N-proportional cost used to
-//! dominate. The dense walk touches all N grant columns regardless; the
-//! sparse walk should win by roughly `N / (load × N)` there, and the gap
-//! should narrow as load rises.
+//! is exactly where an N-proportional pointer walk would dominate, so
+//! cost per decision should grow with load far more than with N.
 
 use an2_sched::islip::WideRoundRobinMatching;
 use an2_sched::rng::Xoshiro256;
@@ -32,7 +28,7 @@ fn matrices(n: usize, p: f64, count: usize, seed: u64) -> Vec<WideRequestMatrix>
         .collect()
 }
 
-fn bench_dense_vs_sparse(c: &mut Criterion) {
+fn bench_sparse(c: &mut Criterion) {
     for n in [256usize, 1024] {
         for load in [0.05f64, 0.25] {
             let mut group = c.benchmark_group(format!("wide_islip4_n{n}_load{load}"));
@@ -49,18 +45,10 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
                     islip.schedule(&pool[k])
                 });
             });
-            group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, &n| {
-                let mut islip = WideRoundRobinMatching::islip(n, 4);
-                let mut k = 0;
-                b.iter(|| {
-                    k = (k + 1) % pool.len();
-                    islip.schedule_dense(&pool[k])
-                });
-            });
             group.finish();
         }
     }
 }
 
-criterion_group!(benches, bench_dense_vs_sparse);
+criterion_group!(benches, bench_sparse);
 criterion_main!(benches);

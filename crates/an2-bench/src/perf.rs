@@ -28,11 +28,10 @@
 
 use crate::Effort;
 use an2_net::shard::{run_shard_net, ShardNetConfig};
-use an2_sched::islip::{RoundRobinMatching, WideRoundRobinMatching};
-use an2_sched::maximum::MaximumMatching;
+use an2_sched::islip::RoundRobinMatchingN;
+use an2_sched::maximum::MaximumMatchingN;
 use an2_sched::rng::Xoshiro256;
-use an2_sched::{AcceptPolicy, IterationLimit, Mwm, Pim, RequestMatrix, Scheduler, Serenade};
-use an2_sched::{WidePim, WideRequestMatrix, WideSerenade};
+use an2_sched::{AcceptPolicy, IterationLimit, MwmN, PimN, RequestMatrixN, Scheduler, SerenadeN};
 use an2_sim::batch::BatchCrossbar;
 use an2_sim::traffic::{SparseUniformTraffic, Traffic};
 use an2_sim::SwitchModel;
@@ -153,37 +152,29 @@ pub struct PerfReport {
     pub network: NetCase,
 }
 
-fn make_scheduler(name: &str, n: usize, seed: u64) -> Box<dyn Scheduler> {
+/// Builds the named scheduler at bitset width `W` (4 words for the narrow
+/// grid, 16 for the 1024-port cases and the engine scaling curve).
+fn make_scheduler<const W: usize>(name: &str, n: usize, seed: u64) -> Box<dyn Scheduler<W>> {
     match name {
-        "pim4" => Box::new(Pim::with_options(
+        "pim4" => Box::new(PimN::<Xoshiro256, W>::with_options(
             n,
             seed,
             IterationLimit::Fixed(4),
             AcceptPolicy::Random,
         )),
-        "pim" => Box::new(Pim::with_options(
+        "pim" => Box::new(PimN::<Xoshiro256, W>::with_options(
             n,
             seed,
             IterationLimit::ToCompletion,
             AcceptPolicy::Random,
         )),
-        "islip4" => Box::new(RoundRobinMatching::islip(n, 4)),
-        "rrm4" => Box::new(RoundRobinMatching::rrm(n, 4)),
-        "maximum" => Box::new(MaximumMatching::new()),
-        "mwm-lqf" => Box::new(Mwm::lqf(n)),
-        "mwm-ocf" => Box::new(Mwm::ocf(n)),
-        "serenade" => Box::new(Serenade::new(n, seed)),
+        "islip4" => Box::new(RoundRobinMatchingN::<W>::islip(n, 4)),
+        "rrm4" => Box::new(RoundRobinMatchingN::<W>::rrm(n, 4)),
+        "maximum" => Box::new(MaximumMatchingN::<W>::new()),
+        "mwm-lqf" => Box::new(MwmN::<W>::lqf(n)),
+        "mwm-ocf" => Box::new(MwmN::<W>::ocf(n)),
+        "serenade" => Box::new(SerenadeN::<W>::new(n, seed)),
         other => unreachable!("unknown scheduler {other}"),
-    }
-}
-
-fn make_wide_scheduler(name: &str, n: usize, seed: u64) -> Box<dyn Scheduler<16>> {
-    match name {
-        "pim4" => Box::new(WidePim::new(n, seed)),
-        "islip4" => Box::new(WideRoundRobinMatching::islip(n, 4)),
-        "rrm4" => Box::new(WideRoundRobinMatching::rrm(n, 4)),
-        "serenade" => Box::new(WideSerenade::new(n, seed)),
-        other => unreachable!("unknown wide scheduler {other}"),
     }
 }
 
@@ -203,39 +194,22 @@ fn scaling_slots_for(effort: Effort, n: usize) -> u64 {
     slots_for(effort, n).max(effort.scale(1_000, 10_000))
 }
 
-fn run_case(scheduler: &'static str, n: usize, load: f64, slots: u64, seed: u64) -> PerfCase {
+/// Times one kernel case at bitset width `W`; narrow and wide cases land
+/// in the same [`PerfCase`] rows.
+fn run_case<const W: usize>(
+    scheduler: &'static str,
+    n: usize,
+    load: f64,
+    slots: u64,
+    seed: u64,
+) -> PerfCase {
     // Pool generation and scheduler construction stay outside the timed
     // region: the measurement is of `schedule()` itself.
     let mut pool_rng = Xoshiro256::seed_from(seed).split(0x9_0000);
-    let pool: Vec<RequestMatrix> = (0..POOL)
-        .map(|_| RequestMatrix::random(n, load, &mut pool_rng))
+    let pool: Vec<RequestMatrixN<W>> = (0..POOL)
+        .map(|_| RequestMatrixN::random(n, load, &mut pool_rng))
         .collect();
-    let mut sched = make_scheduler(scheduler, n, seed);
-    let mut matches = 0u64;
-    let started = Instant::now();
-    for s in 0..slots {
-        let m = sched.schedule(&pool[(s as usize) % POOL]);
-        matches += m.len() as u64;
-    }
-    let task_wall_sec = started.elapsed().as_secs_f64();
-    PerfCase {
-        scheduler,
-        n,
-        load,
-        slots,
-        matches,
-        task_wall_sec,
-    }
-}
-
-/// The 16-word-width twin of [`run_case`]; only the request/matching
-/// types differ, so wide cases land in the same [`PerfCase`] rows.
-fn run_wide_case(scheduler: &'static str, n: usize, load: f64, slots: u64, seed: u64) -> PerfCase {
-    let mut pool_rng = Xoshiro256::seed_from(seed).split(0x9_0000);
-    let pool: Vec<WideRequestMatrix> = (0..POOL)
-        .map(|_| WideRequestMatrix::random(n, load, &mut pool_rng))
-        .collect();
-    let mut sched = make_wide_scheduler(scheduler, n, seed);
+    let mut sched = make_scheduler::<W>(scheduler, n, seed);
     let mut matches = 0u64;
     let started = Instant::now();
     for s in 0..slots {
@@ -283,7 +257,7 @@ impl ScalingCase {
 
 fn run_scaling_case(name: &'static str, n: usize, load: f64, slots: u64, seed: u64) -> ScalingCase {
     let mut engine: BatchCrossbar<_, 16> =
-        BatchCrossbar::new(n, make_wide_scheduler(name, n, seed));
+        BatchCrossbar::new(n, make_scheduler::<16>(name, n, seed));
     let mut traffic = SparseUniformTraffic::new(n, load, seed ^ 0x7261_6666);
     let mut buf = Vec::with_capacity(n);
     // Short warmup fills the queues to steady state; the timed region is
@@ -376,9 +350,9 @@ pub fn run(effort: Effort, seed: u64, pool: &Pool) -> PerfReport {
     let started = Instant::now();
     let cases = pool.map(specs, |_, (scheduler, n, load, slots, case_seed)| {
         if n > 256 {
-            run_wide_case(scheduler, n, load, slots, case_seed)
+            run_case::<16>(scheduler, n, load, slots, case_seed)
         } else {
-            run_case(scheduler, n, load, slots, case_seed)
+            run_case::<4>(scheduler, n, load, slots, case_seed)
         }
     });
     // Scaling and network runs go serially: their wall-clock numbers back
@@ -602,9 +576,7 @@ pub fn parse_scaling(json: &str) -> Result<Vec<ParsedScaling>, String> {
             load: get("load")?
                 .parse()
                 .map_err(|e| format!("bad load in {line}: {e}"))?,
-            sim_slots_per_sec: get("sim_slots_per_sec")?
-                .parse()
-                .map_err(|e| format!("bad sim_slots_per_sec in {line}: {e}"))?,
+            sim_slots_per_sec: rate(get("sim_slots_per_sec")?, "sim_slots_per_sec", line)?,
         });
     }
     Ok(points)
@@ -634,6 +606,23 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
+/// Parses the raw text of a recorded rate, which must be a finite positive
+/// number: a `NaN` compares false against any floor, so it would slip
+/// through the `--fail-below` gate, and a zero or negative rate has no
+/// meaningful speedup.
+fn rate(raw: &str, key: &str, line: &str) -> Result<f64, String> {
+    let value: f64 = raw
+        .parse()
+        .map_err(|e| format!("bad {key} in {line}: {e}"))?;
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!(
+            "{key} must be a finite positive rate, got {raw} in {line}"
+        ))
+    }
+}
+
 /// Parses the `cases` array of a saved `BENCH_sched.json` document.
 /// Accepts both the v1 and v2 schemas (the comparator only needs the case
 /// keys and `slots_per_sec`, which both versions carry).
@@ -655,9 +644,7 @@ pub fn parse_cases(json: &str) -> Result<Vec<ParsedCase>, String> {
             load: get("load")?
                 .parse()
                 .map_err(|e| format!("bad load in {line}: {e}"))?,
-            slots_per_sec: get("slots_per_sec")?
-                .parse()
-                .map_err(|e| format!("bad slots_per_sec in {line}: {e}"))?,
+            slots_per_sec: rate(get("slots_per_sec")?, "slots_per_sec", line)?,
         });
     }
     if cases.is_empty() {
@@ -760,7 +747,7 @@ mod tests {
 
     #[test]
     fn single_case_counts_slots_and_matches() {
-        let c = run_case("pim4", 8, 1.0, 50, 7);
+        let c = run_case::<4>("pim4", 8, 1.0, 50, 7);
         assert_eq!(c.slots, 50);
         // Full load on an 8x8 switch: PIM matches most ports every slot.
         assert!(c.matches >= 50 * 6, "matches {}", c.matches);
@@ -771,8 +758,8 @@ mod tests {
     #[test]
     fn every_named_scheduler_constructs() {
         for name in SCHEDULERS {
-            let mut s = make_scheduler(name, 4, 1);
-            let reqs = RequestMatrix::from_fn(4, |i, j| i == j);
+            let mut s = make_scheduler::<4>(name, 4, 1);
+            let reqs = RequestMatrixN::from_fn(4, |i, j| i == j);
             let m = s.schedule(&reqs);
             assert!(m.respects(&reqs), "{name}");
         }
@@ -868,7 +855,7 @@ mod tests {
     #[test]
     fn wide_case_runs_the_wide_kernels() {
         for name in WIDE_SCHEDULERS {
-            let c = run_wide_case(name, 300, 0.5, 20, 9);
+            let c = run_case::<16>(name, 300, 0.5, 20, 9);
             assert_eq!(c.slots, 20);
             assert!(c.matches > 0, "{name}");
         }
@@ -915,6 +902,28 @@ mod tests {
         assert_eq!(cases[0].scheduler, "maximum");
         assert_eq!(cases[0].n, 256);
         assert_eq!(cases[0].slots_per_sec, 3634.0);
+    }
+
+    #[test]
+    fn parsers_reject_non_finite_and_non_positive_rates() {
+        let json = sample_report().to_json();
+        for bad in ["NaN", "inf", "-inf", "0.0", "-20.0"] {
+            let cases = json.replace(
+                "\"slots_per_sec\": 20.0",
+                &format!("\"slots_per_sec\": {bad}"),
+            );
+            let err = parse_cases(&cases).expect_err(bad);
+            assert!(err.contains("finite positive"), "{bad}: {err}");
+            let scaling = json.replace(
+                "\"sim_slots_per_sec\": 200000.0",
+                &format!("\"sim_slots_per_sec\": {bad}"),
+            );
+            let err = parse_scaling(&scaling).expect_err(bad);
+            assert!(err.contains("finite positive"), "{bad}: {err}");
+            // The comparator refuses the report instead of gating on NaN.
+            assert!(compare_with_geomean(&json, &cases).is_err(), "{bad}");
+            assert!(compare_with_geomean(&json, &scaling).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -153,6 +153,38 @@ fn bench_compare_prints_speedups() {
 }
 
 #[test]
+fn bench_compare_gate_fails_on_nan_or_negative_rates() {
+    let dir = std::env::temp_dir().join(format!("an2-bench-compare-nan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let report = |rate: &str| {
+        format!(
+            "{{\n  \"version\": 3,\n  \"cases\": [\n    {{\"scheduler\": \"pim4\", \"n\": 16, \
+             \"load\": 1.0, \"slots\": 10, \"matches\": 150, \"task_wall_sec\": 0.5, \
+             \"slots_per_sec\": {rate}, \"matches_per_sec\": 300.0}}\n  ]\n}}\n"
+        )
+    };
+    let old = dir.join("old.json");
+    std::fs::write(&old, report("20.0")).expect("write old");
+    for bad in ["NaN", "-5.0"] {
+        let new = dir.join("new.json");
+        std::fs::write(&new, report(bad)).expect("write new");
+        let out = repro()
+            .args([
+                "bench-compare",
+                old.to_str().unwrap(),
+                new.to_str().unwrap(),
+            ])
+            .args(["--fail-below", "0.30"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {err}");
+        assert!(err.contains("finite positive"), "{bad}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn out_dir_receives_experiment_files() {
     let dir = std::env::temp_dir().join(format!("an2-repro-cli-{}", std::process::id()));
     let out = repro()

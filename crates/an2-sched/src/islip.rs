@@ -18,6 +18,12 @@
 //! Like PIM, the scheduler is generic over the bitset width `W`
 //! ([`RoundRobinMatchingN`]); [`RoundRobinMatching`] is the four-word
 //! 256-port alias and [`WideRoundRobinMatching`] the 1024-port one.
+//!
+//! There is one kernel, the sparse active-pair walk of
+//! [`Scheduler::schedule`]. Its differential oracle is
+//! `an2_verify::ReferenceRoundRobin`, a dense sweep over plain vectors
+//! that must agree with it on every matching and every pointer, masks
+//! included.
 
 use crate::matching::MatchingN;
 use crate::port::{InputPort, OutputPort, PortSetN};
@@ -127,80 +133,10 @@ impl<const W: usize> RoundRobinMatchingN<W> {
         self.iterations
     }
 
-    /// The pre-sparse dense kernel: sweeps every unmatched output and
-    /// materializes a full `W`-word eligibility intersection per visit.
-    ///
-    /// Retained verbatim as the differential oracle for the sparse
-    /// [`schedule`](Scheduler::schedule) path — both mutate the same
-    /// pointer state identically, so same-state schedulers driven through
-    /// either kernel must emit identical matchings slot after slot
-    /// (pinned digests in `tests/determinism.rs`, proptest parity in
-    /// `tests/sparse_parity.rs`, and the `wide_islip_pointer_walk` bench
-    /// measures the gap). Not part of the hot path.
-    #[doc(hidden)]
-    pub fn schedule_dense(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
-        assert_eq!(
-            requests.n(),
-            self.n,
-            "request matrix size {} does not match scheduler size {}",
-            requests.n(),
-            self.n
-        );
-        let n = self.n;
-        let mut matching = MatchingN::new(n);
-        let mut unmatched_inputs = self.active_inputs;
-        let mut unmatched_outputs = self.active_outputs;
-
-        for iter_no in 1..=self.iterations {
-            let mut granted = PortSetN::<W>::new();
-            let mut any = false;
-            for j in unmatched_outputs.iter() {
-                let reqs = requests
-                    .col(OutputPort::new(j))
-                    .intersection(&unmatched_inputs);
-                if reqs.is_empty() {
-                    continue;
-                }
-                any = true;
-                let i = reqs
-                    .first_at_or_after(self.grant_ptr[j])
-                    .expect("request set checked non-empty");
-                if granted.insert(i) {
-                    self.grants_to[i].clear();
-                }
-                self.grants_to[i].insert(j);
-                if self.update == PointerUpdate::Always && iter_no == 1 {
-                    self.grant_ptr[j] = (i + 1) % n;
-                }
-            }
-            if !any {
-                break;
-            }
-
-            for i in granted.iter() {
-                let grants = &self.grants_to[i];
-                let j = grants
-                    .first_at_or_after(self.accept_ptr[i])
-                    .expect("grant set checked non-empty");
-                matching
-                    .pair(InputPort::new(i), OutputPort::new(j))
-                    .expect("grant/accept produced a conflicting pair");
-                unmatched_inputs.remove(i);
-                unmatched_outputs.remove(j);
-                if iter_no == 1 {
-                    match self.update {
-                        PointerUpdate::Always => {
-                            self.accept_ptr[i] = (j + 1) % n;
-                        }
-                        PointerUpdate::OnAcceptFirstIteration => {
-                            self.accept_ptr[i] = (j + 1) % n;
-                            self.grant_ptr[j] = (i + 1) % n;
-                        }
-                    }
-                }
-            }
-        }
-        matching
+    /// The grant pointer of every output and the accept pointer of every
+    /// input — the state a pointer drift would hide in for several slots.
+    pub fn pointers(&self) -> (&[usize], &[usize]) {
+        (&self.grant_ptr, &self.accept_ptr)
     }
 }
 
@@ -233,9 +169,10 @@ impl<const W: usize> Scheduler<W> for RoundRobinMatchingN<W> {
             // W-word intersection — per-iteration grant cost scales with
             // the active request set, not N. The pruned outputs would have
             // found an empty eligible set and contributed nothing, and the
-            // fused select returns exactly what the dense
-            // intersection-then-scan returns, so decisions are identical
-            // to [`schedule_dense`](Self::schedule_dense) (proptested).
+            // fused select returns exactly what a dense
+            // intersection-then-scan returns, so decisions are those of the
+            // textbook sweep (`an2_verify::ReferenceRoundRobin`, checked by
+            // the differential properties there).
             let mut granted = PortSetN::<W>::new();
             let mut any = false;
             let candidates = unmatched_outputs.intersection(requests.nonempty_cols());
@@ -394,38 +331,6 @@ mod tests {
             throughput < 0.95,
             "RRM unexpectedly reached {throughput} throughput"
         );
-    }
-
-    /// The sparse grant path (active-column walk + two-level pointer
-    /// select) and the retained dense kernel must make identical decisions
-    /// and leave identical pointer state, slot after slot.
-    #[test]
-    fn sparse_schedule_matches_dense_kernel() {
-        use crate::requests::WideRequestMatrix;
-        use crate::rng::Xoshiro256;
-        let mut root = Xoshiro256::seed_from(0x51A9);
-        for trial in 0..24 {
-            let n = [16, 70, 256, 1024][trial % 4];
-            let p = [0.02, 0.1, 0.5, 1.0][trial % 4];
-            let reqs = WideRequestMatrix::random(n, p, &mut root);
-            let mut sparse = RoundRobinMatchingN::<16>::with_update(
-                n,
-                4,
-                if trial % 2 == 0 {
-                    PointerUpdate::OnAcceptFirstIteration
-                } else {
-                    PointerUpdate::Always
-                },
-            );
-            let mut dense = sparse.clone();
-            for slot in 0..6 {
-                let a = sparse.schedule(&reqs);
-                let b = dense.schedule_dense(&reqs);
-                assert_eq!(a, b, "trial {trial} slot {slot}");
-                assert_eq!(sparse.grant_ptr, dense.grant_ptr, "trial {trial} slot {slot}");
-                assert_eq!(sparse.accept_ptr, dense.accept_ptr, "trial {trial} slot {slot}");
-            }
-        }
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! [`Pim`] alias is the four-word 256-port configuration every paper-scale
 //! experiment uses, and [`WidePim`] (`W = 16`) drives the 1024-port scaling
 //! benches through the identical code path.
+//!
+//! There is one iteration loop. [`Scheduler::schedule`] and
+//! [`PimN::schedule_from`] run it as is; [`PimN::schedule_with_stats`] and
+//! [`PimN::schedule_traced`] run the same loop with a per-iteration
+//! recorder compiled in, so statistics and traces describe exactly the
+//! decisions `schedule()` makes. The plain-vector oracle that checks the
+//! loop is `an2_verify::ReferencePim`.
 
 use crate::matching::MatchingN;
 use crate::port::{InputPort, OutputPort, PortSetN};
@@ -32,11 +39,11 @@ use crate::requests::RequestMatrixN;
 use crate::rng::{SelectRng, Xoshiro256};
 use crate::scheduler::{PortMaskN, Scheduler};
 
-/// Grants per input kept in the fast path's inline sorted list before
-/// spilling to the bitset scratch. An input collects `Binomial(unmatched
-/// outputs, 1/unmatched inputs)` grants per iteration — approximately
-/// `Poisson(1)` under symmetric load — so more than eight is a `~1e-6`
-/// event even at `N = 1024`.
+/// Grants per input kept in the inline sorted list before spilling to the
+/// bitset scratch. An input collects `Binomial(unmatched outputs,
+/// 1/unmatched inputs)` grants per iteration — approximately `Poisson(1)`
+/// under symmetric load — so more than eight is a `~1e-6` event even at
+/// `N = 1024`.
 const GRANT_INLINE: usize = 8;
 
 /// Rejection-sampling attempts per wide grant draw before falling back to
@@ -49,17 +56,17 @@ const GRANT_REJECT_CAP: usize = 8;
 ///
 /// For the narrow widths (capacity <= 256 ports) this *is* `choose`'s
 /// `index(len)` + `select_nth` draw, preserving the pinned determinism
-/// digests bit for bit. Wide widths (capacity > 256) have no pinned
-/// digests, only cross-path and cross-thread equivalences, so they may
-/// consume randomness differently: when the set covers at least half of
-/// `0..n`, rejection sampling (draw an index, keep it if it is a member)
-/// finds a member in ~2 attempts instead of a 16-word rank-select, falling
-/// back to the exact draw after [`GRANT_REJECT_CAP`] misses (probability
-/// `<= 2^-8` at the density threshold). Every branch picks uniformly among
-/// members — an accepted rejection draw is uniform over members by symmetry,
-/// and the fallback is uniform outright — and *both* the fast and tracked
-/// paths route through this one helper, so results agree at every width and
-/// thread count.
+/// digests bit for bit. Wide widths (capacity > 256) consume randomness
+/// differently: when the set covers at least half of `0..n`, rejection
+/// sampling (draw an index, keep it if it is a member) finds a member in
+/// ~2 attempts instead of a 16-word rank-select, falling back to the exact
+/// draw after [`GRANT_REJECT_CAP`] misses (probability `<= 2^-8` at the
+/// density threshold). Every branch picks uniformly among members — an
+/// accepted rejection draw is uniform over members by symmetry, and the
+/// fallback is uniform outright. Both grant sites of the iteration loop
+/// route through [`grant_draw_with`], and `an2_verify::ReferencePim`
+/// replays the same scheme on plain vectors, so the wide widths have an
+/// exact differential oracle and pinned digests of their own.
 #[inline]
 // an2-lint: allow(panic-freedom) select_nth(k) succeeds because k < len == set popcount by the draw construction
 fn grant_draw<R: SelectRng, const W: usize>(
@@ -86,11 +93,12 @@ fn grant_draw<R: SelectRng, const W: usize>(
 ///
 /// `col_eligible` returns exactly the dense intersection and its exact
 /// popcount, so the draw — sized by that popcount, selected by the same
-/// rank-select, skipped without consuming randomness when empty — is
-/// bit-identical at every width to [`eligible_grant_draw_dense`], which
-/// the tracked path retains as the differential oracle (the fast-vs-
-/// tracked parity tests pin this equivalence, and the narrow pinned
-/// digests hold unchanged).
+/// rank-select, skipped without consuming randomness when empty — is the
+/// one a materialized `col ∩ unmatched` would give at every width (the
+/// `an2-verify` differential properties check it against
+/// `ReferencePim`). Drawing by rejection instead of assembling the set
+/// loses here: with a mostly-matched switch the eligible density is too
+/// low for any sensible attempt cap.
 #[inline]
 fn eligible_grant_draw<R: SelectRng, const W: usize>(
     rng: &mut R,
@@ -103,36 +111,11 @@ fn eligible_grant_draw<R: SelectRng, const W: usize>(
     grant_draw(rng, &e, len, n)
 }
 
-/// The dense twin of [`eligible_grant_draw`]: materializes the full
-/// `W`-word intersection (wide widths prepend a word-parallel `intersects`
-/// emptiness check — consuming no randomness on an empty eligible set,
-/// like every other draw). Kept on the tracked (observer/stats) path as
-/// the differential oracle the sparse fast path is tested against.
-/// (Drawing by rejection instead of materializing was tried here and
-/// lost: with a mostly-matched switch the eligible density is too low for
-/// any sensible attempt cap, and the capped misses plus the exact
-/// fallback cost more than the intersection they were meant to avoid.)
-#[inline]
-fn eligible_grant_draw_dense<R: SelectRng, const W: usize>(
-    rng: &mut R,
-    requests: &RequestMatrixN<W>,
-    out: OutputPort,
-    unmatched: &PortSetN<W>,
-    n: usize,
-) -> Option<usize> {
-    let col = requests.col(out);
-    if PortSetN::<W>::CAPACITY > 256 && !col.intersects(unmatched) {
-        return None;
-    }
-    let e = col.intersection(unmatched);
-    grant_draw(rng, &e, e.len(), n)
-}
-
 /// The draw scheme of [`grant_draw`] with the membership test and exact
 /// rank-select abstracted out, so call sites holding a cheaper equivalent
 /// representation (the request matrix's per-word popcount cache) draw
-/// through the identical decision structure — one helper, no drift between
-/// the fast and tracked paths.
+/// through the identical decision structure — the first iteration's
+/// column draw and later iterations' eligible-set draws cannot drift.
 #[inline]
 fn grant_draw_with<R: SelectRng>(
     rng: &mut R,
@@ -249,25 +232,19 @@ pub struct PimN<R: SelectRng = Xoshiro256, const W: usize = 4> {
     /// every real configuration, in which case it is never read on the
     /// accept path beyond one predictable branch.
     accept_skew: usize,
-    /// Scratch: `requests_to[j]` rebuilt every iteration. Owned by the
-    /// scheduler so `schedule()` touches no heap after construction. Only
-    /// the tracked (observer/stats) paths materialize it; the fast path
-    /// intersects columns on the fly.
-    requests_to: Vec<PortSetN<W>>,
-    /// Scratch: `grants_to[i]`, refilled every iteration. The tracked paths
-    /// materialize it fully; the fast path spills into it only when an input
-    /// collects more than [`GRANT_INLINE`] grants in one iteration.
+    /// Scratch: `grants_to[i]`, the grant set of input `i`, written only
+    /// when it collects more than [`GRANT_INLINE`] grants in one iteration
+    /// (the inline list spills here). Owned by the scheduler, like every
+    /// scratch below, so `schedule()` touches no heap after construction.
     grants_to: Vec<PortSetN<W>>,
     /// Scratch: grants received by input `i` this iteration, valid only for
-    /// inputs in the iteration's granted set (fast path).
+    /// inputs in the iteration's granted set.
     grant_count: Vec<u16>,
     /// Scratch: the first [`GRANT_INLINE`] grants to input `i`, in ascending
     /// output order (outputs are visited in ascending order, so pushes
     /// arrive sorted). `list[k]` is therefore the `k`-th smallest grant —
     /// the same member a rank-select on the equivalent bitset would return.
     grant_list: Vec<[u16; GRANT_INLINE]>,
-    /// Scratch: pairs accepted this iteration (traced path only).
-    accepts: Vec<(InputPort, OutputPort)>,
     /// Healthy input ports; failed inputs never request or accept.
     active_inputs: PortSetN<W>,
     /// Healthy output ports; failed outputs never listen or grant.
@@ -348,11 +325,9 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             input_rng,
             accept_ptr: vec![0; n],
             accept_skew: 0,
-            requests_to: vec![PortSetN::new(); n],
             grants_to: vec![PortSetN::new(); n],
             grant_count: vec![0; n],
             grant_list: vec![[0; GRANT_INLINE]; n],
-            accepts: Vec::with_capacity(n),
             active_inputs: PortSetN::all(n),
             active_outputs: PortSetN::all(n),
         }
@@ -394,9 +369,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         &mut self,
         requests: &RequestMatrixN<W>,
     ) -> (MatchingN<W>, PimStats) {
-        let mut stats = PimStats::default();
-        let m = self.run_from(requests, MatchingN::new(self.n), None, Some(&mut stats));
-        (m, stats)
+        self.run_recorded(requests, None)
     }
 
     /// Schedules one time slot starting from `initial` pairings, which are
@@ -425,7 +398,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             initial.n(),
             self.n
         );
-        self.run_from(requests, initial, None, None)
+        self.run_from::<false>(requests, initial, None)
     }
 
     /// Schedules one time slot, invoking `observer` with a full
@@ -440,48 +413,53 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         requests: &RequestMatrixN<W>,
         observer: &mut dyn FnMut(&IterationRecord<W>),
     ) -> (MatchingN<W>, PimStats) {
-        let mut stats = PimStats::default();
-        let m = self.run_from(
-            requests,
-            MatchingN::new(self.n),
-            Some(observer),
-            Some(&mut stats),
-        );
-        (m, stats)
+        self.run_recorded(requests, Some(observer))
     }
 
-    /// The iteration loop shared by all entry points.
+    /// One slot from an empty matching with the recorder compiled in.
+    fn run_recorded(
+        &mut self,
+        requests: &RequestMatrixN<W>,
+        observer: Option<&mut dyn FnMut(&IterationRecord<W>)>,
+    ) -> (MatchingN<W>, PimStats) {
+        let mut rec = Recorder {
+            stats: PimStats::default(),
+            observer,
+        };
+        let m = self.run_from::<true>(requests, MatchingN::new(self.n), Some(&mut rec));
+        (m, rec.stats)
+    }
+
+    /// The iteration loop behind every entry point. `RECORD` selects at
+    /// compile time whether `rec` (then `Some`) is written: the
+    /// `schedule()` and `schedule_from` instantiations (`RECORD = false`)
+    /// carry no recording code at all and perform **zero heap
+    /// allocations**.
     ///
-    /// When neither `observer` nor `stats` is supplied (the simulator's
-    /// per-slot path), this performs **zero heap allocations** and runs a
-    /// fused fast path: the request and grant phases collapse into one scan
-    /// over the unmatched outputs, each output's eligible-requester set is
+    /// The request and grant phases are fused into one scan over the
+    /// unmatched outputs: each output's eligible-requester set is
     /// intersected on the fly (or read straight from the column when every
     /// input is still unmatched — the common first iteration), and an
-    /// input's grant scratch is cleared lazily on its first grant of the
+    /// input's grant scratch is restarted lazily on its first grant of the
     /// iteration, so per-iteration work shrinks with the matching instead
     /// of staying O(N·W).
     ///
-    /// The fast path consumes randomness identically to the tracked path:
-    /// grant draws happen for exactly the non-empty requester sets, in
-    /// ascending output order ([`SelectRng::choose`] draws nothing on an
-    /// empty set), and accept draws happen for exactly the inputs holding
-    /// at least one grant, in ascending input order. The
-    /// `unresolved_requests` recount — an O(N) scan only diagnostics need —
-    /// is skipped entirely; skipping it cannot change any decision:
-    /// `unresolved == 0` exactly when the next iteration finds no request,
-    /// and that early exit happens *before* any output draws from its grant
-    /// stream, so the per-port RNG streams stay bit-aligned with the
-    /// tracked paths.
+    /// Randomness follows the phased description exactly: grant draws
+    /// happen for exactly the non-empty requester sets, in ascending output
+    /// order (an empty set draws nothing), and accept draws happen for
+    /// exactly the inputs holding at least one grant, in ascending input
+    /// order — the discipline `an2_verify::ReferencePim` replays on plain
+    /// vectors. A recording run also stops once no unresolved request is
+    /// left; that early exit changes no decision, because the next
+    /// iteration would find no request and break before any output draws
+    /// from its grant stream.
     // an2-lint: hot
     // an2-lint: allow(panic-freedom) the leading assert_eq pins requests.n() == self.n (documented contract), so every port index stays < n; rank-select expects hold because rank < len by the draw construction
-    // an2-lint: allow(overflow-discipline) iteration counters are bounded by max_iters <= n per call
-    fn run_from(
+    fn run_from<const RECORD: bool>(
         &mut self,
         requests: &RequestMatrixN<W>,
         initial: MatchingN<W>,
-        mut observer: Option<&mut dyn FnMut(&IterationRecord<W>)>,
-        mut stats: Option<&mut PimStats>,
+        mut rec: Option<&mut Recorder<'_, W>>,
     ) -> MatchingN<W> {
         assert_eq!(
             requests.n(),
@@ -491,7 +469,6 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             self.n
         );
         let n = self.n;
-        let track = observer.is_some() || stats.is_some();
         let mut matching = initial;
 
         let max_iters = match self.limit {
@@ -511,271 +488,241 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             .unmatched_outputs()
             .intersection(&self.active_outputs);
 
-        for iter_no in 1..=max_iters {
-            if !track {
-                // ---- Fast path: fused request + grant phases -------------
-                // Visit only unmatched outputs with a non-empty requester
-                // column, in ascending order. The skipped outputs would
-                // find an empty eligible set and draw nothing, so pruning
-                // them consumes the same randomness as the phased walk
-                // below (`grant_draw` returns `None` without drawing when
-                // `len == 0`), while skipping the scratch materialization
-                // entirely.
-                let inputs_full = unmatched_inputs.len() == n;
-                let candidates = unmatched_outputs.intersection(requests.nonempty_cols());
-                let mut granted = PortSetN::<W>::new();
-                let mut any_request = false;
-                for j in candidates.iter() {
-                    let out = OutputPort::new(j);
-                    let choice = if inputs_full {
-                        // Every input is unmatched and healthy, so the
-                        // eligibility intersection is the identity, the
-                        // cached column length sizes the draw for free, and
-                        // the rank-select reads the per-word popcount cache
-                        // plus one column word instead of the whole column.
-                        grant_draw_with(
-                            &mut self.output_rng[j],
-                            requests.col_len(out),
-                            n,
-                            PortSetN::<W>::CAPACITY > 256,
-                            |p| requests.col(out).contains(p),
-                            |k| requests.col_select_nth(out, k).expect("rank < len"),
-                        )
-                    } else {
-                        eligible_grant_draw(
-                            &mut self.output_rng[j],
-                            requests,
-                            out,
-                            &unmatched_inputs,
-                            n,
-                        )
-                    };
-                    // `choice` is `Some` exactly when the eligible set was
-                    // non-empty, so it doubles as the any-request signal.
-                    if let Some(i) = choice {
-                        any_request = true;
-                        if granted.insert(i) {
-                            // First grant for `i` this iteration: restart
-                            // its inline list.
-                            self.grant_count[i] = 1;
-                            self.grant_list[i][0] = j as u16;
-                        } else {
-                            let count = self.grant_count[i] as usize;
-                            if count < GRANT_INLINE {
-                                self.grant_list[i][count] = j as u16;
-                            } else {
-                                if count == GRANT_INLINE {
-                                    // Inline list overflowed: spill it to
-                                    // the bitset scratch and keep going
-                                    // there.
-                                    self.grants_to[i].clear();
-                                    for &g in &self.grant_list[i] {
-                                        self.grants_to[i].insert(g as usize);
-                                    }
-                                }
-                                self.grants_to[i].insert(j);
-                            }
-                            self.grant_count[i] = (count + 1) as u16;
-                        }
-                    }
-                }
-                if !any_request {
-                    break;
-                }
+        for _ in 0..max_iters {
+            // The ports this iteration starts from, for the recorder.
+            let (requesters, listeners) = (unmatched_inputs, unmatched_outputs);
 
-                // ---- Accept phase (fast) ---------------------------------
-                // Only inputs actually holding a grant are visited; the
-                // skipped inputs have empty grant sets and would draw
-                // nothing anyway. The inline list holds the grants in
-                // ascending output order, so `list[k]` is the `k`-th
-                // smallest — the same member the tracked path's bitset
-                // rank-select returns for the same drawn rank. `iter()`
-                // walks a snapshot of the words, so shrinking `unmatched_*`
-                // mid-loop is sound.
-                for i in granted.iter() {
-                    let count = self.grant_count[i] as usize;
-                    let list = &self.grant_list[i];
-                    let j = match self.accept {
-                        AcceptPolicy::Random => {
-                            let k = self.input_rng[i].index(count);
-                            if count <= GRANT_INLINE {
-                                list[k] as usize
-                            } else {
-                                self.grants_to[i].select_nth(k).expect("rank < count")
-                            }
-                        }
-                        AcceptPolicy::RoundRobin => {
-                            let j = if count <= GRANT_INLINE {
-                                // First grant at or after the pointer,
-                                // wrapping — the list-shaped twin of
-                                // `PortSetN::first_at_or_after`.
-                                let ptr = self.accept_ptr[i];
-                                list[..count]
-                                    .iter()
-                                    .map(|&g| g as usize)
-                                    .find(|&g| g >= ptr)
-                                    .unwrap_or(list[0] as usize)
-                            } else {
-                                self.grants_to[i]
-                                    .first_at_or_after(self.accept_ptr[i])
-                                    .expect("non-empty grant set")
-                            };
-                            self.accept_ptr[i] = (j + 1) % n;
-                            j
-                        }
-                        AcceptPolicy::LowestIndex => list[0] as usize,
-                    };
-                    if self.accept_skew == 0 {
-                        // Conflict-freedom holds structurally here: each
-                        // output grants at most one input per iteration and
-                        // only while unmatched, and each granted input
-                        // accepts exactly once.
-                        matching.pair_unchecked(InputPort::new(i), OutputPort::new(j));
-                    } else {
-                        // Seeded-bug hook (checker self-tests only): a
-                        // skewed accept can collide with an existing pair;
-                        // skip it so the buggy scheduler still terminates.
-                        let j = (j + self.accept_skew) % n;
-                        if matching.pair(InputPort::new(i), OutputPort::new(j)).is_err() {
-                            continue;
-                        }
-                        unmatched_inputs.remove(i);
-                        unmatched_outputs.remove(j);
-                        continue;
-                    }
-                    unmatched_inputs.remove(i);
-                    unmatched_outputs.remove(j);
-                }
-                continue;
-            }
-
-            // ---- Tracked path (observer / stats) -------------------------
-            // Observers see the full request/grant vectors; clear the
-            // stale scratch entries for them.
-            for r in &mut self.requests_to[..n] {
-                r.clear();
-            }
-            for g in &mut self.grants_to[..n] {
-                g.clear();
-            }
-            // Request phase:
-            // requests_to[j] = unmatched inputs with a cell for unmatched j.
-            // (Matched outputs ignore requests; inputs that matched earlier
-            // drop all other requests — §3.3's wire-level optimization.)
+            // ---- Request + grant phases, fused -------------------------
+            // Visit only unmatched outputs with a non-empty requester
+            // column, in ascending order. The skipped outputs would find an
+            // empty eligible set and draw nothing (`grant_draw` returns
+            // `None` without drawing when `len == 0`), so pruning them
+            // consumes the same randomness as visiting every output.
+            let inputs_full = unmatched_inputs.len() == n;
+            let candidates = unmatched_outputs.intersection(requests.nonempty_cols());
+            let mut granted = PortSetN::<W>::new();
             let mut any_request = false;
-            for j in unmatched_outputs.iter() {
-                let r = requests
-                    .col(OutputPort::new(j))
-                    .intersection(&unmatched_inputs);
-                any_request |= !r.is_empty();
-                self.requests_to[j] = r;
+            for j in candidates.iter() {
+                let out = OutputPort::new(j);
+                let choice = if inputs_full {
+                    // Every input is unmatched and healthy, so the
+                    // eligibility intersection is the identity, the cached
+                    // column length sizes the draw for free, and the
+                    // rank-select reads the per-word popcount cache plus
+                    // one column word instead of the whole column.
+                    grant_draw_with(
+                        &mut self.output_rng[j],
+                        requests.col_len(out),
+                        n,
+                        PortSetN::<W>::CAPACITY > 256,
+                        |p| requests.col(out).contains(p),
+                        |k| requests.col_select_nth(out, k).expect("rank < len"),
+                    )
+                } else {
+                    eligible_grant_draw(
+                        &mut self.output_rng[j],
+                        requests,
+                        out,
+                        &unmatched_inputs,
+                        n,
+                    )
+                };
+                // `choice` is `Some` exactly when the eligible set was
+                // non-empty, so it doubles as the any-request signal.
+                if let Some(i) = choice {
+                    any_request = true;
+                    if granted.insert(i) {
+                        // First grant for `i` this iteration: restart its
+                        // inline list.
+                        self.grant_count[i] = 1;
+                        self.grant_list[i][0] = j as u16;
+                    } else {
+                        let count = self.grant_count[i] as usize;
+                        if count < GRANT_INLINE {
+                            self.grant_list[i][count] = j as u16;
+                        } else {
+                            if count == GRANT_INLINE {
+                                // Inline list overflowed: spill it to the
+                                // bitset scratch and keep going there.
+                                self.grants_to[i].clear();
+                                for &g in &self.grant_list[i] {
+                                    self.grants_to[i].insert(g as usize);
+                                }
+                            }
+                            self.grants_to[i].insert(j);
+                        }
+                        // Each output grants at most once per iteration.
+                        debug_assert!(count < n, "more grants than outputs");
+                        // an2-lint: allow(overflow-discipline) count < n <= 1024 grants per input (debug-asserted above), far below u16::MAX
+                        self.grant_count[i] = (count + 1) as u16;
+                    }
+                }
             }
             if !any_request {
                 break;
             }
 
-            // Grant phase: grants_to[i] = outputs that granted to input i.
-            // Outputs with no eligible requesters draw nothing from their
-            // stream (`eligible_grant_draw_dense` checks emptiness first),
-            // which keeps all paths RNG-aligned. The tracked path draws
-            // through the *dense* helper deliberately: it is the
-            // differential oracle the fast path's sparse draws are proven
-            // against (both feed `grant_draw` the identical eligible set
-            // and popcount, so the wide widths' rejection draws align
-            // too). (`requests_to[j]` equals the helper's implied
-            // `col ∩ unmatched_inputs` — it exists for the observers.)
-            for j in unmatched_outputs.iter() {
-                let choice = eligible_grant_draw_dense(
-                    &mut self.output_rng[j],
-                    requests,
-                    OutputPort::new(j),
-                    &unmatched_inputs,
-                    n,
-                );
-                if let Some(i) = choice {
-                    self.grants_to[i].insert(j);
-                }
-            }
-
-            // Accept phase: `iter()` walks a snapshot of the words, so
-            // removing accepted inputs mid-loop is sound and the visit
-            // order matches the pre-accept set.
-            self.accepts.clear();
-            for i in unmatched_inputs.iter() {
-                let grants = &self.grants_to[i];
-                if grants.is_empty() {
-                    continue;
-                }
+            // ---- Accept phase ------------------------------------------
+            // Only inputs actually holding a grant are visited; the skipped
+            // inputs have empty grant sets and would draw nothing anyway.
+            // The inline list holds the grants in ascending output order, so
+            // `list[k]` is the `k`-th smallest — the same member a bitset
+            // rank-select returns for the same drawn rank. `iter()` walks a
+            // snapshot of the words, so shrinking `unmatched_*` mid-loop is
+            // sound.
+            for i in granted.iter() {
+                let count = self.grant_count[i] as usize;
+                let list = &self.grant_list[i];
                 let j = match self.accept {
-                    AcceptPolicy::Random => self.input_rng[i]
-                        .choose(grants)
-                        .expect("non-empty grant set"),
+                    AcceptPolicy::Random => {
+                        let k = self.input_rng[i].index(count);
+                        if count <= GRANT_INLINE {
+                            list[k] as usize
+                        } else {
+                            self.grants_to[i].select_nth(k).expect("rank < count")
+                        }
+                    }
                     AcceptPolicy::RoundRobin => {
-                        let j = grants
-                            .first_at_or_after(self.accept_ptr[i])
-                            .expect("non-empty grant set");
+                        let j = if count <= GRANT_INLINE {
+                            // First grant at or after the pointer, wrapping
+                            // — the list-shaped twin of
+                            // `PortSetN::first_at_or_after`.
+                            let ptr = self.accept_ptr[i];
+                            list[..count]
+                                .iter()
+                                .map(|&g| g as usize)
+                                .find(|&g| g >= ptr)
+                                .unwrap_or(list[0] as usize)
+                        } else {
+                            self.grants_to[i]
+                                .first_at_or_after(self.accept_ptr[i])
+                                .expect("non-empty grant set")
+                        };
                         self.accept_ptr[i] = (j + 1) % n;
                         j
                     }
-                    AcceptPolicy::LowestIndex => grants.first().expect("non-empty grant set"),
+                    AcceptPolicy::LowestIndex => list[0] as usize,
                 };
-                // Seeded-bug hook: skew is 0 outside checker self-tests.
                 let j = if self.accept_skew == 0 {
+                    // Conflict-freedom holds structurally here: each output
+                    // grants at most one input per iteration and only while
+                    // unmatched, and each granted input accepts exactly
+                    // once. `pair_unchecked` debug-asserts it.
+                    matching.pair_unchecked(InputPort::new(i), OutputPort::new(j));
                     j
                 } else {
-                    (j + self.accept_skew) % n
+                    // Seeded-bug hook (checker self-tests only): a skewed
+                    // accept can collide with an existing pair; skip it so
+                    // the buggy scheduler still terminates.
+                    let j = (j + self.accept_skew) % n;
+                    if matching
+                        .pair(InputPort::new(i), OutputPort::new(j))
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    j
                 };
-                match matching.pair(InputPort::new(i), OutputPort::new(j)) {
-                    Ok(()) => {}
-                    // A skewed accept can collide with an existing pair;
-                    // skip it so the buggy scheduler still terminates.
-                    Err(_) if self.accept_skew != 0 => continue,
-                    Err(e) => panic!("grant/accept produced a conflicting pair: {e}"),
-                }
                 unmatched_inputs.remove(i);
                 unmatched_outputs.remove(j);
-                // an2-lint: allow(alloc-in-hot-path) tracked/diagnostic mode only; the untracked hot path never reaches this
-                self.accepts.push((InputPort::new(i), OutputPort::new(j)));
             }
 
-            let unresolved = matching.unresolved_requests(requests);
-            if let Some(stats) = stats.as_deref_mut() {
-                stats.iterations_run = iter_no;
-                // an2-lint: allow(alloc-in-hot-path) tracked/diagnostic mode only
-                stats.matches_after.push(matching.len());
-                // an2-lint: allow(alloc-in-hot-path) tracked/diagnostic mode only
-                stats.unresolved_after.push(unresolved);
-            }
-            if let Some(observer) = observer.as_deref_mut() {
-                observer(&IterationRecord {
-                    iteration: iter_no,
-                    // an2-lint: allow(alloc-in-hot-path) observer snapshot; tracked mode only
-                    requests: self.requests_to.clone(),
-                    // an2-lint: allow(alloc-in-hot-path) observer snapshot; tracked mode only
-                    grants: self.grants_to.clone(),
-                    // an2-lint: allow(alloc-in-hot-path) observer snapshot; tracked mode only
-                    accepts: self.accepts.clone(),
-                    unresolved_after: unresolved,
-                });
-            }
-            // The untracked path omits this early exit: its next
-            // iteration's request phase finds nothing and breaks before
-            // consuming randomness, so decisions are identical.
-            if unresolved == 0 {
-                break;
+            if RECORD {
+                if let Some(rec) = rec.as_deref_mut() {
+                    let unresolved = self.record_iteration(
+                        rec,
+                        requests,
+                        &matching,
+                        &requesters,
+                        &listeners,
+                        &granted,
+                    );
+                    if unresolved == 0 {
+                        break;
+                    }
+                }
             }
         }
 
-        if let Some(stats) = stats {
-            stats.completed = matching.is_maximal(requests);
+        if RECORD {
+            if let Some(rec) = rec {
+                rec.stats.completed = matching.is_maximal(requests);
+            }
         }
         matching
     }
+
+    /// Writes one finished iteration into `rec`: its [`PimStats`] entry
+    /// and, when tracing, the [`IterationRecord`] rebuilt from the loop's
+    /// own state. `requesters` and `listeners` are the unmatched inputs
+    /// and outputs the iteration started from, `granted` the inputs that
+    /// received a grant: an output's requests are its column restricted to
+    /// the requesters, an input's grants its inline list (or its spilled
+    /// bitset), and its accept — if it made one — its pair in `matching`.
+    /// Returns the unresolved-request count after the iteration.
+    // an2-lint: cold
+    #[cold]
+    #[inline(never)]
+    fn record_iteration(
+        &self,
+        rec: &mut Recorder<'_, W>,
+        requests: &RequestMatrixN<W>,
+        matching: &MatchingN<W>,
+        requesters: &PortSetN<W>,
+        listeners: &PortSetN<W>,
+        granted: &PortSetN<W>,
+    ) -> usize {
+        let unresolved = matching.unresolved_requests(requests);
+        let stats = &mut rec.stats;
+        stats.iterations_run += 1;
+        stats.matches_after.push(matching.len());
+        stats.unresolved_after.push(unresolved);
+        if let Some(observer) = rec.observer.as_deref_mut() {
+            let mut request_sets = vec![PortSetN::new(); self.n];
+            for j in listeners.iter() {
+                request_sets[j] = requests.col(OutputPort::new(j)).intersection(requesters);
+            }
+            let mut grant_sets = vec![PortSetN::new(); self.n];
+            for i in granted.iter() {
+                let count = self.grant_count[i] as usize;
+                grant_sets[i] = if count <= GRANT_INLINE {
+                    self.grant_list[i][..count]
+                        .iter()
+                        .map(|&g| g as usize)
+                        .collect()
+                } else {
+                    self.grants_to[i]
+                };
+            }
+            let accepts = granted
+                .iter()
+                .filter_map(|i| {
+                    let i = InputPort::new(i);
+                    matching.output_of(i).map(|j| (i, j))
+                })
+                .collect();
+            observer(&IterationRecord {
+                iteration: stats.iterations_run,
+                requests: request_sets,
+                grants: grant_sets,
+                accepts,
+                unresolved_after: unresolved,
+            });
+        }
+        unresolved
+    }
+}
+
+/// Where a recording run ([`PimN::schedule_with_stats`],
+/// [`PimN::schedule_traced`]) writes each iteration.
+struct Recorder<'a, const W: usize> {
+    stats: PimStats,
+    observer: Option<&'a mut dyn FnMut(&IterationRecord<W>)>,
 }
 
 impl<R: SelectRng, const W: usize> Scheduler<W> for PimN<R, W> {
     fn schedule(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
-        self.run_from(requests, MatchingN::new(self.n), None, None)
+        self.run_from::<false>(requests, MatchingN::new(self.n), None)
     }
 
     fn name(&self) -> &'static str {
@@ -840,12 +787,12 @@ mod tests {
         assert!(recovered.is_perfect());
     }
 
-    /// The fused fast path and the phased tracked path must consume
-    /// randomness identically: same-seed schedulers, one driven through
-    /// `schedule` (untracked) and one through `schedule_with_stats`
-    /// (tracked), must emit identical matchings slot after slot.
+    /// Recording must not perturb decisions: same-seed schedulers, one
+    /// driven through `schedule` and one through `schedule_with_stats`
+    /// (whose early exit skips the final empty iteration), must emit
+    /// identical matchings slot after slot.
     #[test]
-    fn untracked_fast_path_matches_tracked_path() {
+    fn recording_does_not_change_decisions() {
         let mut root = Xoshiro256::seed_from(0xFA57);
         for trial in 0..50 {
             let p = [0.05, 0.3, 0.7, 1.0][trial % 4];
@@ -856,13 +803,13 @@ mod tests {
                 AcceptPolicy::RoundRobin,
                 AcceptPolicy::LowestIndex,
             ] {
-                let mut fast =
+                let mut plain =
                     Pim::with_options(n, trial as u64, IterationLimit::Fixed(4), policy);
-                let mut tracked =
+                let mut recorded =
                     Pim::with_options(n, trial as u64, IterationLimit::Fixed(4), policy);
                 for slot in 0..8 {
-                    let a = fast.schedule(&reqs);
-                    let (b, _) = tracked.schedule_with_stats(&reqs);
+                    let a = plain.schedule(&reqs);
+                    let (b, _) = recorded.schedule_with_stats(&reqs);
                     assert_eq!(a, b, "trial {trial} slot {slot} policy {policy:?}");
                 }
             }
@@ -871,17 +818,17 @@ mod tests {
 
     /// Same equivalence on the wide width, across word boundaries.
     #[test]
-    fn wide_fast_path_matches_tracked_path() {
+    fn wide_recording_does_not_change_decisions() {
         use crate::requests::WideRequestMatrix;
         let mut root = Xoshiro256::seed_from(0x71DE);
         for trial in 0..8 {
             let n = [65, 130, 512, 1024][trial % 4];
             let reqs = WideRequestMatrix::random(n, 0.5, &mut root);
-            let mut fast = WidePim::new(n, trial as u64);
-            let mut tracked = WidePim::new(n, trial as u64);
+            let mut plain = WidePim::new(n, trial as u64);
+            let mut recorded = WidePim::new(n, trial as u64);
             for _ in 0..3 {
-                let a = fast.schedule(&reqs);
-                let (b, _) = tracked.schedule_with_stats(&reqs);
+                let a = plain.schedule(&reqs);
+                let (b, _) = recorded.schedule_with_stats(&reqs);
                 assert_eq!(a, b, "trial {trial} n {n}");
                 assert!(a.respects(&reqs));
             }

@@ -9,10 +9,13 @@
 //!
 //! * [`oracle`] — **differential oracles**: a [`ReferencePim`] over plain
 //!   `Vec<Vec<bool>>` matrices that replicates the optimised scheduler's
-//!   draw discipline bit-for-bit, a Kuhn maximum-matching reference for
-//!   Hopcroft–Karp, a brute-force frame-schedule feasibility search for
-//!   the Slepian–Duguid construction, and confidence-bound helpers for
-//!   the analytic M/D/1 and Karol cross-checks.
+//!   draw discipline bit-for-bit at both widths and under port masks, a
+//!   [`ReferenceRoundRobin`] dense iSLIP/RRM sweep that the sparse
+//!   round-robin kernel must match pointer for pointer, a Kuhn
+//!   maximum-matching reference for Hopcroft–Karp, a brute-force
+//!   frame-schedule feasibility search for the Slepian–Duguid
+//!   construction, and confidence-bound helpers for the analytic M/D/1
+//!   and Karol cross-checks.
 //! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
 //!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
 //!   oracle for the interned-slab `an2_sim::voq::VoqBuffers`.
@@ -43,7 +46,7 @@ pub mod reference_voq;
 pub mod replay;
 pub mod runner;
 
-pub use oracle::ReferencePim;
+pub use oracle::{ReferencePim, ReferencePimN, ReferenceRoundRobin, WideReferencePim};
 pub use reference_voq::ReferenceVoq;
-pub use replay::{shrink, ReplayCase};
+pub use replay::{shrink, ReplayCase, ReplayParseError};
 pub use runner::{run_case, RunOutcome};

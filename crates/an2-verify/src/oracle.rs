@@ -4,43 +4,65 @@
 //! Every oracle here favours obviousness over speed: plain `Vec`s, no
 //! bitsets, no scratch reuse, recursion where recursion is clearest. A
 //! differential test runs the optimised implementation and its oracle on
-//! the same instances and fails on the first divergence.
+//! the same instances and fails on the first divergence. The production
+//! crates carry one implementation of each scheduler; the dense sweeps
+//! they are checked against live only here.
 
+use an2_sched::islip::PointerUpdate;
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::RequestMatrix;
+use an2_sched::{PortMaskN, RequestMatrix};
 
-/// Textbook PIM over `Vec<Vec<bool>>` request matrices.
+/// Rejection draws a wide grant makes before its exact fallback; mirrors
+/// the scheduler's private cap.
+const GRANT_REJECT_CAP: usize = 8;
+
+/// Textbook PIM over `Vec<Vec<bool>>` request matrices, mirroring
+/// `an2_sched::PimN<Xoshiro256, W>` (use the [`ReferencePim`] and
+/// [`WideReferencePim`] aliases).
 ///
-/// Replicates `an2_sched::Pim`'s randomness *exactly*: the same per-port
-/// streams (`root.split(j)` for output grants, `root.split(0x1_0000 + i)`
-/// for input accepts), the same draw discipline (an empty candidate set
-/// draws nothing; a non-empty one draws one bounded index and picks the
-/// index-th smallest member), the same phase order and early exit. Given
-/// the same seed and request sequence, the reference and the optimised
-/// scheduler must therefore produce **identical matchings, slot after
-/// slot** — any divergence convicts one of them.
+/// Replicates the optimised scheduler's randomness *exactly*: the same
+/// per-port streams (`root.split(j)` for output grants,
+/// `root.split(0x1_0000 + i)` for input accepts), the same draw
+/// discipline (an empty candidate set draws nothing; a non-empty one
+/// draws one bounded index and picks the index-th smallest member), the
+/// same phase order and early exit, and the same failed-port semantics
+/// under a port mask. The width `W` decides the grant draw, as it does
+/// in the scheduler: above 256 ports of capacity, an output whose
+/// candidates cover at least half the switch first tries up to eight
+/// `index(n)` rejection draws. Given the same seed, mask and request
+/// sequence, the reference and the optimised scheduler must therefore
+/// produce **identical matchings, slot after slot** — any divergence
+/// convicts one of them.
 #[derive(Clone, Debug)]
-pub struct ReferencePim {
+pub struct ReferencePimN<const W: usize> {
     n: usize,
     limit: IterationLimit,
     accept: AcceptPolicy,
     output_rng: Vec<Xoshiro256>,
     input_rng: Vec<Xoshiro256>,
     accept_ptr: Vec<usize>,
+    input_active: Vec<bool>,
+    output_active: Vec<bool>,
 }
 
-impl ReferencePim {
-    /// Mirrors `Pim::new`: four iterations, random accept.
+/// The reference for the default-width `an2_sched::Pim`.
+pub type ReferencePim = ReferencePimN<4>;
+
+/// The reference for the 1024-port `an2_sched::WidePim`.
+pub type WideReferencePim = ReferencePimN<16>;
+
+impl<const W: usize> ReferencePimN<W> {
+    /// Mirrors `PimN::new`: four iterations, random accept.
     pub fn new(n: usize, seed: u64) -> Self {
         Self::with_options(n, seed, IterationLimit::Fixed(4), AcceptPolicy::Random)
     }
 
-    /// Mirrors `Pim::with_options`.
+    /// Mirrors `PimN::with_options`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n` exceeds the width's capacity (`W * 64`).
     pub fn with_options(
         n: usize,
         seed: u64,
@@ -48,6 +70,7 @@ impl ReferencePim {
         accept: AcceptPolicy,
     ) -> Self {
         assert!(n > 0, "switch must have at least one port");
+        assert!(n <= W * 64, "switch size {n} out of range");
         let root = Xoshiro256::seed_from(seed);
         Self {
             n,
@@ -56,12 +79,40 @@ impl ReferencePim {
             output_rng: (0..n).map(|j| root.split(j as u64)).collect(),
             input_rng: (0..n).map(|i| root.split(0x1_0000 + i as u64)).collect(),
             accept_ptr: vec![0; n],
+            input_active: vec![true; n],
+            output_active: vec![true; n],
         }
     }
 
     /// The switch radix.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Mirrors `Scheduler::set_port_mask`: failed inputs never request or
+    /// accept, failed outputs never grant (and so never draw).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not sized for this switch.
+    pub fn set_port_mask(&mut self, mask: &PortMaskN<W>) {
+        (self.input_active, self.output_active) = active_flags(mask, self.n);
+    }
+
+    /// One grant draw among `cands` (ascending, non-empty) from output
+    /// `j`'s stream.
+    fn grant(&mut self, j: usize, cands: &[usize]) -> usize {
+        let n = self.n;
+        let rng = &mut self.output_rng[j];
+        if W * 64 > 256 && 2 * cands.len() >= n {
+            for _ in 0..GRANT_REJECT_CAP {
+                let p = rng.index(n);
+                if cands.contains(&p) {
+                    return p;
+                }
+            }
+        }
+        cands[rng.index(cands.len())]
     }
 
     /// Schedules one slot; `out[i]` is the output matched to input `i`.
@@ -71,10 +122,7 @@ impl ReferencePim {
     /// Panics if `requests` is not `n`×`n`.
     pub fn schedule(&mut self, requests: &[Vec<bool>]) -> Vec<Option<usize>> {
         let n = self.n;
-        assert_eq!(requests.len(), n, "request matrix must be n x n");
-        for row in requests {
-            assert_eq!(row.len(), n, "request matrix must be n x n");
-        }
+        assert_square(requests, n);
         let mut out_of: Vec<Option<usize>> = vec![None; n];
         let mut in_of: Vec<Option<usize>> = vec![None; n];
         let max_iters = match self.limit {
@@ -82,60 +130,45 @@ impl ReferencePim {
             IterationLimit::ToCompletion => n,
         };
         for _ in 0..max_iters {
-            // Request phase: unmatched inputs with a cell for unmatched j,
-            // in ascending input order (the order `PortSet` iterates).
+            // Request phase: unmatched healthy inputs with a cell for
+            // unmatched healthy j, in ascending input order (the order
+            // `PortSet` iterates).
             let mut requests_to: Vec<Vec<usize>> = vec![Vec::new(); n];
-            let mut any_request = false;
             for (j, to) in requests_to.iter_mut().enumerate() {
-                if in_of[j].is_some() {
+                if in_of[j].is_some() || !self.output_active[j] {
                     continue;
                 }
                 for (i, row) in requests.iter().enumerate() {
-                    if out_of[i].is_none() && row[j] {
+                    if out_of[i].is_none() && self.input_active[i] && row[j] {
                         to.push(i);
                     }
                 }
-                any_request |= !to.is_empty();
             }
-            if any_request {
-                // matches the optimised early exit before any draw
-            } else {
+            // No request anywhere: stop before any output draws.
+            if requests_to.iter().all(Vec::is_empty) {
                 break;
             }
 
-            // Grant phase: each output with requests draws once.
+            // Grant phase: each output with requests draws once, in
+            // ascending output order.
             let mut grants_to: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for j in 0..n {
-                if in_of[j].is_some() {
-                    continue;
+            for (j, cands) in requests_to.iter().enumerate() {
+                if !cands.is_empty() {
+                    let i = self.grant(j, cands);
+                    grants_to[i].push(j);
                 }
-                let cands = &requests_to[j];
-                if cands.is_empty() {
-                    continue;
-                }
-                let i = cands[self.output_rng[j].index(cands.len())];
-                grants_to[i].push(j);
             }
 
             // Accept phase: each granted input picks one grant. `grants`
             // is ascending because the grant loop ran in ascending j.
-            for i in 0..n {
-                if out_of[i].is_some() {
-                    continue;
-                }
-                let grants = &grants_to[i];
+            for (i, grants) in grants_to.iter().enumerate() {
                 if grants.is_empty() {
                     continue;
                 }
                 let j = match self.accept {
                     AcceptPolicy::Random => grants[self.input_rng[i].index(grants.len())],
                     AcceptPolicy::RoundRobin => {
-                        let ptr = self.accept_ptr[i];
-                        let j = grants
-                            .iter()
-                            .copied()
-                            .find(|&g| g >= ptr)
-                            .unwrap_or(grants[0]);
+                        let j = first_at_or_after(grants, self.accept_ptr[i]);
                         self.accept_ptr[i] = (j + 1) % n;
                         j
                     }
@@ -143,6 +176,168 @@ impl ReferencePim {
                 };
                 out_of[i] = Some(j);
                 in_of[j] = Some(i);
+            }
+        }
+        out_of
+    }
+}
+
+/// A port mask as per-port health flags `(inputs, outputs)`.
+///
+/// # Panics
+///
+/// Panics if the mask is not sized for an `n`-port switch.
+fn active_flags<const W: usize>(mask: &PortMaskN<W>, n: usize) -> (Vec<bool>, Vec<bool>) {
+    assert_eq!(mask.n(), n, "mask size does not match the switch");
+    (
+        (0..n).map(|i| mask.input_active(i)).collect(),
+        (0..n).map(|j| mask.output_active(j)).collect(),
+    )
+}
+
+/// Panics unless `requests` is an `n`×`n` matrix.
+fn assert_square(requests: &[Vec<bool>], n: usize) {
+    assert_eq!(requests.len(), n, "request matrix must be n x n");
+    for row in requests {
+        assert_eq!(row.len(), n, "request matrix must be n x n");
+    }
+}
+
+/// The first member of `sorted` (ascending, non-empty) at or after
+/// `ptr`, wrapping to the smallest — one round-robin pointer step.
+fn first_at_or_after(sorted: &[usize], ptr: usize) -> usize {
+    sorted
+        .iter()
+        .copied()
+        .find(|&x| x >= ptr)
+        .unwrap_or(sorted[0])
+}
+
+/// Textbook iSLIP and RRM over `Vec<Vec<bool>>` request matrices — the
+/// dense sweep the sparse `an2_sched::islip::RoundRobinMatchingN` kernel
+/// must reproduce, matching *and* pointers, at every width.
+///
+/// Each iteration, every unmatched output grants the requesting
+/// unmatched input nearest at or after its grant pointer, and every
+/// granted input accepts the granting output nearest at or after its
+/// accept pointer. Pointers move one past the chosen port, and only in
+/// the first iteration (McKeown's iSLIP, as in the MWM→iSLIP tutorial):
+///
+/// * iSLIP ([`PointerUpdate::OnAcceptFirstIteration`]): an accept moves
+///   the input's accept pointer and the accepted output's grant pointer;
+///   a grant that is not accepted moves nothing.
+/// * RRM ([`PointerUpdate::Always`]): every first-iteration grant moves
+///   its output's grant pointer, accepted or not, and every accept moves
+///   the input's accept pointer.
+///
+/// Failed ports (see [`ReferenceRoundRobin::set_port_mask`]) never
+/// request, grant or accept, so their pointers never move.
+#[derive(Clone, Debug)]
+pub struct ReferenceRoundRobin {
+    n: usize,
+    iterations: usize,
+    update: PointerUpdate,
+    grant_ptr: Vec<usize>,
+    accept_ptr: Vec<usize>,
+    input_active: Vec<bool>,
+    output_active: Vec<bool>,
+}
+
+impl ReferenceRoundRobin {
+    /// Mirrors `RoundRobinMatchingN::islip`.
+    pub fn islip(n: usize, iterations: usize) -> Self {
+        Self::with_update(n, iterations, PointerUpdate::OnAcceptFirstIteration)
+    }
+
+    /// Mirrors `RoundRobinMatchingN::rrm`.
+    pub fn rrm(n: usize, iterations: usize) -> Self {
+        Self::with_update(n, iterations, PointerUpdate::Always)
+    }
+
+    /// Mirrors `RoundRobinMatchingN::with_update`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `iterations == 0`.
+    pub fn with_update(n: usize, iterations: usize, update: PointerUpdate) -> Self {
+        assert!(n > 0, "switch must have at least one port");
+        assert!(iterations > 0, "iteration count must be at least 1");
+        Self {
+            n,
+            iterations,
+            update,
+            grant_ptr: vec![0; n],
+            accept_ptr: vec![0; n],
+            input_active: vec![true; n],
+            output_active: vec![true; n],
+        }
+    }
+
+    /// Mirrors `Scheduler::set_port_mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not sized for this switch.
+    pub fn set_port_mask<const W: usize>(&mut self, mask: &PortMaskN<W>) {
+        (self.input_active, self.output_active) = active_flags(mask, self.n);
+    }
+
+    /// The grant pointer of every output and the accept pointer of every
+    /// input, for comparison with `RoundRobinMatchingN::pointers`.
+    pub fn pointers(&self) -> (&[usize], &[usize]) {
+        (&self.grant_ptr, &self.accept_ptr)
+    }
+
+    /// Schedules one slot; `out[i]` is the output matched to input `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is not `n`×`n`.
+    pub fn schedule(&mut self, requests: &[Vec<bool>]) -> Vec<Option<usize>> {
+        let n = self.n;
+        assert_square(requests, n);
+        let mut out_of: Vec<Option<usize>> = vec![None; n];
+        let mut in_of: Vec<Option<usize>> = vec![None; n];
+        for iteration in 1..=self.iterations {
+            let first = iteration == 1;
+            // Grant phase, in ascending output order.
+            let mut grants_to: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut any = false;
+            for j in 0..n {
+                if in_of[j].is_some() || !self.output_active[j] {
+                    continue;
+                }
+                let cands: Vec<usize> = (0..n)
+                    .filter(|&i| out_of[i].is_none() && self.input_active[i] && requests[i][j])
+                    .collect();
+                if cands.is_empty() {
+                    continue;
+                }
+                any = true;
+                let i = first_at_or_after(&cands, self.grant_ptr[j]);
+                grants_to[i].push(j);
+                if first && self.update == PointerUpdate::Always {
+                    self.grant_ptr[j] = (i + 1) % n;
+                }
+            }
+            if !any {
+                break;
+            }
+
+            // Accept phase, in ascending input order.
+            for (i, grants) in grants_to.iter().enumerate() {
+                if grants.is_empty() {
+                    continue;
+                }
+                let j = first_at_or_after(grants, self.accept_ptr[i]);
+                out_of[i] = Some(j);
+                in_of[j] = Some(i);
+                if first {
+                    self.accept_ptr[i] = (j + 1) % n;
+                    if self.update == PointerUpdate::OnAcceptFirstIteration {
+                        self.grant_ptr[j] = (i + 1) % n;
+                    }
+                }
             }
         }
         out_of

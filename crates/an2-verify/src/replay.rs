@@ -140,9 +140,11 @@ impl ReplayCase {
 
     /// Parses the `replay.json` format (tolerant of whitespace and key
     /// order; the annotation keys may be absent).
-    pub fn from_json(json: &str) -> Result<Self, String> {
+    pub fn from_json(json: &str) -> Result<Self, ReplayParseError> {
+        let version = u64_field(json, "version")?;
         let case = Self {
-            version: u64_field(json, "version")? as u32,
+            version: u32::try_from(version)
+                .map_err(|_| ReplayParseError::UnsupportedVersion(version))?,
             n: u64_field(json, "n")? as usize,
             active_ports: u64_field(json, "active_ports")? as usize,
             seed: u64_field(json, "seed")?,
@@ -164,17 +166,49 @@ impl ReplayCase {
             },
         };
         if case.version != 1 {
-            return Err(format!("unsupported replay version {}", case.version));
+            return Err(ReplayParseError::UnsupportedVersion(version));
         }
         if case.n == 0 || case.n > an2_sched::MAX_PORTS {
-            return Err(format!("switch size {} out of range", case.n));
+            return Err(ReplayParseError::SwitchSize(case.n));
         }
         if !matches!(case.accept.as_str(), "random" | "round-robin" | "lowest") {
-            return Err(format!("unknown accept policy {:?}", case.accept));
+            return Err(ReplayParseError::AcceptPolicy(case.accept));
         }
         Ok(case)
     }
 }
+
+/// Why [`ReplayCase::from_json`] refused a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReplayParseError {
+    /// A key is missing or its value is malformed.
+    Field(String),
+    /// The schema version is not 1 (as written, before any narrowing).
+    UnsupportedVersion(u64),
+    /// The switch size is 0 or above `an2_sched::MAX_PORTS`.
+    SwitchSize(usize),
+    /// The accept policy names none of "random", "round-robin", "lowest".
+    AcceptPolicy(String),
+}
+
+impl From<String> for ReplayParseError {
+    fn from(message: String) -> Self {
+        Self::Field(message)
+    }
+}
+
+impl std::fmt::Display for ReplayParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Field(message) => f.write_str(message),
+            Self::UnsupportedVersion(v) => write!(f, "unsupported replay version {v}"),
+            Self::SwitchSize(n) => write!(f, "switch size {n} out of range"),
+            Self::AcceptPolicy(name) => write!(f, "unknown accept policy {name:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayParseError {}
 
 /// Greedily shrinks a failing case: first trims the slot budget to the
 /// failing slot, then removes active ports one at a time as long as the
@@ -334,9 +368,29 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(ReplayCase::from_json("{}").is_err());
+        assert!(matches!(
+            ReplayCase::from_json("{}"),
+            Err(ReplayParseError::Field(_))
+        ));
         let mut case = ReplayCase::new(4, 9, 1.0, 64);
         case.accept = "sideways".to_owned();
-        assert!(ReplayCase::from_json(&case.to_json()).is_err());
+        assert_eq!(
+            ReplayCase::from_json(&case.to_json()),
+            Err(ReplayParseError::AcceptPolicy("sideways".to_owned()))
+        );
+        // A version that wraps to 1 when narrowed to u32 is still refused,
+        // like any other unsupported version.
+        let json = ReplayCase::new(4, 9, 1.0, 64).to_json();
+        for v in [2u64, (1 << 32) + 1, u64::MAX] {
+            let bad = json.replace("\"version\": 1,", &format!("\"version\": {v},"));
+            assert_eq!(
+                ReplayCase::from_json(&bad),
+                Err(ReplayParseError::UnsupportedVersion(v))
+            );
+        }
+        let err =
+            ReplayCase::from_json(&json.replace("\"version\": 1,", "\"version\": 4294967297,"))
+                .expect_err("wrapped version");
+        assert_eq!(err.to_string(), "unsupported replay version 4294967297");
     }
 }

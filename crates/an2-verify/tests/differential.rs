@@ -2,10 +2,14 @@
 //! against a naive reference on random instances, and simulated delays
 //! cross-checked against the paper's analytic formulas.
 
+use an2_sched::islip::WideRoundRobinMatching;
 use an2_sched::maximum::hopcroft_karp;
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, RequestMatrix, Scheduler};
+use an2_sched::{
+    FrameSchedule, InputPort, MatchingN, OutputPort, Pim, PimN, PortMaskN, RequestMatrix,
+    RequestMatrixN, Scheduler, WidePim, WideRequestMatrix,
+};
 use an2_sim::analytic::{hol_saturation_throughput, output_queueing_mean_delay};
 use an2_sched::fifo::FifoPriority;
 use an2_sim::fifo_switch::FifoSwitch;
@@ -15,8 +19,9 @@ use an2_sim::traffic::RateMatrixTraffic;
 use an2_sched::{Mwm, Serenade, WeightPolicy};
 use an2_verify::oracle::{
     brute_force_max_weight_matching, frame_demand_feasible, kuhn_maximum_matching_size,
-    within_confidence, ReferencePim,
+    within_confidence, ReferencePim, ReferencePimN, ReferenceRoundRobin, WideReferencePim,
 };
+use proptest::prelude::*;
 
 /// Draws an identical instance in both representations.
 fn random_instance(n: usize, density: f64, rng: &mut Xoshiro256) -> (RequestMatrix, Vec<Vec<bool>>) {
@@ -318,26 +323,22 @@ fn fifo_saturation_matches_karol_values() {
     }
 }
 
-/// The sparse active-pair grant walk vs the retained dense kernels at the
+/// The sparse production kernels vs the dense plain-vector oracles at the
 /// full wide radix. `schedule` prunes the grant phase to the outputs that
 /// actually hold requests (per-column nonzero-word successor lookup,
-/// hybrid eligible assembly); `schedule_dense` and PIM's tracked path are
-/// the original O(N·W) sweeps, kept precisely so this oracle can convict
-/// either side of any divergence — in matchings *and* in hidden state
-/// (round-robin pointers, per-port RNG streams), which is why the run is
-/// long and the schedulers are never reseeded mid-run.
+/// hybrid eligible assembly); the oracles sweep every output and input,
+/// so any divergence convicts one side — in matchings *and* in hidden
+/// state (round-robin pointers, per-port RNG streams), which is why the
+/// run is long and the schedulers are never reseeded mid-run.
 #[test]
 fn sparse_wide_kernels_equal_dense_oracles_exactly() {
-    use an2_sched::islip::WideRoundRobinMatching;
-    use an2_sched::{WidePim, WideRequestMatrix};
-
     let n = 1024;
-    let mut islip_sparse = WideRoundRobinMatching::islip(n, 4);
-    let mut islip_dense = islip_sparse.clone();
-    let mut rrm_sparse = WideRoundRobinMatching::rrm(n, 4);
-    let mut rrm_dense = rrm_sparse.clone();
-    let mut pim_fast = WidePim::new(n, 0x5BA2_1992);
-    let mut pim_tracked = pim_fast.clone();
+    let mut islip = WideRoundRobinMatching::islip(n, 4);
+    let mut islip_ref = ReferenceRoundRobin::islip(n, 4);
+    let mut rrm = WideRoundRobinMatching::rrm(n, 4);
+    let mut rrm_ref = ReferenceRoundRobin::rrm(n, 4);
+    let mut pim = WidePim::new(n, 0x5BA2_1992);
+    let mut pim_ref = WideReferencePim::new(n, 0x5BA2_1992);
     let mut traffic_rng = Xoshiro256::seed_from(0x5AC7);
     // Sweep the density regimes the sparse path specializes: near-empty
     // (active-set pruning dominates), light (the headline N=1024 operating
@@ -346,20 +347,285 @@ fn sparse_wide_kernels_equal_dense_oracles_exactly() {
     for slot in 0..40u64 {
         let density = densities[(slot as usize) % densities.len()];
         let reqs = WideRequestMatrix::random(n, density, &mut traffic_rng);
+        let plain = bools(&reqs);
         assert_eq!(
-            islip_sparse.schedule(&reqs),
-            islip_dense.schedule_dense(&reqs),
+            outputs(&islip.schedule(&reqs)),
+            islip_ref.schedule(&plain),
             "islip diverged at slot {slot} density {density}"
         );
         assert_eq!(
-            rrm_sparse.schedule(&reqs),
-            rrm_dense.schedule_dense(&reqs),
+            islip.pointers(),
+            islip_ref.pointers(),
+            "islip pointers, slot {slot}"
+        );
+        assert_eq!(
+            outputs(&rrm.schedule(&reqs)),
+            rrm_ref.schedule(&plain),
             "rrm diverged at slot {slot} density {density}"
         );
         assert_eq!(
-            pim_fast.schedule(&reqs),
-            pim_tracked.schedule_with_stats(&reqs).0,
+            rrm.pointers(),
+            rrm_ref.pointers(),
+            "rrm pointers, slot {slot}"
+        );
+        assert_eq!(
+            outputs(&pim.schedule(&reqs)),
+            pim_ref.schedule(&plain),
             "pim diverged at slot {slot} density {density}"
         );
+    }
+}
+
+// ---- Kernel parity properties -------------------------------------------
+// The production schedulers run one sparse kernel each; these properties
+// pin it to the dense plain-vector oracles over random request matrices,
+// iteration budgets and random port fault masks, at widths up to the full
+// 1024-port radix. The schedulers keep their state across the slots of a
+// run, so a hidden drift (an RNG draw too many, a pointer moved in the
+// wrong iteration) fails a later slot even when the first one agrees.
+
+/// Both representations of one request matrix: the plain rows the
+/// oracles read.
+fn bools<const W: usize>(reqs: &RequestMatrixN<W>) -> Vec<Vec<bool>> {
+    let n = reqs.n();
+    (0..n)
+        .map(|i| {
+            let mut row = vec![false; n];
+            for j in reqs.row(InputPort::new(i)).iter() {
+                row[j] = true;
+            }
+            row
+        })
+        .collect()
+}
+
+/// A matching in the oracles' shape: `out[i]` is input `i`'s output.
+fn outputs<const W: usize>(m: &MatchingN<W>) -> Vec<Option<usize>> {
+    (0..m.n())
+        .map(|i| m.output_of(InputPort::new(i)).map(|j| j.index()))
+        .collect()
+}
+
+/// Random request matrices from the production generator, sized up to
+/// the full wide radix. Generating 1024×1024 edge lists through
+/// proptest's own collections would dominate the run, so the strategy
+/// draws only (n, density, seed) and defers the Bernoulli fill to
+/// [`RequestMatrixN::random`].
+fn matrix_params() -> impl Strategy<Value = (usize, f64, u64)> {
+    (
+        prop_oneof![Just(16usize), Just(70), Just(256), Just(1024)],
+        prop_oneof![Just(0.001f64), Just(0.01), Just(0.1), Just(0.6)],
+        any::<u64>(),
+    )
+}
+
+/// A fault mask failing a few random inputs and outputs (possibly none).
+fn masked<const W: usize>(n: usize, seed: u64) -> PortMaskN<W> {
+    let mut mask = PortMaskN::<W>::all(n);
+    let mut rng = Xoshiro256::seed_from(seed);
+    for _ in 0..rng.index(4) {
+        mask.fail_input(rng.index(n));
+        mask.fail_output(rng.index(n));
+    }
+    mask
+}
+
+proptest! {
+    /// Wide PIM's fused loop (sparse eligible assembly, rejection grant
+    /// draws) against `WideReferencePim`, sharing per-port RNG state
+    /// across slots: the matchings — and therefore every random draw —
+    /// must agree exactly.
+    #[test]
+    fn pim_matches_reference_pim_under_masks(
+        params in matrix_params(),
+        iters in 1usize..=5,
+        sched_seed in any::<u64>(),
+        mask_seed in any::<u64>(),
+        use_mask in proptest::bool::ANY,
+    ) {
+        let (n, density, seed) = params;
+        let mut pool_rng = Xoshiro256::seed_from(seed);
+        let limit = IterationLimit::Fixed(iters);
+        let mut pim = WidePim::with_options(n, sched_seed, limit, AcceptPolicy::Random);
+        let mut oracle =
+            WideReferencePim::with_options(n, sched_seed, limit, AcceptPolicy::Random);
+        if use_mask {
+            let mask = masked(n, mask_seed);
+            pim.set_port_mask(mask);
+            oracle.set_port_mask(&mask);
+        }
+        for slot in 0..4 {
+            let reqs = RequestMatrixN::<16>::random(n, density, &mut pool_rng);
+            prop_assert_eq!(
+                outputs(&pim.schedule(&reqs)),
+                oracle.schedule(&bools(&reqs)),
+                "n {} density {} slot {}", n, density, slot
+            );
+        }
+    }
+
+    /// iSLIP and RRM: the sparse `schedule` against `ReferenceRoundRobin`,
+    /// matchings and both pointer vectors after every slot.
+    #[test]
+    fn islip_and_rrm_match_reference_round_robin(
+        params in matrix_params(),
+        iters in 1usize..=4,
+        is_islip in proptest::bool::ANY,
+        mask_seed in any::<u64>(),
+        use_mask in proptest::bool::ANY,
+    ) {
+        let (n, density, seed) = params;
+        let mut pool_rng = Xoshiro256::seed_from(seed);
+        let (mut sched, mut oracle) = if is_islip {
+            (WideRoundRobinMatching::islip(n, iters), ReferenceRoundRobin::islip(n, iters))
+        } else {
+            (WideRoundRobinMatching::rrm(n, iters), ReferenceRoundRobin::rrm(n, iters))
+        };
+        if use_mask {
+            let mask = masked(n, mask_seed);
+            sched.set_port_mask(mask);
+            oracle.set_port_mask(&mask);
+        }
+        for slot in 0..4 {
+            let reqs = RequestMatrixN::<16>::random(n, density, &mut pool_rng);
+            prop_assert_eq!(
+                outputs(&sched.schedule(&reqs)),
+                oracle.schedule(&bools(&reqs)),
+                "n {} density {} slot {}", n, density, slot
+            );
+            prop_assert_eq!(sched.pointers(), oracle.pointers(), "pointers after slot {}", slot);
+        }
+    }
+
+    /// Every PIM entry point is the same loop: clones driven through
+    /// `schedule`, `schedule_with_stats` and `schedule_traced` match
+    /// `ReferencePim` in every slot, at the narrow and the wide width,
+    /// for every accept policy and iteration limit, masked or not — and
+    /// the statistics and trace records they return describe that
+    /// matching consistently.
+    #[test]
+    fn pim_entry_points_match_reference_and_record_consistently(
+        params in matrix_params(),
+        wide in proptest::bool::ANY,
+        policy in 0usize..3,
+        iters in 0usize..=5,
+        sched_seed in any::<u64>(),
+        mask_seed in proptest::option::of(any::<u64>()),
+    ) {
+        let (n, density, seed) = params;
+        let policy = [AcceptPolicy::Random, AcceptPolicy::RoundRobin, AcceptPolicy::LowestIndex][policy];
+        let limit = match iters {
+            0 => IterationLimit::ToCompletion,
+            k => IterationLimit::Fixed(k),
+        };
+        if wide || n > 256 {
+            check_entry_points::<16>(n, density, seed, policy, limit, sched_seed, mask_seed);
+        } else {
+            check_entry_points::<4>(n, density, seed, policy, limit, sched_seed, mask_seed);
+        }
+    }
+}
+
+/// The body of `pim_entry_points_match_reference_and_record_consistently`
+/// at one width.
+fn check_entry_points<const W: usize>(
+    n: usize,
+    density: f64,
+    seed: u64,
+    policy: AcceptPolicy,
+    limit: IterationLimit,
+    sched_seed: u64,
+    mask_seed: Option<u64>,
+) {
+    let mut plain = PimN::<Xoshiro256, W>::with_options(n, sched_seed, limit, policy);
+    let mut oracle = ReferencePimN::<W>::with_options(n, sched_seed, limit, policy);
+    if let Some(mask_seed) = mask_seed {
+        let mask = masked::<W>(n, mask_seed);
+        plain.set_port_mask(mask);
+        oracle.set_port_mask(&mask);
+    }
+    let mut with_stats = plain.clone();
+    let mut traced = plain.clone();
+    let mut pool_rng = Xoshiro256::seed_from(seed);
+    for slot in 0..4 {
+        let reqs = RequestMatrixN::<W>::random(n, density, &mut pool_rng);
+        let want = oracle.schedule(&bools(&reqs));
+        let ctx = format!("n {n} W {W} {policy:?} {limit:?} density {density} slot {slot}");
+        assert_eq!(outputs(&plain.schedule(&reqs)), want, "schedule: {ctx}");
+        let (m, stats) = with_stats.schedule_with_stats(&reqs);
+        assert_eq!(outputs(&m), want, "schedule_with_stats: {ctx}");
+        let mut records = Vec::new();
+        let (m, traced_stats) = traced.schedule_traced(&reqs, &mut |r| records.push(r.clone()));
+        assert_eq!(outputs(&m), want, "schedule_traced: {ctx}");
+        assert_eq!(traced_stats, stats, "{ctx}");
+
+        assert_eq!(stats.iterations_run, records.len(), "{ctx}");
+        assert_eq!(stats.matches_after.len(), stats.iterations_run, "{ctx}");
+        assert!(
+            stats.matches_after.windows(2).all(|w| w[0] <= w[1]),
+            "{ctx}"
+        );
+        assert_eq!(
+            stats.matches_after.last().copied().unwrap_or(0),
+            m.len(),
+            "{ctx}"
+        );
+        let mut accepted = Vec::new();
+        for (k, r) in records.iter().enumerate() {
+            assert_eq!(r.iteration, k + 1, "{ctx}");
+            assert_eq!(r.unresolved_after, stats.unresolved_after[k], "{ctx}");
+            for &(i, j) in &r.accepts {
+                assert!(
+                    r.grants[i.index()].contains(j.index()),
+                    "{ctx}: accept outside grants"
+                );
+            }
+            for (i, grants) in r.grants.iter().enumerate() {
+                for j in grants.iter() {
+                    assert!(r.requests[j].contains(i), "{ctx}: grant outside requests");
+                }
+            }
+            accepted.extend(r.accepts.iter().copied());
+        }
+        accepted.sort();
+        let pairs: Vec<_> = m.pairs().collect();
+        assert_eq!(accepted, pairs, "{ctx}: accepts are not the matching");
+    }
+}
+
+/// iSLIP and RRM against `ReferenceRoundRobin` over a fixed trial grid:
+/// every radix class at one density each, including the full 1024-port
+/// all-requests case, with matchings and pointers compared per slot.
+#[test]
+fn round_robin_kernel_matches_reference_pointer_for_pointer() {
+    let mut root = Xoshiro256::seed_from(0x51A9);
+    for trial in 0..24 {
+        let n = [16, 70, 256, 1024][trial % 4];
+        let p = [0.02, 0.1, 0.5, 1.0][trial % 4];
+        let reqs = WideRequestMatrix::random(n, p, &mut root);
+        let plain = bools(&reqs);
+        let (mut sched, mut oracle) = if trial % 2 == 0 {
+            (
+                WideRoundRobinMatching::islip(n, 4),
+                ReferenceRoundRobin::islip(n, 4),
+            )
+        } else {
+            (
+                WideRoundRobinMatching::rrm(n, 4),
+                ReferenceRoundRobin::rrm(n, 4),
+            )
+        };
+        for slot in 0..6 {
+            assert_eq!(
+                outputs(&sched.schedule(&reqs)),
+                oracle.schedule(&plain),
+                "trial {trial} slot {slot}"
+            );
+            assert_eq!(
+                sched.pointers(),
+                oracle.pointers(),
+                "trial {trial} slot {slot}"
+            );
+        }
     }
 }
