@@ -11,9 +11,9 @@
 
 use crate::Effort;
 use an2_sched::fifo::FifoPriority;
-use an2_sched::islip::RoundRobinMatching;
-use an2_sched::maximum::MaximumMatching;
-use an2_sched::{AcceptPolicy, IterationLimit, Mwm, Pim, Serenade};
+use an2_sched::islip::RoundRobinMatchingN;
+use an2_sched::maximum::MaximumMatchingN;
+use an2_sched::{with_port_width, AcceptPolicy, IterationLimit, MwmN, PimN, SerenadeN};
 use an2_sim::experiment::{format_sweep, load_sweep, RunFactory, SweepPoint};
 use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::model::SwitchModel;
@@ -68,16 +68,18 @@ impl SwitchKind {
         }
     }
 
+    /// Builds the switch; crossbar kinds run on the port-set width `n`
+    /// picks.
     fn build(self, n: usize, seed: u64) -> Box<dyn SwitchModel> {
-        match self {
+        with_port_width!(n, W => match self {
             SwitchKind::Fifo => Box::new(FifoSwitch::new(n, FifoPriority::Random, seed)),
-            SwitchKind::Pim(k) => Box::new(CrossbarSwitch::new(Pim::with_options(
+            SwitchKind::Pim(k) => Box::new(CrossbarSwitch::new(PimN::<_, W>::with_options(
                 n,
                 seed,
                 IterationLimit::Fixed(k),
                 AcceptPolicy::Random,
             ))),
-            SwitchKind::PimComplete => Box::new(CrossbarSwitch::new(Pim::with_options(
+            SwitchKind::PimComplete => Box::new(CrossbarSwitch::new(PimN::<_, W>::with_options(
                 n,
                 seed,
                 IterationLimit::ToCompletion,
@@ -85,21 +87,21 @@ impl SwitchKind {
             ))),
             SwitchKind::OutputQueued => Box::new(OutputQueuedSwitch::new(n)),
             SwitchKind::Maximum => {
-                Box::new(CrossbarSwitch::with_ports(n, MaximumMatching::new()))
+                Box::new(CrossbarSwitch::with_ports(n, MaximumMatchingN::<W>::new()))
             }
             SwitchKind::Islip(k) => Box::new(CrossbarSwitch::new(
-                RoundRobinMatching::islip(n, k),
+                RoundRobinMatchingN::<W>::islip(n, k),
             )),
             SwitchKind::Rrm(k) => {
-                Box::new(CrossbarSwitch::new(RoundRobinMatching::rrm(n, k)))
+                Box::new(CrossbarSwitch::new(RoundRobinMatchingN::<W>::rrm(n, k)))
             }
             SwitchKind::Speedup(k) => {
                 Box::new(an2_sim::speedup_switch::SpeedupSwitch::new(n, k, 4, seed))
             }
-            SwitchKind::MwmLqf => Box::new(CrossbarSwitch::new(Mwm::lqf(n))),
-            SwitchKind::MwmOcf => Box::new(CrossbarSwitch::new(Mwm::ocf(n))),
-            SwitchKind::Serenade => Box::new(CrossbarSwitch::new(Serenade::new(n, seed))),
-        }
+            SwitchKind::MwmLqf => Box::new(CrossbarSwitch::new(MwmN::<W>::lqf(n))),
+            SwitchKind::MwmOcf => Box::new(CrossbarSwitch::new(MwmN::<W>::ocf(n))),
+            SwitchKind::Serenade => Box::new(CrossbarSwitch::new(SerenadeN::<W>::new(n, seed))),
+        })
     }
 }
 

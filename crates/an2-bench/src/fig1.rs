@@ -13,7 +13,7 @@
 
 use crate::Effort;
 use an2_sched::fifo::FifoPriority;
-use an2_sched::Pim;
+use an2_sched::{with_port_width, PimN};
 use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::model::SwitchModel;
 use an2_sim::switch::CrossbarSwitch;
@@ -116,20 +116,20 @@ pub fn run(n: usize, effort: Effort, seed: u64, pool: &Pool) -> Fig1Result {
                 fifo.preload(&snapshot);
                 drain(&mut fifo) as f64
             }
-            "pim-drain" => {
-                let mut pim = CrossbarSwitch::new(Pim::new(n, s));
+            "pim-drain" => with_port_width!(n, W => {
+                let mut pim = CrossbarSwitch::new(PimN::<_, W>::new(n, s));
                 let dropped = pim.preload(&snapshot);
                 assert_eq!(dropped, 0, "unbounded VOQs must admit the snapshot");
                 drain(&mut pim) as f64
-            }
+            }),
             "fifo-sustained" => {
                 let mut fifo = FifoSwitch::new(n, FifoPriority::Rotating, s);
                 sustained(&mut fifo, s ^ 1)
             }
-            "pim-sustained" => {
-                let mut pim = CrossbarSwitch::new(Pim::new(n, s));
+            "pim-sustained" => with_port_width!(n, W => {
+                let mut pim = CrossbarSwitch::new(PimN::<_, W>::new(n, s));
                 sustained(&mut pim, s ^ 1)
-            }
+            }),
             _ => unreachable!(),
         }
     });

@@ -8,7 +8,7 @@
 
 use crate::Effort;
 use an2_sched::fifo::FifoPriority;
-use an2_sched::Pim;
+use an2_sched::{with_port_width, PimN};
 use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::model::SwitchModel;
 use an2_sim::switch::CrossbarSwitch;
@@ -77,8 +77,10 @@ pub fn run(sizes: &[usize], effort: Effort, seed: u64, pool: &Pool) -> KarolResu
         }
         None => {
             let s = task_seed(seed, "karol/pim16");
-            let mut pim = CrossbarSwitch::new(Pim::new(16, s));
-            saturation(&mut pim, 16, s ^ 1)
+            with_port_width!(16, W => {
+                let mut pim = CrossbarSwitch::new(PimN::<_, W>::new(16, s));
+                saturation(&mut pim, 16, s ^ 1)
+            })
         }
     });
     let fifo = sizes.iter().copied().zip(utils.iter().copied()).collect();

@@ -3,7 +3,7 @@
 //! slots at 53 bytes and 1 Gbit/s.
 
 use crate::Effort;
-use an2_sched::Pim;
+use an2_sched::{with_port_width, PimN};
 use an2_sim::sim::{simulate, SimConfig};
 use an2_sim::switch::CrossbarSwitch;
 use an2_sim::traffic::RateMatrixTraffic;
@@ -46,9 +46,11 @@ pub fn run(effort: Effort, seed: u64) -> Latency95Result {
         warmup_slots: effort.scale(30_000, 200_000),
         measure_slots: effort.scale(100_000, 1_000_000),
     };
-    let mut sw = CrossbarSwitch::new(Pim::new(16, seed));
     let mut t = RateMatrixTraffic::uniform(16, 0.95, seed ^ 1);
-    let report = simulate(&mut sw, &mut t, cfg);
+    let report = with_port_width!(16, W => {
+        let mut sw = CrossbarSwitch::new(PimN::<_, W>::new(16, seed));
+        simulate(&mut sw, &mut t, cfg)
+    });
     let mean_delay_slots = report.delay.mean();
     Latency95Result {
         mean_delay_slots,

@@ -31,7 +31,9 @@ use an2_net::shard::{run_shard_net, ShardNetConfig};
 use an2_sched::islip::RoundRobinMatchingN;
 use an2_sched::maximum::MaximumMatchingN;
 use an2_sched::rng::Xoshiro256;
-use an2_sched::{AcceptPolicy, IterationLimit, MwmN, PimN, RequestMatrixN, Scheduler, SerenadeN};
+use an2_sched::{
+    with_port_width, AcceptPolicy, IterationLimit, MwmN, PimN, RequestMatrixN, Scheduler, SerenadeN,
+};
 use an2_sim::batch::BatchCrossbar;
 use an2_sim::traffic::{SparseUniformTraffic, Traffic};
 use an2_sim::SwitchModel;
@@ -152,8 +154,8 @@ pub struct PerfReport {
     pub network: NetCase,
 }
 
-/// Builds the named scheduler at bitset width `W` (4 words for the narrow
-/// grid, 16 for the 1024-port cases and the engine scaling curve).
+/// Builds the named scheduler at bitset width `W` (the width `n` picks for
+/// the kernel grid, 16 words for the engine scaling curve).
 fn make_scheduler<const W: usize>(name: &str, n: usize, seed: u64) -> Box<dyn Scheduler<W>> {
     match name {
         "pim4" => Box::new(PimN::<Xoshiro256, W>::with_options(
@@ -194,7 +196,7 @@ fn scaling_slots_for(effort: Effort, n: usize) -> u64 {
     slots_for(effort, n).max(effort.scale(1_000, 10_000))
 }
 
-/// Times one kernel case at bitset width `W`; narrow and wide cases land
+/// Times one kernel case at bitset width `W`; cases of every width land
 /// in the same [`PerfCase`] rows.
 fn run_case<const W: usize>(
     scheduler: &'static str,
@@ -349,11 +351,7 @@ pub fn run(effort: Effort, seed: u64, pool: &Pool) -> PerfReport {
     }
     let started = Instant::now();
     let cases = pool.map(specs, |_, (scheduler, n, load, slots, case_seed)| {
-        if n > 256 {
-            run_case::<16>(scheduler, n, load, slots, case_seed)
-        } else {
-            run_case::<4>(scheduler, n, load, slots, case_seed)
-        }
+        with_port_width!(n, W => run_case::<W>(scheduler, n, load, slots, case_seed))
     });
     // Scaling and network runs go serially: their wall-clock numbers back
     // the engine's headline throughput claims, so they must not contend

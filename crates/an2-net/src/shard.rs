@@ -27,12 +27,17 @@
 //! every slot-`s` read, so how the team partitions the ring cannot affect
 //! any value.
 //!
+//! Each switch runs on the port-set width its radix picks
+//! ([`with_port_width!`]): the thousand-switch ring's radix-16 switches
+//! keep their request matrix, matching and masks in one 64-bit word per
+//! row, which the four-word width would zero and scan four times over.
+//!
 //! The end-of-run [`ShardReport`] aggregates per-switch counters in index
 //! order and carries an FNV digest over them, so `--threads 1` and
 //! `--threads 8` runs can be byte-compared.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{Pim, PortMask, PortSet, RequestMatrix, Scheduler};
+use an2_sched::{with_port_width, PimN, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
 use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
 use an2_sim::metrics::QuantileSketch;
 use an2_task::{task_seed, Pool};
@@ -186,8 +191,8 @@ impl ShardNetConfig {
             "the destination switch is packed in 20 bits (at most 2^20 switches)"
         );
         assert!(
-            self.radix >= 2 && self.radix <= 256,
-            "shard switches use the narrow scheduler width (radix 2..=256)"
+            self.radix >= 2 && self.radix <= an2_sched::MAX_PORTS,
+            "shard radix 2..=256: one-word port sets up to 64 ports, four-word up to 256"
         );
         assert!(self.span >= 1 && self.span < self.switches, "span out of range");
         assert!(
@@ -225,17 +230,18 @@ fn inject_slot(cell: u64) -> u64 {
 }
 
 /// One ring switch: private RNG, PIM scheduler, per-pair VOQ rings, and
-/// the single-cell buffers for the ring link's receive and send ends.
+/// the single-cell buffers for the ring link's receive and send ends, on
+/// `W`-word port sets.
 #[derive(Debug)]
-struct SwitchShard {
+struct SwitchShard<const W: usize> {
     k: usize,
     switches: usize,
     radix: usize,
     span: usize,
     host_load: f64,
     rng: Xoshiro256,
-    sched: Pim,
-    requests: RequestMatrix,
+    sched: PimN<Xoshiro256, W>,
+    requests: RequestMatrixN<W>,
     rings: Vec<Ring>,
     inbox: Option<u64>,
     outbox: Option<u64>,
@@ -248,7 +254,7 @@ struct SwitchShard {
     /// This switch's slice of the campaign's fault plan.
     plan: FaultPlan,
     /// Port health; failed ports are masked out of scheduling only.
-    mask: PortMask,
+    mask: PortMaskN<W>,
     /// Scheduling is suspended while `slot < drift_until` (clock drift).
     drift_until: u64,
     /// Physical state of the outgoing ring link (LinkDown/LinkUp events).
@@ -278,7 +284,7 @@ struct SwitchShard {
     windows: Vec<u32>,
 }
 
-impl SwitchShard {
+impl<const W: usize> SwitchShard<W> {
     fn new(cfg: &ShardNetConfig, k: usize) -> Self {
         let seed = task_seed(cfg.seed, &format!("sw{k}"));
         let mut rings = Vec::new();
@@ -290,8 +296,8 @@ impl SwitchShard {
             span: cfg.span,
             host_load: cfg.host_load,
             rng: Xoshiro256::seed_from(seed),
-            sched: Pim::new(cfg.radix, seed),
-            requests: RequestMatrix::new(cfg.radix),
+            sched: PimN::new(cfg.radix, seed),
+            requests: RequestMatrixN::new(cfg.radix),
             rings,
             inbox: None,
             outbox: None,
@@ -301,7 +307,7 @@ impl SwitchShard {
             delay_sum: 0,
             sketch: QuantileSketch::new(),
             plan: FaultPlan::new(),
-            mask: PortMask::all(cfg.radix),
+            mask: PortMaskN::all(cfg.radix),
             drift_until: 0,
             link_up: true,
             reserving: false,
@@ -348,7 +354,7 @@ impl SwitchShard {
         if FAULTED {
             self.faulted_slot(slot);
         } else {
-            let none = PortSet::new();
+            let none = PortSetN::new();
             self.advance(slot, &none, &none, false);
         }
         let out = self.outbox.take().unwrap_or(EMPTY);
@@ -378,8 +384,8 @@ impl SwitchShard {
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) monotone u64 fault counters; slot >= down_since and backoff is clamped to MAX_BACKOFF, so the slot arithmetic cannot wrap
     fn faulted_slot(&mut self, slot: u64) {
-        let mut injected = PortSet::new();
-        let mut corrupted = PortSet::new();
+        let mut injected = PortSetN::new();
+        let mut corrupted = PortSetN::new();
         let mut mask_changed = false;
         // Move the plan out so event handling can borrow `self` freely.
         let mut plan = std::mem::take(&mut self.plan);
@@ -468,7 +474,13 @@ impl SwitchShard {
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) queued mirrors ring occupancy; slot >= inject_slot(cell) since cells are injected at or before the current slot; delivery counters are monotone u64
     // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < rings.len()
-    fn advance(&mut self, slot: u64, injected: &PortSet, corrupted: &PortSet, skip_schedule: bool) {
+    fn advance(
+        &mut self,
+        slot: u64,
+        injected: &PortSetN<W>,
+        corrupted: &PortSetN<W>,
+        skip_schedule: bool,
+    ) {
         if let Some(cell) = self.inbox.take() {
             if injected.contains(0) || corrupted.contains(0) {
                 // The cell in flight on the (dying or glitching) ring link
@@ -585,7 +597,7 @@ impl fmt::Display for ShardReport {
 /// Panics if the configuration is out of range (see [`ShardNetConfig`]
 /// field docs) or if cell conservation is violated.
 pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
-    let r = drive::<false>(cfg, &FaultPlan::new(), pool);
+    let r = with_port_width!(cfg.radix, W => drive::<W, false>(cfg, &FaultPlan::new(), pool));
     ShardReport {
         slots: r.slots,
         switches: r.switches,
@@ -731,15 +743,15 @@ pub fn run_shard_net_faulted(
     plan: &FaultPlan,
     pool: &Pool,
 ) -> ShardFaultReport {
-    drive::<true>(cfg, plan, pool)
+    with_port_width!(cfg.radix, W => drive::<W, true>(cfg, plan, pool))
 }
 
-/// The driver behind both runners. It builds the ring on the calling
-/// thread, steps it on `pool` with one lockstep round per slot, and
-/// reduces the per-switch counters in switch-index order. A fault-free
-/// run (`FAULTED == false`) ignores `plan`, keeps no window buckets, and
-/// leaves its always-zero drop count out of the digest.
-fn drive<const FAULTED: bool>(
+/// The driver behind both runners, on `W`-word port sets. It builds the
+/// ring on the calling thread, steps it on `pool` with one lockstep round
+/// per slot, and reduces the per-switch counters in switch-index order.
+/// A fault-free run (`FAULTED == false`) ignores `plan`, keeps no window
+/// buckets, and leaves its always-zero drop count out of the digest.
+fn drive<const W: usize, const FAULTED: bool>(
     cfg: &ShardNetConfig,
     plan: &FaultPlan,
     pool: &Pool,
@@ -751,7 +763,7 @@ fn drive<const FAULTED: bool>(
     } else {
         0
     };
-    let mut switches: Vec<SwitchShard> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
+    let mut switches: Vec<SwitchShard<W>> = (0..k).map(|i| SwitchShard::new(cfg, i)).collect();
     if FAULTED {
         for (sw, events) in switches.iter_mut().zip(split_plan(plan, k)) {
             sw.plan = FaultPlan::from_events(events);
@@ -922,6 +934,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "radix 2..=256")]
+    fn radix_past_four_word_sets_rejected() {
+        let mut cfg = small();
+        cfg.radix = 257;
+        run_shard_net(&cfg, &Pool::serial());
+    }
+
+    #[test]
     fn packed_cells_at_the_field_limits_round_trip_and_stay_off_the_sentinel() {
         let slot = u64::from(u32::MAX) - 1;
         let cell = pack(MAX_SWITCHES - 1, 255, slot);
@@ -1000,6 +1020,40 @@ mod tests {
         assert_eq!(a.digest, c.digest);
         assert_eq!(a.to_string(), b.to_string());
         assert_eq!(a.to_string(), c.to_string());
+    }
+
+    /// Golden pins of the ring's output, one per port-set width class:
+    /// radix 16 and 8 run on one-word sets, radix 100 on four-word sets.
+    /// Any change to a decision, a draw or the report moves these.
+    #[test]
+    fn ring_reports_are_pinned() {
+        let mut thousand = ShardNetConfig::thousand();
+        thousand.slots = 200;
+        let r = run_shard_net(&thousand, &Pool::new(2));
+        assert_eq!(r.digest, 0x0fbe_7da1_a6b8_1947, "{r}");
+
+        let faulted = run_shard_net_faulted(&small(), &burst_plan(), &Pool::serial());
+        assert_eq!(
+            faulted.to_string(),
+            "shard-net faulted: 32 switches x 400 slots
+  injected 1837  delivered 1826  in-flight 10  dropped 1
+  faults 7  probes 6 (5 failed)  recoveries 1  mean-recovery 63.00
+  delay mean 2.8023  p50 2  p99 19  max 73
+  digest 0xd245f2fdd1977d13"
+        );
+
+        let mut wide = small();
+        wide.radix = 100;
+        wide.host_load = 0.002;
+        let faulted = run_shard_net_faulted(&wide, &burst_plan(), &Pool::serial());
+        assert_eq!(
+            faulted.to_string(),
+            "shard-net faulted: 32 switches x 400 slots
+  injected 2560  delivered 2548  in-flight 12  dropped 0
+  faults 7  probes 6 (5 failed)  recoveries 1  mean-recovery 63.00
+  delay mean 2.8752  p50 2  p99 10  max 74
+  digest 0xed3ac0811dcf94c7"
+        );
     }
 
     #[test]

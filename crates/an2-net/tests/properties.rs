@@ -63,6 +63,42 @@ fn ring_fault(a: u64, b: u64, switches: usize, radix: usize, slots: u64) -> Faul
     }
 }
 
+/// Runs the ring on `threads` threads and serially, faulted when `faults`
+/// holds raw fault draws, and asserts the two reports are byte-identical.
+fn assert_ring_matches_serial(
+    cfg: &ShardNetConfig,
+    threads: usize,
+    faults: Option<Vec<(u64, u64)>>,
+) {
+    let pool = Pool::new(threads);
+    match faults {
+        None => assert_eq!(
+            run_shard_net(cfg, &pool).to_string(),
+            run_shard_net(cfg, &Pool::serial()).to_string(),
+            "{:?} threads={}",
+            cfg,
+            threads
+        ),
+        Some(raw) => {
+            let plan = FaultPlan::from_events(
+                raw.iter()
+                    .map(|&(a, b)| ring_fault(a, b, cfg.switches, cfg.radix, cfg.slots))
+                    .collect(),
+            );
+            let par = run_shard_net_faulted(cfg, &plan, &pool);
+            let serial = run_shard_net_faulted(cfg, &plan, &Pool::serial());
+            assert_eq!(
+                par.to_string(),
+                serial.to_string(),
+                "{:?} threads={}",
+                cfg,
+                threads
+            );
+            assert_eq!(par.windows, serial.windows);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -91,25 +127,36 @@ proptest! {
             seed,
             slots,
         };
-        let pool = Pool::new(threads);
-        match faults {
-            None => prop_assert_eq!(
-                run_shard_net(&cfg, &pool).to_string(),
-                run_shard_net(&cfg, &Pool::serial()).to_string(),
-                "{:?} threads={}", cfg, threads
-            ),
-            Some(raw) => {
-                let plan = FaultPlan::from_events(
-                    raw.iter()
-                        .map(|&(a, b)| ring_fault(a, b, switches, radix, slots))
-                        .collect(),
-                );
-                let par = run_shard_net_faulted(&cfg, &plan, &pool);
-                let serial = run_shard_net_faulted(&cfg, &plan, &Pool::serial());
-                prop_assert_eq!(par.to_string(), serial.to_string(), "{:?} threads={}", cfg, threads);
-                prop_assert_eq!(par.windows, serial.windows);
-            }
-        }
+        assert_ring_matches_serial(&cfg, threads, faults);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same check on radix-100 switches, which sit on four-word port
+    /// sets where radix 2..=8 sits on one-word sets.
+    #[test]
+    fn four_word_shard_ring_matches_serial_at_any_thread_count(
+        switches in 2usize..=40,
+        span_draw in any::<u64>(),
+        host_load in 0.0f64..1.0,
+        slots in 0u64..150,
+        threads in 1usize..=5,
+        seed in any::<u64>(),
+        faults in proptest::option::of(
+            proptest::collection::vec((any::<u64>(), any::<u64>()), 1..16)
+        ),
+    ) {
+        let cfg = ShardNetConfig {
+            switches,
+            radix: 100,
+            span: 1 + (span_draw % (switches as u64 - 1)) as usize,
+            host_load,
+            seed,
+            slots,
+        };
+        assert_ring_matches_serial(&cfg, threads, faults);
     }
 }
 

@@ -55,12 +55,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn ring(slots: u64) -> ShardNetConfig {
+/// A 40-switch ring of `(radix, host_load)` switches.
+fn ring((radix, host_load): (usize, f64), slots: u64) -> ShardNetConfig {
     ShardNetConfig {
         switches: 40,
-        radix: 8,
+        radix,
         span: 3,
-        host_load: 0.05,
+        host_load,
         seed: 11,
         slots,
     }
@@ -79,18 +80,21 @@ fn extra_slots_allocate_less_than_once_per_slot() {
     let (short, long) = (1000, 4000);
     let extra = (long - short) as usize;
 
-    let a = allocations_of(|| drop(run_shard_net(&ring(short), &pool)));
-    let b = allocations_of(|| drop(run_shard_net(&ring(long), &pool)));
-    assert!(
-        b.saturating_sub(a) < extra,
-        "fault-free: {a} allocations over {short} slots, {b} over {long}"
-    );
+    // Radix 8 runs on one-word port sets, radix 100 on four-word sets.
+    for switch in [(8, 0.05), (100, 0.004)] {
+        let a = allocations_of(|| drop(run_shard_net(&ring(switch, short), &pool)));
+        let b = allocations_of(|| drop(run_shard_net(&ring(switch, long), &pool)));
+        assert!(
+            b.saturating_sub(a) < extra,
+            "fault-free {switch:?}: {a} allocations over {short} slots, {b} over {long}"
+        );
 
-    let plan = FaultPlan::new();
-    let a = allocations_of(|| drop(run_shard_net_faulted(&ring(short), &plan, &pool)));
-    let b = allocations_of(|| drop(run_shard_net_faulted(&ring(long), &plan, &pool)));
-    assert!(
-        b.saturating_sub(a) < extra,
-        "faulted: {a} allocations over {short} slots, {b} over {long}"
-    );
+        let plan = FaultPlan::new();
+        let a = allocations_of(|| drop(run_shard_net_faulted(&ring(switch, short), &plan, &pool)));
+        let b = allocations_of(|| drop(run_shard_net_faulted(&ring(switch, long), &plan, &pool)));
+        assert!(
+            b.saturating_sub(a) < extra,
+            "faulted {switch:?}: {a} allocations over {short} slots, {b} over {long}"
+        );
+    }
 }

@@ -2,22 +2,33 @@
 //!
 //! A switch has `n` input ports and `n` output ports. The paper's AN2
 //! prototype is 16×16; the algorithms here were designed for "moderate
-//! scale" switches (§2.1), and the default [`PortSet`] width keeps a set of
-//! up to [`MAX_PORTS`] = 256 ports in four machine words. The underlying
-//! bitset [`PortSetN`] is width-parameterized, so the same kernels also run
-//! wide switches — up to [`MAX_WIDE_PORTS`] = 1024 ports via
-//! [`WidePortSet`] — without touching the narrow hot path.
+//! scale" switches (§2.1). The bitset [`PortSetN`] is width-parameterized
+//! by its word count `W`, and every scheduler kernel is generic over it.
+//! Which width a switch runs on follows from its radix alone, by the rule
+//! of [`with_port_width!`](crate::with_port_width):
+//!
+//! | radix `n`     | `W`  | aliases                            |
+//! |---------------|------|------------------------------------|
+//! | `n <= 64`     | 1    | —                                  |
+//! | `n <= 256`    | 4    | [`PortSet`] (up to [`MAX_PORTS`])  |
+//! | `n <= 1024`   | 16   | [`WidePortSet`] (up to [`MAX_WIDE_PORTS`]) |
+//!
+//! Narrower sets are cheaper to zero, copy and scan: a `MatchingN<1>` is a
+//! quarter of a `MatchingN<4>`. The one- and four-word widths make
+//! identical decisions at every radix both can hold: the only kernel step
+//! that depends on `W` is PIM's grant draw, which samples by rejection at
+//! the sixteen-word width alone.
 
 use std::fmt;
 
-/// Radix of the default (narrow) [`PortSet`] width.
+/// Radix of the four-word [`PortSet`] width.
 ///
-/// The paper targets 16×16 to 64×64 switches (§2.1); 256 leaves headroom
-/// for the scaling experiments while keeping the default [`PortSet`] a
-/// four-word, allocation-free value. This is **not** a crate-wide cap any
-/// more: every scheduler kernel is generic over the bitset width
-/// [`PortSetN`], and the wide aliases ([`WidePortSet`] and friends) run
-/// switches up to [`MAX_WIDE_PORTS`] = 1024 ports.
+/// The paper targets 16×16 to 64×64 switches (§2.1). The width rule of
+/// [`with_port_width!`](crate::with_port_width) runs radices up to 64 on
+/// one-word sets, radices up to this bound on four-word sets, and larger
+/// ones on sixteen-word sets, up to [`MAX_WIDE_PORTS`] = 1024. The
+/// unparameterized aliases ([`PortSet`], `RequestMatrix`, `Pim`, …) name
+/// the four-word width.
 pub const MAX_PORTS: usize = 256;
 
 /// Maximum switch radix supported by the crate across all widths.
@@ -29,6 +40,47 @@ pub const MAX_WIDE_PORTS: usize = 1024;
 
 /// Bitset words in the wide ([`MAX_WIDE_PORTS`]-port) width.
 pub const WIDE_WORDS: usize = MAX_WIDE_PORTS / 64;
+
+/// Evaluates an expression with `const W: usize` bound to the bitset width
+/// an `n`-port switch runs on: one word for `n <= 64`, four for
+/// `n <= 256`, sixteen above.
+///
+/// This is the one place the width rule lives; a radix too large for
+/// sixteen words still gets `W = 16` and is rejected by the constructors.
+/// The expression is compiled once per width.
+///
+/// # Examples
+///
+/// ```
+/// use an2_sched::{with_port_width, PimN, Scheduler, RequestMatrixN};
+///
+/// fn matched<const W: usize>(n: usize) -> usize {
+///     let requests = RequestMatrixN::<W>::from_fn(n, |i, j| i == j);
+///     PimN::<_, W>::new(n, 7).schedule(&requests).len()
+/// }
+///
+/// assert_eq!(with_port_width!(16, W => W), 1);
+/// assert_eq!(with_port_width!(16, W => matched::<W>(16)), 16);
+/// ```
+#[macro_export]
+macro_rules! with_port_width {
+    ($n:expr, $w:ident => $body:expr) => {
+        match $n {
+            n if n <= 64 => {
+                const $w: usize = 1;
+                $body
+            }
+            n if n <= $crate::MAX_PORTS => {
+                const $w: usize = 4;
+                $body
+            }
+            _ => {
+                const $w: usize = $crate::WIDE_WORDS;
+                $body
+            }
+        }
+    };
+}
 
 const WORDS: usize = MAX_PORTS / 64;
 
@@ -120,8 +172,9 @@ port_impls!(OutputPort, "out");
 /// schedulers. All operations are O(`W`) word operations, which is what
 /// makes the per-iteration work of parallel iterative matching cheap in
 /// software (the hardware analogue is the request/grant wires of §3.3).
-/// `W = 4` (the [`PortSet`] alias) covers the paper-scale switches;
-/// `W = 16` ([`WidePortSet`]) covers the 1024-port scaling experiments.
+/// `W = 1` holds switches of up to 64 ports, `W = 4` (the [`PortSet`]
+/// alias) up to 256, and `W = 16` ([`WidePortSet`]) the 1024-port scaling
+/// experiments; [`with_port_width!`](crate::with_port_width) picks one.
 ///
 /// The set is untyped with respect to input vs output; the surrounding
 /// context (e.g. [`crate::RequestMatrix::row`]) fixes the interpretation.
@@ -356,7 +409,11 @@ impl<const W: usize> PortSetN<W> {
         // beyond one block) the count runs in two levels — pick among
         // 4-word blocks, then among the block's words — halving the serial
         // prefix chain that dominates the flat scan at `W = 16`.
-        let kk = k as u32;
+        // A rank past `u32::MAX` is past every member; narrowing it with
+        // `as` would wrap it onto a small rank instead.
+        let Ok(kk) = u32::try_from(k) else {
+            return None;
+        };
         let mut word_idx = 0usize;
         let mut base = 0u32;
         if W.is_multiple_of(4) && W > 4 {
@@ -740,6 +797,22 @@ mod tests {
         assert_eq!(a.intersection(&b), b);
         assert_eq!(a.difference(&b).len(), 1022);
         assert_eq!(WidePortSet::all(1024).select_nth(1023), Some(1023));
+    }
+
+    #[test]
+    fn port_width_follows_the_radix() {
+        let width = |n: usize| crate::with_port_width!(n, W => W);
+        for (n, w) in [
+            (1, 1),
+            (16, 1),
+            (64, 1),
+            (65, 4),
+            (256, 4),
+            (257, 16),
+            (1024, 16),
+        ] {
+            assert_eq!(width(n), w, "n = {n}");
+        }
     }
 
     #[test]

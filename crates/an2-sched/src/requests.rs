@@ -411,7 +411,9 @@ impl<const W: usize> RequestMatrixN<W> {
             self.n
         );
         let counts = &self.col_word_cnt[j.index() * W..j.index() * W + W];
-        let kk = k as u32;
+        let Ok(kk) = u32::try_from(k) else {
+            return None;
+        };
         // Same branchless count-the-prefix scheme as `PortSetN::select_nth`,
         // reading cached counts instead of popcounting words.
         let mut word_idx = 0usize;

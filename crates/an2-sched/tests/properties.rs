@@ -10,7 +10,7 @@ use an2_sched::rng::Xoshiro256;
 use an2_sched::stat::{ReservationTable, StatisticalMatcher};
 use an2_sched::{
     AcceptPolicy, FrameSchedule, InputPort, IterationLimit, OutputPort, Pim, PortMask, PortSet,
-    RequestMatrix, Scheduler,
+    PortSetN, RequestMatrix, RequestMatrixN, Scheduler,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -219,17 +219,21 @@ proptest! {
         prop_assert!(fs.verify());
     }
 
+    /// At every width, `select_nth` and the request matrix's
+    /// `col_select_nth` return what `nth` returns at every rank, including
+    /// ranks of `2^32` and beyond that do not fit the `u32` they count in.
+    /// Each width draws its own set over its whole capacity, so every
+    /// width sees sets of up to about 63 members.
     #[test]
     fn select_nth_agrees_with_naive_nth(
+        narrow in proptest::collection::btree_set(0usize..64, 0..128),
         members in proptest::collection::btree_set(0usize..256, 0..64),
+        wide in proptest::collection::btree_set(0usize..1024, 0..64),
+        far in any::<u64>(),
     ) {
-        let set: PortSet = members.iter().copied().collect();
-        for (k, want) in members.iter().enumerate() {
-            prop_assert_eq!(set.select_nth(k), Some(*want));
-            prop_assert_eq!(set.select_nth(k), set.nth(k));
-        }
-        prop_assert_eq!(set.select_nth(members.len()), None);
-        prop_assert_eq!(set.select_nth(usize::MAX), None);
+        select_nth_matches_nth::<1>(&narrow, far);
+        select_nth_matches_nth::<4>(&members, far);
+        select_nth_matches_nth::<16>(&wide, far);
     }
 
     #[test]
@@ -413,6 +417,33 @@ proptest! {
                     "matched unreserved pair ({},{})", i, j);
             }
         }
+    }
+}
+
+fn select_nth_matches_nth<const W: usize>(members: &BTreeSet<usize>, far: u64) {
+    let n = PortSetN::<W>::CAPACITY;
+    let members: Vec<usize> = members.iter().copied().collect();
+    assert!(
+        members.iter().all(|&m| m < n),
+        "W = {W}: member out of range"
+    );
+    let set: PortSetN<W> = members.iter().copied().collect();
+    let mut col = RequestMatrixN::<W>::new(n);
+    for &m in &members {
+        col.set(InputPort::new(m), OutputPort::new(0));
+    }
+    for (k, &want) in members.iter().enumerate() {
+        assert_eq!(set.select_nth(k), Some(want), "W = {W}, k = {k}");
+    }
+    let len = members.len();
+    let wrapped = (1usize << 32) + (far % (len as u64 + 2)) as usize;
+    for k in (0..=len + 1).chain([wrapped, far as usize, u32::MAX as usize, usize::MAX]) {
+        assert_eq!(set.select_nth(k), set.nth(k), "W = {W}, k = {k}");
+        assert_eq!(
+            col.col_select_nth(OutputPort::new(0), k),
+            set.nth(k),
+            "W = {W}, k = {k}"
+        );
     }
 }
 

@@ -159,12 +159,12 @@ mod tests {
     use crate::output_queued::OutputQueuedSwitch;
     use crate::switch::CrossbarSwitch;
     use crate::traffic::RateMatrixTraffic;
-    use an2_sched::Pim;
+    use an2_sched::{with_port_width, PimN};
 
     fn pim_factory(n: usize) -> impl RunFactory {
         move |load: f64, seed: u64| {
             let model: Box<dyn SwitchModel> =
-                Box::new(CrossbarSwitch::new(Pim::new(n, seed)));
+                with_port_width!(n, W => Box::new(CrossbarSwitch::new(PimN::<_, W>::new(n, seed))));
             let traffic: Box<dyn Traffic> =
                 Box::new(RateMatrixTraffic::uniform(n, load, seed ^ 1));
             (model, traffic)

@@ -134,7 +134,11 @@ impl ModelMetrics {
     /// The report of a model whose departures were counted per flow by
     /// `voqs` (see [`ModelMetrics::on_voq_departure`]); counts of one flow
     /// in several buffers, or in several incarnations, are summed.
-    pub(crate) fn report_voq(&self, final_occupancy: usize, voqs: &[&VoqBuffers]) -> SwitchReport {
+    pub(crate) fn report_voq<const W: usize>(
+        &self,
+        final_occupancy: usize,
+        voqs: &[&VoqBuffers<W>],
+    ) -> SwitchReport {
         let mut per_flow = Vec::new();
         for voq in voqs {
             voq.flow_departures(&mut per_flow);

@@ -10,9 +10,10 @@ use crate::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
 use crate::metrics::SwitchReport;
 use crate::model::{validate_arrivals, ModelMetrics, SwitchModel};
 use crate::voq::VoqBuffers;
-use an2_sched::{PortMask, PortSet, Scheduler};
+use an2_sched::{PortMaskN, PortSetN, Scheduler};
 
-/// An input-queued switch driven by a crossbar scheduler.
+/// An input-queued switch driven by a crossbar scheduler, on `W`-word
+/// port sets (the scheduler's width; four words unless it says otherwise).
 ///
 /// # Examples
 ///
@@ -35,26 +36,26 @@ use an2_sched::{PortMask, PortSet, Scheduler};
 /// assert!(report.departures as f64 >= report.arrivals as f64 * 0.95);
 /// ```
 #[derive(Clone, Debug)]
-pub struct CrossbarSwitch<S> {
+pub struct CrossbarSwitch<S, const W: usize = 4> {
     scheduler: S,
-    voq: VoqBuffers,
+    voq: VoqBuffers<W>,
     metrics: ModelMetrics,
     /// Port health, updated by applied fault events and pushed to the
     /// scheduler only when it changes (so unfaulted runs never touch it).
-    mask: PortMask,
+    mask: PortMaskN<W>,
     /// Scheduling is suspended while `slot < drift_until` (clock-drift
     /// excursions, §2).
     drift_until: u64,
 }
 
-impl<S: Scheduler> CrossbarSwitch<S> {
+impl<S: Scheduler<W>, const W: usize> CrossbarSwitch<S, W> {
     /// Creates a switch around `scheduler`, sized by the scheduler's own
     /// port count where available; here the size is taken from the first
     /// request matrix, so the scheduler must be constructed for the
     /// intended radix.
-    pub fn new(scheduler: S) -> CrossbarSwitch<S>
+    pub fn new(scheduler: S) -> Self
     where
-        S: SizedScheduler,
+        S: SizedScheduler<W>,
     {
         let n = scheduler.ports();
         Self::with_ports(n, scheduler)
@@ -64,14 +65,14 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > MAX_PORTS`. (A mismatch with the
+    /// Panics if `n == 0` or `n > W * 64`. (A mismatch with the
     /// scheduler's own size surfaces as a panic on the first step.)
-    pub fn with_ports(n: usize, scheduler: S) -> CrossbarSwitch<S> {
+    pub fn with_ports(n: usize, scheduler: S) -> Self {
         CrossbarSwitch {
             scheduler,
             voq: VoqBuffers::new(n),
             metrics: ModelMetrics::new(n),
-            mask: PortMask::all(n),
+            mask: PortMaskN::all(n),
             drift_until: 0,
         }
     }
@@ -88,18 +89,18 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     }
 
     /// The input buffers (for occupancy inspection).
-    pub fn buffers(&self) -> &VoqBuffers {
+    pub fn buffers(&self) -> &VoqBuffers<W> {
         &self.voq
     }
 
     /// Mutable access to the input buffers (e.g. to configure a finite
     /// per-VOQ capacity before a fault run).
-    pub fn buffers_mut(&mut self) -> &mut VoqBuffers {
+    pub fn buffers_mut(&mut self) -> &mut VoqBuffers<W> {
         &mut self.voq
     }
 
     /// The current port health mask.
-    pub fn port_mask(&self) -> PortMask {
+    pub fn port_mask(&self) -> PortMaskN<W> {
         self.mask
     }
 
@@ -121,8 +122,8 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     /// outside the switch.
     pub fn step_faulted(&mut self, arrivals: &[Arrival], plan: &mut FaultPlan, log: &mut FaultLog) {
         let slot = self.metrics.slot();
-        let mut injected = PortSet::new();
-        let mut corrupted = PortSet::new();
+        let mut injected = PortSetN::new();
+        let mut corrupted = PortSetN::new();
         let mut mask_changed = false;
         for ev in plan.due(slot) {
             match ev.kind {
@@ -168,8 +169,8 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     fn advance_slot(
         &mut self,
         arrivals: &[Arrival],
-        injected: &PortSet,
-        corrupted: &PortSet,
+        injected: &PortSetN<W>,
+        corrupted: &PortSetN<W>,
         skip_schedule: bool,
         mut log: Option<&mut FaultLog>,
     ) {
@@ -264,7 +265,7 @@ impl<S: Scheduler> CrossbarSwitch<S> {
     }
 }
 
-impl<S: Scheduler> SwitchModel for CrossbarSwitch<S> {
+impl<S: Scheduler<W>, const W: usize> SwitchModel for CrossbarSwitch<S, W> {
     fn n(&self) -> usize {
         self.voq.n()
     }
@@ -274,7 +275,7 @@ impl<S: Scheduler> SwitchModel for CrossbarSwitch<S> {
     }
 
     fn step(&mut self, arrivals: &[Arrival]) {
-        let none = PortSet::new();
+        let none = PortSetN::new();
         self.advance_slot(arrivals, &none, &none, false, None);
     }
 
@@ -301,24 +302,24 @@ fn saturate_u32<T: TryInto<u32>>(v: T) -> u32 {
 
 /// Schedulers that know their own port count, enabling
 /// [`CrossbarSwitch::new`] to size the buffers automatically.
-pub trait SizedScheduler: Scheduler {
+pub trait SizedScheduler<const W: usize = 4>: Scheduler<W> {
     /// The switch radix this scheduler was built for.
     fn ports(&self) -> usize;
 }
 
-impl<R: an2_sched::rng::SelectRng> SizedScheduler for an2_sched::Pim<R> {
+impl<R: an2_sched::rng::SelectRng, const W: usize> SizedScheduler<W> for an2_sched::PimN<R, W> {
     fn ports(&self) -> usize {
         self.n()
     }
 }
 
-impl<S: SizedScheduler> SizedScheduler for an2_sched::CheckedScheduler<S> {
+impl<S: SizedScheduler<W>, const W: usize> SizedScheduler<W> for an2_sched::CheckedScheduler<S, W> {
     fn ports(&self) -> usize {
         self.inner().ports()
     }
 }
 
-impl SizedScheduler for an2_sched::islip::RoundRobinMatching {
+impl<const W: usize> SizedScheduler<W> for an2_sched::islip::RoundRobinMatchingN<W> {
     fn ports(&self) -> usize {
         self.n()
     }
@@ -330,13 +331,13 @@ impl<R: an2_sched::rng::SelectRng> SizedScheduler for an2_sched::stat::StatWithP
     }
 }
 
-impl SizedScheduler for an2_sched::Mwm {
+impl<const W: usize> SizedScheduler<W> for an2_sched::MwmN<W> {
     fn ports(&self) -> usize {
         self.n()
     }
 }
 
-impl SizedScheduler for an2_sched::Serenade {
+impl<const W: usize> SizedScheduler<W> for an2_sched::SerenadeN<W> {
     fn ports(&self) -> usize {
         self.n()
     }

@@ -44,7 +44,7 @@
 
 use crate::cell::{Cell, FlowId};
 use an2_sched::det::DetHashMap;
-use an2_sched::{InputPort, OutputPort, RequestMatrix};
+use an2_sched::{InputPort, OutputPort, PortSetN, RequestMatrixN};
 use std::collections::VecDeque;
 
 /// Outcome of [`VoqBuffers::push`]: whether the buffer admitted the cell.
@@ -134,7 +134,9 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 };
 
 /// The input-side buffer pool of one switch: per-flow FIFO queues plus
-/// per-(input, output) round-robin lists of eligible flows.
+/// per-(input, output) round-robin lists of eligible flows. `W` is the
+/// word count of the request matrix's port sets; the default four words
+/// hold switches of up to 256 ports.
 ///
 /// # Examples
 ///
@@ -143,7 +145,7 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 /// use an2_sim::cell::{Arrival, Cell, FlowId};
 /// use an2_sched::{InputPort, OutputPort};
 ///
-/// let mut voq = VoqBuffers::new(4);
+/// let mut voq: VoqBuffers = VoqBuffers::new(4);
 /// let a = Arrival::pair(4, InputPort::new(0), OutputPort::new(2));
 /// assert!(voq.push(a.into_cell(0)).is_admitted());
 /// assert_eq!(voq.len(), 1);
@@ -152,7 +154,7 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 /// assert!(voq.is_empty());
 /// ```
 #[derive(Clone, Debug)]
-pub struct VoqBuffers {
+pub struct VoqBuffers<const W: usize = 4> {
     n: usize,
     discipline: ServiceDiscipline,
     /// Monotonic push counter; orders cells across flows for `Fifo`.
@@ -177,7 +179,7 @@ pub struct VoqBuffers {
     /// pair `(i, j)` has an eligible flow. Kept in sync by `push`/`pop` so
     /// [`VoqBuffers::requests`] is a free borrow instead of an `O(N²)`
     /// rebuild every slot.
-    requests: RequestMatrix,
+    requests: RequestMatrixN<W>,
     /// Scratch for [`VoqBuffers::oldest_per_input`].
     heads: Vec<Option<Cell>>,
     /// Scratch: arrival sequence of each entry in `heads`.
@@ -190,13 +192,13 @@ pub struct VoqBuffers {
     drops_per_input: Vec<u64>,
 }
 
-impl VoqBuffers {
+impl<const W: usize> VoqBuffers<W> {
     /// Creates empty buffers for an `n`-port switch with the AN2
     /// round-robin flow discipline.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > MAX_PORTS`.
+    /// Panics if `n == 0` or `n > W * 64`.
     pub fn new(n: usize) -> Self {
         Self::with_discipline(n, ServiceDiscipline::RoundRobin)
     }
@@ -205,10 +207,10 @@ impl VoqBuffers {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > MAX_PORTS`.
+    /// Panics if `n == 0` or `n > W * 64`.
     pub fn with_discipline(n: usize, discipline: ServiceDiscipline) -> Self {
         assert!(n > 0, "switch must have at least one port");
-        assert!(n <= an2_sched::MAX_PORTS, "switch size {n} out of range");
+        assert!(n <= PortSetN::<W>::CAPACITY, "switch size {n} out of range");
         Self {
             n,
             discipline,
@@ -220,7 +222,7 @@ impl VoqBuffers {
             retired: DetHashMap::default(),
             total: 0,
             per_input: vec![0; n],
-            requests: RequestMatrix::new(n),
+            requests: RequestMatrixN::new(n),
             heads: Vec::new(),
             head_seqs: Vec::new(),
             capacity: None,
@@ -308,12 +310,13 @@ impl VoqBuffers {
     /// Panics if either port is out of range.
     #[inline]
     // an2-lint: allow(panic-freedom) the range assert is the "# Panics" contract of every public per-pair method that calls this
-    // an2-lint: allow(overflow-discipline) i, j < n <= MAX_PORTS, so i * n + j < n * n fits in usize
     fn pair_index(&self, i: InputPort, j: OutputPort) -> usize {
         assert!(
             i.index() < self.n && j.index() < self.n,
             "pair ({i},{j}) outside switch"
         );
+        debug_assert!(self.n <= PortSetN::<W>::CAPACITY, "constructor bounds n");
+        // an2-lint: allow(overflow-discipline) i, j < n <= W * 64 (asserted above), so i * n + j < n * n fits in usize
         i.index() * self.n + j.index()
     }
 
@@ -701,7 +704,7 @@ impl VoqBuffers {
     /// The request matrix for the next slot: pair `(i, j)` requests iff it
     /// has at least one eligible flow. Maintained incrementally by
     /// `push`/`pop`, so this is a borrow, not a rebuild.
-    pub fn requests(&self) -> &RequestMatrix {
+    pub fn requests(&self) -> &RequestMatrixN<W> {
         &self.requests
     }
 
@@ -855,7 +858,7 @@ mod tests {
 
     #[test]
     fn empty_pair_pop_is_none() {
-        let mut voq = VoqBuffers::new(2);
+        let mut voq: VoqBuffers = VoqBuffers::new(2);
         assert!(voq.pop(InputPort::new(0), OutputPort::new(0)).is_none());
     }
 

@@ -2,8 +2,8 @@
 //! against a naive reference on random instances, and simulated delays
 //! cross-checked against the paper's analytic formulas.
 
-use an2_sched::islip::WideRoundRobinMatching;
-use an2_sched::maximum::hopcroft_karp;
+use an2_sched::islip::{RoundRobinMatchingN, WideRoundRobinMatching};
+use an2_sched::maximum::{hopcroft_karp, MaximumMatchingN};
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{
@@ -16,7 +16,7 @@ use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::output_queued::OutputQueuedSwitch;
 use an2_sim::sim::{simulate, SimConfig};
 use an2_sim::traffic::RateMatrixTraffic;
-use an2_sched::{Mwm, Serenade, WeightPolicy};
+use an2_sched::{Mwm, MwmN, Serenade, SerenadeN, WeightPolicy};
 use an2_verify::oracle::{
     brute_force_max_weight_matching, frame_demand_feasible, kuhn_maximum_matching_size,
     within_confidence, ReferencePim, ReferencePimN, ReferenceRoundRobin, WideReferencePim,
@@ -591,6 +591,115 @@ fn check_entry_points<const W: usize>(
         let pairs: Vec<_> = m.pairs().collect();
         assert_eq!(accepted, pairs, "{ctx}: accepts are not the matching");
     }
+}
+
+proptest! {
+    /// Width parity: at every radix a one-word port set holds, each
+    /// narrow kernel decides slot by slot on one-word sets exactly what it
+    /// decides on four-word sets — PIM for every accept policy and
+    /// iteration limit through all three entry points (matchings,
+    /// statistics and trace records), iSLIP and RRM with their pointers,
+    /// MWM, SERENADE and maximum matching — masked or not. This is what
+    /// lets the width rule (`with_port_width!`) move a switch of 64 ports
+    /// or fewer off four-word sets without moving any digest.
+    #[test]
+    fn narrow_kernels_decide_the_same_on_one_and_four_words(
+        n in 1usize..=64,
+        density in prop_oneof![Just(0.05f64), Just(0.3), Just(1.0)],
+        policy in 0usize..3,
+        iters in 0usize..=5,
+        seed in any::<u64>(),
+        mask_seed in proptest::option::of(any::<u64>()),
+    ) {
+        let policy = [AcceptPolicy::Random, AcceptPolicy::RoundRobin, AcceptPolicy::LowestIndex][policy];
+        let limit = match iters {
+            0 => IterationLimit::ToCompletion,
+            k => IterationLimit::Fixed(k),
+        };
+        let one = width_transcript::<1>(n, density, policy, limit, seed, mask_seed);
+        let four = width_transcript::<4>(n, density, policy, limit, seed, mask_seed);
+        prop_assert_eq!(one.len(), four.len());
+        for (a, b) in one.iter().zip(&four) {
+            prop_assert_eq!(a, b, "n {} density {} {:?} {:?} mask {:?}", n, density, policy, limit, mask_seed);
+        }
+    }
+}
+
+/// Every narrow kernel's decisions over a few slots at width `W`, one line
+/// per kernel and slot, in a form that does not mention `W`: matchings as
+/// output lists, port sets in trace records by their members.
+fn width_transcript<const W: usize>(
+    n: usize,
+    density: f64,
+    policy: AcceptPolicy,
+    limit: IterationLimit,
+    seed: u64,
+    mask_seed: Option<u64>,
+) -> Vec<String> {
+    let mut pool_rng = Xoshiro256::seed_from(seed);
+    let requests: Vec<RequestMatrixN<W>> = (0..6)
+        .map(|_| RequestMatrixN::random(n, density, &mut pool_rng))
+        .collect();
+    let mask = mask_seed.map(|s| masked::<W>(n, s));
+    let mut log = Vec::new();
+
+    let mut pim = PimN::<Xoshiro256, W>::with_options(n, seed, limit, policy);
+    if let Some(mask) = mask {
+        pim.set_port_mask(mask);
+    }
+    let (mut with_stats, mut traced) = (pim.clone(), pim.clone());
+    for reqs in &requests {
+        log.push(format!("pim {:?}", outputs(&pim.schedule(reqs))));
+        let (m, stats) = with_stats.schedule_with_stats(reqs);
+        log.push(format!("pim stats {:?} {stats:?}", outputs(&m)));
+        let mut records = Vec::new();
+        let (m, _) = traced.schedule_traced(reqs, &mut |r| records.push(format!("{r:?}")));
+        log.push(format!("pim trace {:?} {records:?}", outputs(&m)));
+    }
+
+    let iters = match limit {
+        IterationLimit::Fixed(k) => k,
+        IterationLimit::ToCompletion => 4,
+    };
+    for mut rr in [
+        RoundRobinMatchingN::<W>::islip(n, iters),
+        RoundRobinMatchingN::<W>::rrm(n, iters),
+    ] {
+        if let Some(mask) = mask {
+            rr.set_port_mask(mask);
+        }
+        for reqs in &requests {
+            let m = outputs(&rr.schedule(reqs));
+            log.push(format!("{} {m:?} {:?}", rr.name(), rr.pointers()));
+        }
+    }
+
+    // The queue-aware kernels see the same random depth and age per
+    // requested pair at both widths.
+    let mut observations = Xoshiro256::seed_from(seed ^ 0x0b5e);
+    let kernels: [Box<dyn Scheduler<W>>; 4] = [
+        Box::new(MwmN::<W>::lqf(n)),
+        Box::new(MwmN::<W>::ocf(n)),
+        Box::new(SerenadeN::<W>::new(n, seed)),
+        Box::new(MaximumMatchingN::<W>::new()),
+    ];
+    for mut kernel in kernels {
+        if let Some(mask) = mask {
+            kernel.set_port_mask(mask);
+        }
+        for reqs in &requests {
+            for (i, j) in reqs.pairs() {
+                let (depth, age) = (1 + observations.index(40), observations.index(40));
+                kernel.observe_queue(i, j, depth as u32, age as u32);
+            }
+            log.push(format!(
+                "{} {:?}",
+                kernel.name(),
+                outputs(&kernel.schedule(reqs))
+            ));
+        }
+    }
+    log
 }
 
 /// iSLIP and RRM against `ReferenceRoundRobin` over a fixed trial grid:

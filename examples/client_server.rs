@@ -11,7 +11,7 @@
 //! ```
 
 use an2::sched::fifo::FifoPriority;
-use an2::sched::Pim;
+use an2::sched::{with_port_width, PimN};
 use an2::sim::fifo_switch::FifoSwitch;
 use an2::sim::model::SwitchModel;
 use an2::sim::output_queued::OutputQueuedSwitch;
@@ -40,7 +40,8 @@ fn main() {
             simulate(model, &mut t, cfg).delay.mean()
         };
         let fifo = run(&mut FifoSwitch::new(n, FifoPriority::Random, 1), 7);
-        let pim = run(&mut CrossbarSwitch::new(Pim::new(n, 2)), 7);
+        let pim =
+            with_port_width!(n, W => run(&mut CrossbarSwitch::new(PimN::<_, W>::new(n, 2)), 7));
         let oq = run(&mut OutputQueuedSwitch::new(n), 7);
         println!("{load:>6.2} {fifo:>12.2} {pim:>12.2} {oq:>12.2}   (mean delay, slots)");
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use an2::sched::Pim;
+use an2::sched::{with_port_width, PimN};
 use an2::sim::output_queued::OutputQueuedSwitch;
 use an2::sim::sim::{simulate, SimConfig};
 use an2::sim::switch::CrossbarSwitch;
@@ -30,9 +30,12 @@ fn main() {
         "load", "pim4 delay", "output-q delay", "pim4 (us)"
     );
     for load in [0.5, 0.8, 0.9, 0.95] {
-        let mut pim_switch = CrossbarSwitch::new(Pim::new(n, 1));
+        // A 16-port switch runs on one-word port sets.
         let mut traffic = RateMatrixTraffic::uniform(n, load, 2);
-        let pim_report = simulate(&mut pim_switch, &mut traffic, cfg);
+        let pim_report = with_port_width!(n, W => {
+            let mut pim_switch = CrossbarSwitch::new(PimN::<_, W>::new(n, 1));
+            simulate(&mut pim_switch, &mut traffic, cfg)
+        });
 
         let mut oq_switch = OutputQueuedSwitch::new(n);
         let mut traffic = RateMatrixTraffic::uniform(n, load, 2);

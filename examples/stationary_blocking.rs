@@ -13,7 +13,7 @@
 //! ```
 
 use an2::sched::fifo::FifoPriority;
-use an2::sched::Pim;
+use an2::sched::{with_port_width, PimN};
 use an2::sim::fifo_switch::FifoSwitch;
 use an2::sim::model::SwitchModel;
 use an2::sim::switch::CrossbarSwitch;
@@ -45,8 +45,10 @@ fn main() {
     let fifo_util = measure(&mut fifo, n, slots, block);
     println!("FIFO input queueing : {fifo_util:.3} mean link utilization (1/N = {:.3})", 1.0 / n as f64);
 
-    let mut pim = CrossbarSwitch::new(Pim::new(n, 2));
-    let pim_util = measure(&mut pim, n, slots, block);
+    let pim_util = with_port_width!(n, W => {
+        let mut pim = CrossbarSwitch::new(PimN::<_, W>::new(n, 2));
+        measure(&mut pim, n, slots, block)
+    });
     println!("PIM over VOQ buffers: {pim_util:.3} mean link utilization");
 
     println!(
