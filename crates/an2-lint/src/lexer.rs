@@ -255,7 +255,14 @@ fn consume_cooked_string(b: &[u8], i: usize, line: &mut u32) -> usize {
     let mut j = i + 1;
     while j < n {
         match b[j] {
-            b'\\' => j += 2,
+            b'\\' => {
+                // An escaped newline continues the string on the next line;
+                // it is still a line.
+                if b.get(j + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                j += 2;
+            }
             b'\n' => {
                 *line += 1;
                 j += 1;
@@ -353,6 +360,15 @@ mod tests {
         let b = toks.iter().find(|t| t.text == "b").unwrap();
         let c = toks.iter().find(|t| t.text == "c").unwrap();
         assert_eq!((a.line, b.line, c.line), (1, 4, 7));
+    }
+
+    #[test]
+    fn continued_string_keeps_the_allow_on_its_fn() {
+        let src = "const S: &str = \"one \\\n    two\";\n// an2-lint: allow(panic-freedom) reason\nfn f() {}\n";
+        let lexed = lex(src);
+        let allow = &lexed.comments[0];
+        let f = lexed.toks.iter().find(|t| t.text == "f").unwrap();
+        assert_eq!((allow.line, f.line), (3, 4));
     }
 
     #[test]

@@ -388,25 +388,32 @@ mod tests {
         assert!(s.violations().is_empty(), "{:?}", s.violations());
     }
 
+    /// The four-word `Pim` runs its loop on one word at n = 8 and 16 and on
+    /// all four at n = 100; the seeded bug is caught on both paths.
     #[test]
     fn skewed_accept_is_caught() {
-        let mut s = CheckedScheduler::new(Pim::new(8, 42));
-        s.inner_mut().debug_set_accept_skew(1);
-        let mut rng = Xoshiro256::seed_from(5);
-        let mut caught = false;
-        for _ in 0..32 {
-            // Sparse requests: a rotated accept lands on a non-requested
-            // output almost immediately.
-            let reqs = RequestMatrix::random(8, 0.3, &mut rng);
-            let _ = s.schedule(&reqs);
-            if !s.violations().is_empty() {
-                caught = true;
-                break;
+        for n in [8, 16, 100] {
+            let mut s = CheckedScheduler::new(Pim::new(n, 42));
+            s.inner_mut().debug_set_accept_skew(1);
+            let mut rng = Xoshiro256::seed_from(5);
+            let mut caught = false;
+            for _ in 0..32 {
+                // Sparse requests: a rotated accept lands on a non-requested
+                // output almost immediately.
+                let reqs = RequestMatrix::random(n, 0.3, &mut rng);
+                let _ = s.schedule(&reqs);
+                if !s.violations().is_empty() {
+                    caught = true;
+                    break;
+                }
             }
-        }
-        if checking_enabled() {
-            assert!(caught, "checker missed the seeded accept-skew bug");
-            assert_eq!(s.violations()[0].rule, "respects");
+            if checking_enabled() {
+                assert!(
+                    caught,
+                    "checker missed the seeded accept-skew bug at n = {n}"
+                );
+                assert_eq!(s.violations()[0].rule, "respects", "n = {n}");
+            }
         }
     }
 

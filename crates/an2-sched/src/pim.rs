@@ -26,6 +26,14 @@
 //! experiment uses, and [`WidePim`] (`W = 16`) drives the 1024-port scaling
 //! benches through the identical code path.
 //!
+//! `W` is a capacity, not a cost: the loop runs on the words an `n`-port
+//! switch actually uses. When the width rule of
+//! [`with_port_width!`](crate::with_port_width) gives `n` one word
+//! (`n <= 64`), every per-call port set is one word wide whatever `W` is,
+//! so a four-word `Pim` at the paper's 16 ports costs what a one-word one
+//! does; above that the loop runs on all `W` words. The grant draw scheme
+//! stays keyed to `W` alone, so narrowing the loop changes no decision.
+//!
 //! There is one iteration loop. [`Scheduler::schedule`] and
 //! [`PimN::schedule_from`] run it as is; [`PimN::schedule_with_stats`] and
 //! [`PimN::schedule_traced`] run the same loop with a per-iteration
@@ -47,43 +55,8 @@ use crate::scheduler::{PortMaskN, Scheduler};
 const GRANT_INLINE: usize = 8;
 
 /// Rejection-sampling attempts per wide grant draw before falling back to
-/// the exact rank-select (see [`grant_draw`]).
+/// the exact rank-select (see [`grant_draw_with`]).
 const GRANT_REJECT_CAP: usize = 8;
-
-/// One grant draw: a uniformly random member of `set` (whose size `len` the
-/// caller already knows), or `None` when it is empty — consuming no
-/// randomness in that case, exactly like [`SelectRng::choose`].
-///
-/// For the narrow widths (capacity <= 256 ports) this *is* `choose`'s
-/// `index(len)` + `select_nth` draw, preserving the pinned determinism
-/// digests bit for bit. Wide widths (capacity > 256) consume randomness
-/// differently: when the set covers at least half of `0..n`, rejection
-/// sampling (draw an index, keep it if it is a member) finds a member in
-/// ~2 attempts instead of a 16-word rank-select, falling back to the exact
-/// draw after [`GRANT_REJECT_CAP`] misses (probability `<= 2^-8` at the
-/// density threshold). Every branch picks uniformly among members — an
-/// accepted rejection draw is uniform over members by symmetry, and the
-/// fallback is uniform outright. Both grant sites of the iteration loop
-/// route through [`grant_draw_with`], and `an2_verify::ReferencePim`
-/// replays the same scheme on plain vectors, so the wide widths have an
-/// exact differential oracle and pinned digests of their own.
-#[inline]
-// an2-lint: allow(panic-freedom) select_nth(k) succeeds because k < len == set popcount by the draw construction
-fn grant_draw<R: SelectRng, const W: usize>(
-    rng: &mut R,
-    set: &PortSetN<W>,
-    len: usize,
-    n: usize,
-) -> Option<usize> {
-    grant_draw_with(
-        rng,
-        len,
-        n,
-        PortSetN::<W>::CAPACITY > 256,
-        |p| set.contains(p),
-        |k| set.select_nth(k).expect("rank < len"),
-    )
-}
 
 /// A uniform draw from `col(out) ∩ unmatched` — the grant choice of an
 /// iteration where some inputs are already matched — via the request
@@ -100,22 +73,47 @@ fn grant_draw<R: SelectRng, const W: usize>(
 /// loses here: with a mostly-matched switch the eligible density is too
 /// low for any sensible attempt cap.
 #[inline]
-fn eligible_grant_draw<R: SelectRng, const W: usize>(
+// an2-lint: allow(panic-freedom) select_nth(k) succeeds because k < len == set popcount by the draw construction
+fn eligible_grant_draw<R: SelectRng, const W: usize, const V: usize>(
     rng: &mut R,
     requests: &RequestMatrixN<W>,
     out: OutputPort,
-    unmatched: &PortSetN<W>,
+    unmatched: &PortSetN<V>,
     n: usize,
+    wide: bool,
 ) -> Option<usize> {
     let (e, len) = requests.col_eligible(out, unmatched);
-    grant_draw(rng, &e, len, n)
+    grant_draw_with(
+        rng,
+        len,
+        n,
+        wide,
+        |p| e.contains(p),
+        |k| e.select_nth(k).expect("rank < len"),
+    )
 }
 
-/// The draw scheme of [`grant_draw`] with the membership test and exact
-/// rank-select abstracted out, so call sites holding a cheaper equivalent
-/// representation (the request matrix's per-word popcount cache) draw
-/// through the identical decision structure — the first iteration's
-/// column draw and later iterations' eligible-set draws cannot drift.
+/// One grant draw: a uniformly random member of a set whose size `len`
+/// the caller already knows, or `None` when it is empty — consuming no
+/// randomness in that case, exactly like [`SelectRng::choose`]. The
+/// membership test and exact rank-select are abstracted out, so call
+/// sites holding a cheaper equivalent representation (the request
+/// matrix's per-word popcount cache) draw through the identical decision
+/// structure — the first iteration's column draw and later iterations'
+/// eligible-set draws cannot drift.
+///
+/// Without `wide` (every width of at most 256 ports) this *is* `choose`'s
+/// `index(len)` + `select_nth` draw, preserving the pinned determinism
+/// digests bit for bit. With `wide` ([`PimN::WIDE_DRAW`]) randomness is
+/// consumed differently: when the set covers at least half of `0..n`,
+/// rejection sampling (draw an index, keep it if it is a member) finds a
+/// member in ~2 attempts instead of a 16-word rank-select, falling back to
+/// the exact draw after [`GRANT_REJECT_CAP`] misses (probability `<= 2^-8`
+/// at the density threshold). Every branch picks uniformly among members —
+/// an accepted rejection draw is uniform over members by symmetry, and the
+/// fallback is uniform outright. `an2_verify::ReferencePim` replays the
+/// same scheme on plain vectors, so the wide widths have an exact
+/// differential oracle and pinned digests of their own.
 #[inline]
 fn grant_draw_with<R: SelectRng>(
     rng: &mut R,
@@ -252,9 +250,16 @@ pub struct PimN<R: SelectRng = Xoshiro256, const W: usize = 4> {
 }
 
 /// The default-width PIM scheduler (up to [`crate::MAX_PORTS`] ports).
+///
+/// Four words is its capacity; a switch of 64 ports or fewer runs the
+/// loop on one-word sets, so its cost follows `n`, not the width.
 pub type Pim<R = Xoshiro256> = PimN<R, 4>;
 
 /// The wide PIM scheduler (up to [`crate::MAX_WIDE_PORTS`] ports).
+///
+/// Sixteen words is its capacity and keys the rejection grant draw; a
+/// switch of 64 ports or fewer runs the loop on one-word sets (with the
+/// same draws), larger ones on all sixteen words.
 pub type WidePim<R = Xoshiro256> = PimN<R, 16>;
 
 impl<const W: usize> PimN<Xoshiro256, W> {
@@ -398,7 +403,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             initial.n(),
             self.n
         );
-        self.run_from::<false>(requests, initial, None)
+        self.run_at_width::<false>(requests, initial, None)
     }
 
     /// Schedules one time slot, invoking `observer` with a full
@@ -426,12 +431,34 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             stats: PimStats::default(),
             observer,
         };
-        let m = self.run_from::<true>(requests, MatchingN::new(self.n), Some(&mut rec));
+        let m = self.run_at_width::<true>(requests, MatchingN::new(self.n), Some(&mut rec));
         (m, rec.stats)
     }
 
-    /// The iteration loop behind every entry point. `RECORD` selects at
-    /// compile time whether `rec` (then `Some`) is written: the
+    /// Whether the grant draw samples by rejection: keyed to the width's
+    /// capacity, never to the words a call runs on, so a switch decides
+    /// the same whichever words its loop uses (see [`grant_draw_with`]).
+    const WIDE_DRAW: bool = PortSetN::<W>::CAPACITY > 256;
+
+    /// Runs [`run_from`](Self::run_from) on the words `n` uses: one when
+    /// the width rule gives `n` one word, all `W` otherwise.
+    #[inline]
+    fn run_at_width<const RECORD: bool>(
+        &mut self,
+        requests: &RequestMatrixN<W>,
+        initial: MatchingN<W>,
+        rec: Option<&mut Recorder<'_, W>>,
+    ) -> MatchingN<W> {
+        if crate::with_port_width!(self.n, V => V == 1) {
+            self.run_from::<1, RECORD>(requests, initial, rec)
+        } else {
+            self.run_from::<W, RECORD>(requests, initial, rec)
+        }
+    }
+
+    /// The iteration loop behind every entry point, on `V`-word port sets
+    /// (`n <= V * 64`). `RECORD` selects at compile time whether `rec`
+    /// (then `Some`) is written: the
     /// `schedule()` and `schedule_from` instantiations (`RECORD = false`)
     /// carry no recording code at all and perform **zero heap
     /// allocations**.
@@ -455,7 +482,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     /// from its grant stream.
     // an2-lint: hot
     // an2-lint: allow(panic-freedom) the leading assert_eq pins requests.n() == self.n (documented contract), so every port index stays < n; rank-select expects hold because rank < len by the draw construction
-    fn run_from<const RECORD: bool>(
+    fn run_from<const V: usize, const RECORD: bool>(
         &mut self,
         requests: &RequestMatrixN<W>,
         initial: MatchingN<W>,
@@ -469,6 +496,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             self.n
         );
         let n = self.n;
+        debug_assert!(n <= PortSetN::<V>::CAPACITY, "{n} ports on {V} words");
         let mut matching = initial;
 
         let max_iters = match self.limit {
@@ -483,10 +511,17 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         // A masked output never enters the grant loop and therefore never
         // draws from its stream, while each healthy output's stream sees
         // exactly the draws it would in a smaller healthy switch.
-        let mut unmatched_inputs = matching.unmatched_inputs().intersection(&self.active_inputs);
+        // Every port is below `n <= V * 64`, so narrowing to `V` words
+        // drops only zero words.
+        let mut unmatched_inputs = matching
+            .unmatched_inputs()
+            .intersection(&self.active_inputs)
+            .to_width::<V>();
         let mut unmatched_outputs = matching
             .unmatched_outputs()
-            .intersection(&self.active_outputs);
+            .intersection(&self.active_outputs)
+            .to_width::<V>();
+        let nonempty_cols = requests.nonempty_cols().to_width::<V>();
 
         for _ in 0..max_iters {
             // The ports this iteration starts from, for the recorder.
@@ -499,8 +534,8 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             // `None` without drawing when `len == 0`), so pruning them
             // consumes the same randomness as visiting every output.
             let inputs_full = unmatched_inputs.len() == n;
-            let candidates = unmatched_outputs.intersection(requests.nonempty_cols());
-            let mut granted = PortSetN::<W>::new();
+            let candidates = unmatched_outputs.intersection(&nonempty_cols);
+            let mut granted = PortSetN::<V>::new();
             let mut any_request = false;
             for j in candidates.iter() {
                 let out = OutputPort::new(j);
@@ -514,7 +549,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                         &mut self.output_rng[j],
                         requests.col_len(out),
                         n,
-                        PortSetN::<W>::CAPACITY > 256,
+                        Self::WIDE_DRAW,
                         |p| requests.col(out).contains(p),
                         |k| requests.col_select_nth(out, k).expect("rank < len"),
                     )
@@ -525,6 +560,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                         out,
                         &unmatched_inputs,
                         n,
+                        Self::WIDE_DRAW,
                     )
                 };
                 // `choice` is `Some` exactly when the eligible set was
@@ -633,9 +669,9 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                         rec,
                         requests,
                         &matching,
-                        &requesters,
-                        &listeners,
-                        &granted,
+                        &requesters.to_width(),
+                        &listeners.to_width(),
+                        &granted.to_width(),
                     );
                     if unresolved == 0 {
                         break;
@@ -722,7 +758,7 @@ struct Recorder<'a, const W: usize> {
 
 impl<R: SelectRng, const W: usize> Scheduler<W> for PimN<R, W> {
     fn schedule(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
-        self.run_from::<false>(requests, MatchingN::new(self.n), None)
+        self.run_at_width::<false>(requests, MatchingN::new(self.n), None)
     }
 
     fn name(&self) -> &'static str {

@@ -317,6 +317,25 @@ impl<const W: usize> PortSetN<W> {
         &mut self.words
     }
 
+    /// The same members on `V` words: the first `min(V, W)` words are
+    /// copied and any further ones are zero.
+    ///
+    /// Narrowing is exact only when every member is below `V * 64`; debug
+    /// builds assert that the dropped words are zero. PIM uses this to run
+    /// a switch of `n <= 64` ports on one-word sets whatever its width.
+    #[inline]
+    pub fn to_width<const V: usize>(&self) -> PortSetN<V> {
+        debug_assert!(
+            self.words.iter().skip(V).all(|&w| w == 0),
+            "narrowing to {V} words drops members"
+        );
+        let mut out = PortSetN::<V>::new();
+        for (o, &w) in out.words.iter_mut().zip(&self.words) {
+            *o = w;
+        }
+        out
+    }
+
     /// Set intersection.
     #[inline]
     // an2-lint: allow(panic-freedom) w < W by the loop bound over the fixed-size word array

@@ -345,39 +345,53 @@ impl<const W: usize> RequestMatrixN<W> {
     }
 
     /// The eligible-requester set `col(j) ∩ eligible` together with its
-    /// size, assembled by touching only the column's nonzero words (dense
-    /// columns fall back to the word-parallel intersection, which is
-    /// cheaper once most words are live).
+    /// size, on the `V` words of `eligible`, assembled by touching only the
+    /// column's live (nonzero) words among them (dense columns fall back to
+    /// the word-parallel intersection, which is cheaper once most words are
+    /// live).
     ///
-    /// Returns exactly (`col(j).intersection(eligible)`,
-    /// `col(j).intersection(eligible).len()`), so a grant draw sized and
-    /// selected from this pair is bit-identical at every width to one made
-    /// from the dense intersection — the sparse PIM path's guarantee.
+    /// Returns exactly (`col(j) ∩ eligible`, its size): `eligible` has no
+    /// member at or above `V * 64`, so the column's words there cannot
+    /// contribute. A grant draw sized and selected from this pair is
+    /// therefore bit-identical at every width to one made from the dense
+    /// intersection — the sparse PIM path's guarantee — and PIM can run a
+    /// switch of `n <= 64` ports on one-word sets (`V = 1`) whatever `W`.
     ///
     /// # Panics
     ///
     /// Panics if `j.index() >= n`.
     #[inline]
-    // an2-lint: allow(panic-freedom) asserted j < n (documented contract); nonzero-word indices come from col_nz bits < W
+    // an2-lint: allow(panic-freedom) asserted j < n (documented contract); nonzero-word indices come from col_nz bits < min(V, W)
     // an2-lint: allow(overflow-discipline) the popcount accumulator is bounded by the column's 64*W bits
-    pub fn col_eligible(&self, j: OutputPort, eligible: &PortSetN<W>) -> (PortSetN<W>, usize) {
+    pub fn col_eligible<const V: usize>(
+        &self,
+        j: OutputPort,
+        eligible: &PortSetN<V>,
+    ) -> (PortSetN<V>, usize) {
         assert!(
             j.index() < self.n,
             "output {j} outside {0}x{0} switch",
             self.n
         );
-        let nz = self.col_nz[j.index()];
-        if nz.count_ones() as usize * 2 >= W {
-            let e = self.cols[j.index()].intersection(eligible);
-            let len = e.len();
-            return (e, len);
-        }
+        // The column's live words among the first `V`.
+        let live = if V >= 64 {
+            self.col_nz[j.index()]
+        } else {
+            self.col_nz[j.index()] & ((1u64 << V) - 1)
+        };
         let words = self.cols[j.index()].words();
         let ew = eligible.words();
-        let mut out = PortSetN::new();
-        let mut len = 0usize;
+        let mut out = PortSetN::<V>::new();
         let ow = out.words_mut();
-        let mut rest = nz;
+        if live.count_ones() as usize * 2 >= V {
+            for (o, (&c, &e)) in ow.iter_mut().zip(words.iter().zip(ew)) {
+                *o = c & e;
+            }
+            let len = out.len();
+            return (out, len);
+        }
+        let mut len = 0usize;
+        let mut rest = live;
         while rest != 0 {
             let w = rest.trailing_zeros() as usize;
             let m = words[w] & ew[w];
@@ -391,12 +405,17 @@ impl<const W: usize> RequestMatrixN<W> {
     /// The `k`-th smallest input requesting output `j` (zero-based), or
     /// `None` if `k >= col_len(j)`.
     ///
-    /// Returns exactly what `col(j).select_nth(k)` returns, but rank-selects
-    /// from the incremental per-word popcount cache and then reads a single
-    /// word of the column bitset — ~40 bytes of memory traffic instead of
-    /// the full `8 * W`-byte column. This is the grant phase's draw
-    /// primitive: because the result is identical to the bitset rank-select,
-    /// using it never changes a scheduling decision at any width.
+    /// Returns exactly what `col(j).select_nth(k)` returns, but walks only
+    /// the column's live words, found from the nonzero-word bitmap: a
+    /// column with one live word (the common case of a lightly loaded wide
+    /// switch, and every column of a switch of 64 ports or fewer) goes
+    /// straight to that word, reading no cached count; with several live
+    /// words, a branch-free count over the cached per-word popcounts picks
+    /// the word holding rank `k`. Either way a single column word is
+    /// read and rank-selected, never the full `8 * W`-byte column. This is
+    /// the grant phase's draw primitive: because the result is identical to
+    /// the bitset rank-select, using it never changes a scheduling decision
+    /// at any width.
     ///
     /// # Panics
     ///
@@ -410,12 +429,22 @@ impl<const W: usize> RequestMatrixN<W> {
             "output {j} outside {0}x{0} switch",
             self.n
         );
-        let counts = &self.col_word_cnt[j.index() * W..j.index() * W + W];
+        // A rank past `u32::MAX` is past every member.
         let Ok(kk) = u32::try_from(k) else {
             return None;
         };
-        // Same branchless count-the-prefix scheme as `PortSetN::select_nth`,
-        // reading cached counts instead of popcounting words.
+        let words = self.cols[j.index()].words();
+        let live = self.col_nz[j.index()];
+        if live.is_power_of_two() {
+            let w = live.trailing_zeros() as usize;
+            let word = words[w];
+            return (kk < word.count_ones())
+                .then(|| w * 64 + crate::port::select_in_word(word, kk) as usize);
+        }
+        // Several live words: count the words wholly before rank `k` from
+        // the cached popcounts, branch-free (same scheme as
+        // `PortSetN::select_nth`; dead words count zero).
+        let counts = &self.col_word_cnt[j.index() * W..j.index() * W + W];
         let mut word_idx = 0usize;
         let mut base = 0u32;
         let mut prefix = 0u32;
@@ -429,8 +458,7 @@ impl<const W: usize> RequestMatrixN<W> {
         if word_idx == W {
             return None;
         }
-        let word = self.cols[j.index()].words()[word_idx];
-        Some(word_idx * 64 + crate::port::select_in_word(word, kk - base) as usize)
+        Some(word_idx * 64 + crate::port::select_in_word(words[word_idx], kk - base) as usize)
     }
 
     /// Total number of requests (edges in the bipartite graph) — the

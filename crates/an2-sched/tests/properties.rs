@@ -236,6 +236,26 @@ proptest! {
         select_nth_matches_nth::<16>(&wide, far);
     }
 
+    /// The request matrix's live-word column primitives agree with the
+    /// dense column at W = 1, 4 and 16, after random `set`/`clear`
+    /// sequences that keep the per-word counts and the nonzero-word bitmap
+    /// moving: `col_select_nth` at every rank (and past `2^32`), and
+    /// `col_eligible` on one-, four- and sixteen-word eligible sets. Each
+    /// matrix has columns with no live word (one untouched, one filled and
+    /// emptied again), one live word, and, once `n > 64`, several.
+    #[test]
+    fn live_word_column_primitives_agree_with_dense_columns(
+        radix in any::<u64>(),
+        one_word in any::<u64>(),
+        ops in proptest::collection::vec((0usize..3, any::<u64>(), 0usize..10), 0..300),
+        eligible_seed in any::<u64>(),
+        far in any::<u64>(),
+    ) {
+        live_word_columns::<1>(radix, one_word, &ops, eligible_seed, far);
+        live_word_columns::<4>(radix, one_word, &ops, eligible_seed, far);
+        live_word_columns::<16>(radix, one_word, &ops, eligible_seed, far);
+    }
+
     #[test]
     fn first_at_or_after_agrees_with_wrapped_scan(
         members in proptest::collection::btree_set(0usize..256, 0..64),
@@ -444,6 +464,78 @@ fn select_nth_matches_nth<const W: usize>(members: &BTreeSet<usize>, far: u64) {
             set.nth(k),
             "W = {W}, k = {k}"
         );
+    }
+}
+
+/// The body of `live_word_column_primitives_agree_with_dense_columns` at
+/// width `W`. Columns: 0 untouched, 1 churned inside one word, 2 churned
+/// over every word, 3 churned and then emptied, 4 holding the first and
+/// last input.
+fn live_word_columns<const W: usize>(
+    radix: u64,
+    one_word: u64,
+    ops: &[(usize, u64, usize)],
+    eligible_seed: u64,
+    far: u64,
+) {
+    use an2_sched::rng::SelectRng;
+    let cap = PortSetN::<W>::CAPACITY;
+    let n = 5 + (radix % (cap as u64 - 4)) as usize;
+    let lo = 64 * (one_word % n.div_ceil(64) as u64) as usize;
+    let width = (n - lo).min(64) as u64;
+    let mut m = RequestMatrixN::<W>::new(n);
+    // Seven sets to three clears, so columns fill as they churn.
+    for &(col, raw, op) in ops {
+        let (i, j) = match col {
+            0 => (lo + (raw % width) as usize, 1),
+            1 => ((raw % n as u64) as usize, 2),
+            _ => ((raw % n as u64) as usize, 3),
+        };
+        let (i, j) = (InputPort::new(i), OutputPort::new(j));
+        if op < 7 {
+            m.set(i, j);
+        } else {
+            m.clear(i, j);
+        }
+    }
+    for i in 0..n {
+        m.clear(InputPort::new(i), OutputPort::new(3));
+    }
+    m.set(InputPort::new(0), OutputPort::new(4));
+    m.set(InputPort::new(n - 1), OutputPort::new(4));
+
+    let mut rng = Xoshiro256::seed_from(eligible_seed);
+    let eligible: Vec<usize> = (0..n).filter(|_| rng.bernoulli(0.5)).collect();
+    for j in (0..5).map(OutputPort::new) {
+        let col = m.col(j);
+        let len = col.len();
+        let wrapped = (1usize << 32) + (far % (len as u64 + 2)) as usize;
+        for k in (0..=len).chain([wrapped, far as usize, usize::MAX]) {
+            assert_eq!(
+                m.col_select_nth(j, k),
+                col.select_nth(k),
+                "W = {W}, n = {n}, {j:?}, k = {k}"
+            );
+        }
+        // A `V`-word eligible set holds members below `V * 64` only, so
+        // narrower sets than the switch see a prefix of `eligible`.
+        let check = |v: usize, got: Vec<usize>, got_len: usize| {
+            let want: Vec<usize> = col
+                .iter()
+                .filter(|&i| i < v * 64 && eligible.contains(&i))
+                .collect();
+            assert_eq!(got, want, "W = {W}, V = {v}, n = {n}, {j:?}");
+            assert_eq!(got_len, want.len(), "W = {W}, V = {v}, n = {n}, {j:?}");
+        };
+        let e: PortSetN<1> = eligible.iter().copied().filter(|&i| i < 64).collect();
+        let (got, got_len) = m.col_eligible(j, &e);
+        check(1, got.iter().collect(), got_len);
+        let e: PortSetN<4> = eligible.iter().copied().filter(|&i| i < 256).collect();
+        let (got, got_len) = m.col_eligible(j, &e);
+        check(4, got.iter().collect(), got_len);
+        let e: PortSetN<16> = eligible.iter().copied().collect();
+        let (got, got_len) = m.col_eligible(j, &e);
+        check(16, got.iter().collect(), got_len);
     }
 }
 

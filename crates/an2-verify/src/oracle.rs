@@ -121,10 +121,32 @@ impl<const W: usize> ReferencePimN<W> {
     ///
     /// Panics if `requests` is not `n`×`n`.
     pub fn schedule(&mut self, requests: &[Vec<bool>]) -> Vec<Option<usize>> {
+        self.schedule_from(requests, &vec![None; self.n])
+    }
+
+    /// Mirrors `PimN::schedule_from`: `initial[i]` is the output input `i`
+    /// is already paired with. Those pairs are kept as they are, requested
+    /// or not, and their ports neither request nor grant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is not `n`×`n`, or if `initial` is not `n`
+    /// long, names an output `>= n`, or pairs one output twice.
+    pub fn schedule_from(
+        &mut self,
+        requests: &[Vec<bool>],
+        initial: &[Option<usize>],
+    ) -> Vec<Option<usize>> {
         let n = self.n;
         assert_square(requests, n);
-        let mut out_of: Vec<Option<usize>> = vec![None; n];
+        assert_eq!(initial.len(), n, "initial matching must have n inputs");
+        let mut out_of = initial.to_vec();
         let mut in_of: Vec<Option<usize>> = vec![None; n];
+        for (i, j) in initial.iter().enumerate() {
+            if let Some(j) = *j {
+                assert!(in_of[j].replace(i).is_none(), "output {j} paired twice");
+            }
+        }
         let max_iters = match self.limit {
             IterationLimit::Fixed(k) => k,
             IterationLimit::ToCompletion => n,

@@ -526,8 +526,42 @@ proptest! {
     }
 }
 
-/// The body of `pim_entry_points_match_reference_and_record_consistently`
-/// at one width.
+proptest! {
+    /// The dispatched kernel: a four- and a sixteen-word `PimN` run their
+    /// loop on one-word sets at n <= 64 and on all their words above, and
+    /// on both paths every entry point — `schedule`, `schedule_from` from
+    /// a non-empty initial matching, `schedule_with_stats` and
+    /// `schedule_traced` — decides draw for draw as `ReferencePimN<W>`,
+    /// for every accept policy and iteration limit, masked or not. The
+    /// sixteen-word oracle keeps its rejection draws at n <= 64, so this
+    /// also pins that the draw scheme follows `W`, not the loop's words.
+    #[test]
+    fn dispatched_pim_kernel_matches_reference_on_both_paths(
+        n in prop_oneof![1usize..=64, 65usize..=256],
+        density in prop_oneof![Just(0.02f64), Just(0.2), Just(0.7)],
+        wide in proptest::bool::ANY,
+        policy in 0usize..3,
+        iters in 0usize..=5,
+        seed in any::<u64>(),
+        sched_seed in any::<u64>(),
+        mask_seed in proptest::option::of(any::<u64>()),
+    ) {
+        let policy = [AcceptPolicy::Random, AcceptPolicy::RoundRobin, AcceptPolicy::LowestIndex][policy];
+        let limit = match iters {
+            0 => IterationLimit::ToCompletion,
+            k => IterationLimit::Fixed(k),
+        };
+        if wide {
+            check_entry_points::<16>(n, density, seed, policy, limit, sched_seed, mask_seed);
+        } else {
+            check_entry_points::<4>(n, density, seed, policy, limit, sched_seed, mask_seed);
+        }
+    }
+}
+
+/// Every PIM entry point at one width against `ReferencePimN<W>`, over
+/// four slots, with the statistics and trace records checked against the
+/// matching they describe.
 fn check_entry_points<const W: usize>(
     n: usize,
     density: f64,
@@ -546,12 +580,27 @@ fn check_entry_points<const W: usize>(
     }
     let mut with_stats = plain.clone();
     let mut traced = plain.clone();
+    let (mut from, mut from_oracle) = (plain.clone(), oracle.clone());
     let mut pool_rng = Xoshiro256::seed_from(seed);
+    let mut pair_rng = Xoshiro256::seed_from(seed ^ 0x1417);
     for slot in 0..4 {
         let reqs = RequestMatrixN::<W>::random(n, density, &mut pool_rng);
         let want = oracle.schedule(&bools(&reqs));
         let ctx = format!("n {n} W {W} {policy:?} {limit:?} density {density} slot {slot}");
         assert_eq!(outputs(&plain.schedule(&reqs)), want, "schedule: {ctx}");
+        // A few reserved pairs, requested or not; the first always lands.
+        let mut initial = MatchingN::<W>::new(n);
+        for _ in 0..1 + pair_rng.index(4) {
+            let (i, j) = (pair_rng.index(n), pair_rng.index(n));
+            let _ = initial.pair(InputPort::new(i), OutputPort::new(j));
+        }
+        let kept = outputs(&initial);
+        let m = from.schedule_from(&reqs, initial);
+        assert_eq!(
+            outputs(&m),
+            from_oracle.schedule_from(&bools(&reqs), &kept),
+            "schedule_from: {ctx}"
+        );
         let (m, stats) = with_stats.schedule_with_stats(&reqs);
         assert_eq!(outputs(&m), want, "schedule_with_stats: {ctx}");
         let mut records = Vec::new();
@@ -601,7 +650,9 @@ proptest! {
     /// statistics and trace records), iSLIP and RRM with their pointers,
     /// MWM, SERENADE and maximum matching — masked or not. This is what
     /// lets the width rule (`with_port_width!`) move a switch of 64 ports
-    /// or fewer off four-word sets without moving any digest.
+    /// or fewer off four-word sets without moving any digest. PIM runs
+    /// its one-word loop at both widths here; its oracle coverage on both
+    /// loop widths is `dispatched_pim_kernel_matches_reference_on_both_paths`.
     #[test]
     fn narrow_kernels_decide_the_same_on_one_and_four_words(
         n in 1usize..=64,
