@@ -8,7 +8,8 @@
 //! scaling benches: it restricts itself to the *one-flow-per-pair*
 //! convention (`FlowId::for_pair`, which every uniform/load-sweep workload
 //! uses) and stores each input–output pair's queue as a FIFO of `u32`
-//! arrival slots in one dense `n*n` table of cache-line records.
+//! arrival slots. Storage follows traffic rather than N: a dense 16-byte
+//! ledger per pair, and queue records only for the pairs that hold cells.
 //!
 //! Under that convention the two engines are **bit-identical**: the VOQ
 //! round-robin over flows degenerates to a per-pair FIFO, so pushing
@@ -21,17 +22,27 @@
 //! Layout at N=1024 (width `W = 16`):
 //!
 //! ```text
-//! pairs:     [PairQueue; n*n]  row-major, pairs[i*n+j] = one 64-byte line:
-//!                              7 inline u32 slots + depth + departure count
-//!                              (+ spill ring pointer for deep queues)
+//! ledger:    [PairLedger; n*n] row-major, ledger[i*n+j] = 16 bytes:
+//!                              window departure count, fault drops,
+//!                              queue handle (0 = no queued cell)
+//! slab:      [PairQueue]       one 64-byte record per pair holding cells:
+//!                              7 inline u32 slots + depth + ring head
+//!                              (+ spill ring pointer for deep queues);
+//!                              drained records wait on free lists by
+//!                              ring size
 //! requests:  RequestMatrixN<W> 16 words/row bit-matrix, set/clear deltas
 //! per_output:[u64; n]          departure counts per output link
 //! ```
 //!
-//! Arrivals address random pairs, so the table is touched at cache-miss
-//! granularity; packing a pair's queue, depth and counter into one line
-//! (instead of ring-header + boxed-buffer + count-array, three lines) is
-//! worth ~2x on the N=1024 slot rate.
+//! The paper's input buffers are random-access memories that an input's
+//! queued cells share across outputs (§2.4), and at light load the queue
+//! matrix is almost all zeros: at N=1024 and load 0.05 only one or two of
+//! the 2^20 pairs hold a cell between slots. A 64-byte record for every
+//! pair would make a 64 MB table that is nearly all empty; the ledger is
+//! 16 MB (four pairs per cache line), and the slab stays as small as the
+//! peak number of active pairs, so it is cache-resident when traffic is
+//! light. Arrivals still address random pairs, so each touch costs one
+//! ledger miss, over a quarter of the memory a record per pair would take.
 //!
 //! Delay statistics are collected twice: the exact [`DelayStats`]
 //! histogram (for digest parity with the scalar engine) and the O(1)-memory
@@ -42,26 +53,56 @@ use crate::cell::{Arrival, FlowId};
 use crate::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
 use crate::metrics::{DelayStats, QuantileSketch, SwitchReport};
 use crate::model::SwitchModel;
-use an2_sched::{MatchingN, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
+use an2_sched::{InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
+use std::collections::BTreeMap;
 
 /// Cells a [`PairQueue`] holds inline before spilling to a boxed ring.
 const QUEUE_INLINE: usize = 7;
 
-/// One input–output pair's FIFO of `u32` arrival slots plus its departure
-/// counter, packed into a single 64-byte cache line.
+/// Cells in a queue's first ring: room to double past the inline slots,
+/// rounded to a power of two.
+const FIRST_RING: usize = (QUEUE_INLINE + 1).next_power_of_two() * 2;
+
+/// Free lists of drained records, one per ring size: class 0 holds the
+/// records that never spilled, class `c >= 1` those whose ring holds
+/// `2^(c+3)` cells (so a [`FIRST_RING`] is class 1). A `u32` depth caps a
+/// ring at 2^32 cells, class 29.
+const RING_CLASSES: usize = 32;
+
+/// The queue handle of a pair with no queued cell. Slab record 0 is a
+/// permanent empty sentinel that is never handed out, so a handle is a
+/// plain slab index and 0 doubles as the free list's end marker.
+const NO_QUEUE: u32 = 0;
+
+/// One input–output pair's dense state: everything the engine keeps for
+/// a pair whether or not it holds cells, in 16 bytes (four pairs per
+/// cache line).
+#[derive(Clone, Copy, Debug, Default)]
+struct PairLedger {
+    /// Departures from this pair in the measurement window.
+    count: u64,
+    /// Low 32 bits of this pair's lifetime fault drops (never reset: the
+    /// drop ledger spans measurement windows). Each wrap past 2^32 is
+    /// carried into [`BatchCrossbar::drop_carries`].
+    dropped: u32,
+    /// Slab index of this pair's [`PairQueue`], or [`NO_QUEUE`].
+    queue: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PairLedger>() == 16);
+
+/// The FIFO of `u32` arrival slots of one pair that holds cells, packed
+/// into a single 64-byte cache line.
 ///
-/// Arrivals land on random pairs of an `n*n` table, so every queue touch
-/// is a cache miss; what matters is how *many* lines each touch drags in.
-/// Keeping the first [`QUEUE_INLINE`] slots, the depth, and the departure
-/// count in one aligned record makes the common shallow-queue case
-/// (steady-state mean depth ≈ 1) exactly one line per enqueue/dequeue —
-/// the separate ring-header / boxed-buffer / count-array layout this
-/// replaced paid three.
+/// Keeping the first [`QUEUE_INLINE`] slots and the depth in one aligned
+/// record makes the common shallow-queue case (steady-state mean depth ≈
+/// 1) one slab line per enqueue/dequeue on top of the ledger line.
 ///
-/// A queue deeper than [`QUEUE_INLINE`] spills to a power-of-two boxed
-/// ring and stays spilled (two lines per touch) until the engine resets;
-/// shrinking back was measured as churn without benefit since deep pairs
-/// under sustained load spill right back.
+/// A queue deeper than [`QUEUE_INLINE`] moves to a power-of-two boxed
+/// ring (two lines per touch) and, if it fills that, to a ring twice as
+/// big. The ring stays with the record when the pair drains: the record's
+/// next pair either keeps using it or, while drained, the record lends it
+/// to a deeper queue ([`QueueSlab::widen`]).
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct PairQueue {
@@ -69,42 +110,56 @@ struct PairQueue {
     inline: [u32; QUEUE_INLINE],
     /// Queue depth, inline or spilled.
     len: u32,
-    /// Ring head index; meaningful only once spilled.
+    /// Ring head index; meaningful only once spilled, and always inside
+    /// the ring. A pair taking over a drained ring starts at whatever head
+    /// it left: every ring index is relative to it.
     head: u32,
-    /// Cells of this pair lost to injected faults over the engine's whole
-    /// lifetime (never reset: the drop ledger spans measurement windows).
-    dropped: u32,
-    /// Departures from this pair in the measurement window.
-    count: u64,
+    /// Next record on its free list while this one is drained.
+    next_free: u32,
     /// Spilled ring storage; empty means unspilled, else a power of two.
     spill: Box<[u32]>,
 }
 
 impl PairQueue {
+    /// Cells the record holds before it must move to a bigger ring.
+    fn capacity(&self) -> usize {
+        if self.spill.is_empty() {
+            QUEUE_INLINE
+        } else {
+            self.spill.len()
+        }
+    }
+
+    /// The free list a drained record waits on (see [`RING_CLASSES`]).
+    fn ring_class(&self) -> usize {
+        if self.spill.is_empty() {
+            0
+        } else {
+            (self.spill.len() >> 3).trailing_zeros() as usize
+        }
+    }
+
     #[inline]
-    // an2-lint: allow(overflow-discipline) occupancy counters are bounded by queue capacity; sequence counters are monotone u64
-    // an2-lint: allow(panic-freedom) lane and port indices are < LANES and < n by the SoA layout's construction bounds
+    // an2-lint: allow(overflow-discipline) the caller makes room first (QueueSlab::widen), so len < capacity before the increment
+    // an2-lint: allow(panic-freedom) len < capacity indexes the inline slots; a ring index is masked by the ring's power-of-two size
     fn enqueue(&mut self, v: u32) {
+        debug_assert!(
+            (self.len as usize) < self.capacity(),
+            "enqueue into a full record"
+        );
         let len = self.len as usize;
-        if !self.spill.is_empty() {
-            if len == self.spill.len() {
-                self.grow();
-            }
-            let mask = self.spill.len() - 1;
-            let tail = (self.head as usize + len) & mask;
-            self.spill[tail] = v;
-        } else if len < QUEUE_INLINE {
+        if self.spill.is_empty() {
             self.inline[len] = v;
         } else {
-            self.spill_out();
-            self.spill[len] = v;
+            let mask = self.spill.len() - 1;
+            self.spill[(self.head as usize + len) & mask] = v;
         }
         self.len += 1;
     }
 
     #[inline]
-    // an2-lint: allow(overflow-discipline) occupancy decrements follow a non-empty check; delivery counters are monotone u64
-    // an2-lint: allow(panic-freedom) lane and port indices are < LANES and < n by the SoA layout's construction bounds
+    // an2-lint: allow(overflow-discipline) callers only serve pairs the request matrix marks non-empty (the debug_assert pins len > 0)
+    // an2-lint: allow(panic-freedom) the inline slots are a fixed array; a ring index is masked by the ring's power-of-two size
     fn dequeue(&mut self) -> u32 {
         debug_assert!(self.len > 0, "dequeue from empty pair queue");
         self.len -= 1;
@@ -121,30 +176,167 @@ impl PairQueue {
             v
         }
     }
+}
 
-    /// First overflow past the inline slots: moves them into a fresh ring
-    /// with room to grow (head at 0, so the caller appends at `len`).
-    // an2-lint: cold
-    #[cold]
-    fn spill_out(&mut self) {
-        let mut buf = vec![0u32; (QUEUE_INLINE + 1).next_power_of_two() * 2].into_boxed_slice();
-        buf[..QUEUE_INLINE].copy_from_slice(&self.inline);
-        self.spill = buf;
-        self.head = 0;
+/// The queue records of the pairs that hold cells, with the drained ones
+/// on free lists threaded through [`PairQueue::next_free`], one list per
+/// ring size.
+///
+/// A pair takes a record on its first cell ([`QueueSlab::admit`]) and
+/// gives it back when its last cell leaves ([`QueueSlab::serve`]). Claims
+/// take the smallest ring on offer, most recently drained first, so a
+/// shallow queue keeps to its record's own cache line and big rings wait
+/// for the pairs that go deep: a full queue moves into the largest ring
+/// of a drained record when that is bigger ([`QueueSlab::widen`]). So
+/// the slab grows only when the number of pairs holding cells reaches a
+/// new peak, and rings only when the concurrently deep queues outgrow
+/// every ring the slab holds.
+#[derive(Debug)]
+struct QueueSlab {
+    /// Record 0 is the [`NO_QUEUE`] sentinel; the rest are handed out.
+    records: Vec<PairQueue>,
+    /// Free-list heads by ring class; [`NO_QUEUE`] ends a list.
+    free: [u32; RING_CLASSES],
+    /// Bit `c` is set iff class `c`'s free list is non-empty.
+    nonempty: u32,
+}
+
+impl QueueSlab {
+    /// A slab with room for `reserve` records besides the sentinel.
+    fn with_capacity(reserve: usize) -> Self {
+        let mut records = Vec::with_capacity(reserve + 1);
+        records.push(PairQueue::default());
+        Self {
+            records,
+            free: [NO_QUEUE; RING_CLASSES],
+            nonempty: 0,
+        }
     }
 
-    /// Doubles spilled capacity, compacting the live window to the front.
+    /// Appends `v` to the queue of the pair whose ledger entry is `l`,
+    /// handing the pair a record if it held no cell. Returns whether it
+    /// did, i.e. whether the pair just became active.
+    #[inline]
+    fn admit(&mut self, l: &mut PairLedger, v: u32) -> bool {
+        let fresh = l.queue == NO_QUEUE;
+        if fresh {
+            let smallest = self.nonempty.trailing_zeros() as usize;
+            l.queue = if smallest < RING_CLASSES {
+                self.take_free(smallest)
+            } else {
+                self.grow()
+            };
+        }
+        let h = l.queue as usize;
+        debug_assert!(h != 0 && h < self.records.len());
+        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
+        if self.records[h].len as usize == self.records[h].capacity() {
+            self.widen(h);
+        }
+        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
+        self.records[h].enqueue(v);
+        fresh
+    }
+
+    /// Removes the oldest cell of the pair whose ledger entry is `l` and,
+    /// if that was its last, puts the pair's record on a free list.
+    /// Returns the cell's arrival stamp and whether the pair drained.
+    #[inline]
+    fn serve(&mut self, l: &mut PairLedger) -> (u32, bool) {
+        let h = l.queue;
+        debug_assert!(h != NO_QUEUE, "served a pair with no queued cell");
+        debug_assert!((h as usize) < self.records.len());
+        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
+        let q = &mut self.records[h as usize];
+        let v = q.dequeue();
+        let drained = q.len == 0;
+        if drained {
+            self.put_free(h);
+            l.queue = NO_QUEUE;
+        }
+        (v, drained)
+    }
+
+    /// Takes the head record off class `c`'s free list (which must be
+    /// non-empty).
+    #[inline]
+    fn take_free(&mut self, c: usize) -> u32 {
+        debug_assert!(self.nonempty & (1 << c) != 0, "free list {c} is empty");
+        let Some(head) = self.free.get_mut(c) else {
+            return NO_QUEUE;
+        };
+        let h = *head;
+        *head = self
+            .records
+            .get(h as usize)
+            .map_or(NO_QUEUE, |q| q.next_free);
+        if *head == NO_QUEUE {
+            self.nonempty &= !(1 << c);
+        }
+        h
+    }
+
+    /// Puts drained record `h` at the head of its class's free list.
+    #[inline]
+    fn put_free(&mut self, h: u32) {
+        let Some(q) = self.records.get_mut(h as usize) else {
+            return;
+        };
+        let c = q.ring_class();
+        debug_assert!(c < RING_CLASSES, "a u32 depth bounds every ring");
+        if let Some(head) = self.free.get_mut(c) {
+            q.next_free = *head;
+            *head = h;
+            self.nonempty |= 1 << c;
+        }
+    }
+
+    /// Moves the full queue of record `h` into a ring with room for at
+    /// least twice its cells: the largest ring of a drained record, when
+    /// that is bigger, else a fresh one. A donor record takes `h`'s old
+    /// storage in exchange and moves to that storage's free list.
     // an2-lint: cold
     #[cold]
-    fn grow(&mut self) {
-        let cap = self.spill.len();
-        let mut next = vec![0u32; cap * 2].into_boxed_slice();
-        let mask = cap - 1;
-        for k in 0..self.len as usize {
-            next[k] = self.spill[(self.head as usize + k) & mask];
+    fn widen(&mut self, h: usize) {
+        let (class, cap) = (self.records[h].ring_class(), self.records[h].capacity());
+        let donor = (self.nonempty >> class > 1)
+            .then(|| self.take_free(31 - self.nonempty.leading_zeros() as usize) as usize);
+        let ring = match donor {
+            Some(d) => std::mem::take(&mut self.records[d].spill),
+            None => vec![0u32; (2 * cap).max(FIRST_RING)].into_boxed_slice(),
+        };
+        let q = &mut self.records[h];
+        let old = std::mem::replace(&mut q.spill, ring);
+        let len = q.len as usize;
+        if old.is_empty() {
+            q.spill[..len].copy_from_slice(&q.inline[..len]);
+        } else {
+            let mask = old.len() - 1;
+            for k in 0..len {
+                q.spill[k] = old[(q.head as usize + k) & mask];
+            }
         }
-        self.spill = next;
-        self.head = 0;
+        q.head = 0;
+        if let Some(d) = donor {
+            // The donor's head indexed its old ring and may lie outside
+            // this one; drained, the donor can restart at slot 0.
+            let donor = &mut self.records[d];
+            donor.spill = old;
+            donor.head = 0;
+            self.put_free(d as u32);
+        }
+    }
+
+    /// Appends a fresh record and returns its handle: every free list is
+    /// empty, so the pairs holding cells have reached a new peak.
+    // an2-lint: cold
+    #[cold]
+    fn grow(&mut self) -> u32 {
+        // At most one record per pair plus the sentinel, and
+        // `BatchCrossbar::new` bounds the pair count by `u32::MAX`.
+        let h = u32::try_from(self.records.len()).expect("slab handles fit u32");
+        self.records.push(PairQueue::default());
+        h
     }
 }
 
@@ -174,12 +366,21 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     n: usize,
     scheduler: S,
     requests: RequestMatrixN<W>,
-    pairs: Vec<PairQueue>,
+    /// One [`PairLedger`] per pair, row-major: the only dense per-pair
+    /// state.
+    ledger: Vec<PairLedger>,
+    /// Queue records of the pairs that hold cells.
+    slab: QueueSlab,
+    /// Wraps of a pair's 32-bit drop count past 2^32, by pair index;
+    /// empty until some pair loses its 2^32-th cell.
+    drop_carries: BTreeMap<usize, u64>,
     queued: usize,
     slot: u64,
     measure_start: u64,
-    arrivals: u64,
-    departures: u64,
+    /// `admitted_total` when the measurement window opened.
+    window_admitted: u64,
+    /// `departed_total` when the measurement window opened.
+    window_departed: u64,
     per_output: Vec<u64>,
     delay: DelayStats,
     sketch: QuantileSketch,
@@ -200,13 +401,16 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
 impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Creates an `n`-port batch engine driven by `scheduler`.
     ///
-    /// Allocates the full `n*n` pair table up front (~64 MB at N=1024,
-    /// one cache line per pair); the slot loop itself never allocates
-    /// except for amortized spill-ring growth.
+    /// Allocates the `n*n` pair ledger up front (16 bytes per pair, 16 MB
+    /// at N=1024) and room for `4n` queue records. The slot loop itself
+    /// allocates only at high-water marks: when more pairs hold cells than
+    /// ever before, or more queues run deep at once than the slab has
+    /// rings for.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n` exceeds the width's capacity (`W * 64`).
+    /// Panics if `n == 0`, `n` exceeds the width's capacity (`W * 64`), or
+    /// the switch has more than `u32::MAX` pairs.
     pub fn new(n: usize, scheduler: S) -> Self {
         assert!(n > 0, "switch must have at least one port");
         assert!(
@@ -214,18 +418,22 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             "switch size {n} exceeds width capacity {}",
             PortSetN::<W>::CAPACITY
         );
-        let mut pairs = Vec::new();
-        pairs.resize_with(n * n, PairQueue::default);
+        assert!(
+            u32::try_from(n * n).is_ok(),
+            "switch size {n} has more pairs than u32 queue handles"
+        );
         Self {
             n,
             scheduler,
             requests: RequestMatrixN::new(n),
-            pairs,
+            ledger: vec![PairLedger::default(); n * n],
+            slab: QueueSlab::with_capacity((4 * n).min(n * n)),
+            drop_carries: BTreeMap::new(),
             queued: 0,
             slot: 0,
             measure_start: 0,
-            arrivals: 0,
-            departures: 0,
+            window_admitted: 0,
+            window_departed: 0,
             per_output: vec![0; n],
             delay: DelayStats::new(),
             sketch: QuantileSketch::new(),
@@ -281,7 +489,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Lifetime fault drops charged to pair `(i, j)`.
     pub fn pair_drops(&self, i: usize, j: usize) -> u64 {
         assert!(i < self.n && j < self.n, "pair ({i},{j}) out of range");
-        u64::from(self.pairs[i * self.n + j].dropped)
+        let p = i * self.n + j;
+        let carries = self.drop_carries.get(&p).map_or(0, |&c| c << 32);
+        carries | u64::from(self.ledger[p].dropped)
     }
 
     /// The O(1) conservation ledger: every cell ever offered to the switch
@@ -311,7 +521,11 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Returns a description of the imbalance when a per-pair counter and
     /// the total disagree.
     pub fn verify_drop_ledger(&self) -> Result<(), String> {
-        let per_pair: u64 = self.pairs.iter().map(|q| u64::from(q.dropped)).sum();
+        let low: u64 = self.ledger.iter().map(|l| u64::from(l.dropped)).sum();
+        let per_pair = self
+            .drop_carries
+            .values()
+            .fold(low, |sum, &c| sum + (c << 32));
         if per_pair != self.dropped {
             return Err(format!(
                 "drop ledger violated: per-pair drops sum to {per_pair} \
@@ -416,8 +630,6 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// The per-slot engine shared by [`BatchCrossbar::step_slot`] (no
     /// faults) and [`BatchCrossbar::step_faulted`].
     // an2-lint: hot
-    // an2-lint: allow(overflow-discipline) slot and delivery counters are monotone u64; a delay is the wrapping difference of u32 arrival stamps, exact while every queued cell is younger than 2^32 slots
-    // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so all indices are < n
     fn advance(
         &mut self,
         arrivals: &[Arrival],
@@ -431,40 +643,29 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         // the wrapping difference of stamps, so runs may pass 2^32 slots.
         let stamp = slot as u32;
         let n = self.n;
-        // Warming sweep: the slot's arrivals address random pair records,
-        // and the update loop below chains a dependent load into each one.
-        // Reading the records first issues the misses as independent loads
-        // the core overlaps, so the updates hit L1. (A prefetch intrinsic
-        // would need unsafe; a black-boxed read is the safe equivalent.)
+        debug_assert_eq!(self.ledger.len(), n * n);
+        // Warming sweep: the slot's arrivals address random pairs, and the
+        // update loop below chains dependent loads into each pair's ledger
+        // line. Reading the lines first issues the misses as independent
+        // loads the core overlaps, so the updates hit L1. (A prefetch
+        // intrinsic would need unsafe; a black-boxed read is the safe
+        // equivalent.)
         let mut warm = 0u32;
         for a in arrivals {
             let p = a.input.index().wrapping_mul(n) + a.output.index();
-            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |q| q.len));
+            warm = warm.wrapping_add(self.ledger.get(p).map_or(0, |l| l.queue));
         }
         std::hint::black_box(warm);
         let mut seen = PortSetN::<W>::new();
         for a in arrivals {
             let (i, j) = (a.input.index(), a.output.index());
-            assert!(
-                i < n && j < n,
-                "arrival ({},{}) outside {n}x{n} switch",
-                a.input,
-                a.output
-            );
-            assert!(
-                seen.insert(i),
-                "two cells arrived at input {} in one slot",
-                a.input
-            );
-            assert!(
-                a.flow == FlowId::for_pair(n, a.input, a.output),
-                "flow {} is not the pair flow of ({},{}): \
-                 BatchCrossbar requires one flow per pair; use CrossbarSwitch",
-                a.flow,
-                a.input,
-                a.output
-            );
+            let fresh = i < n && j < n && seen.insert(i);
+            if !fresh || a.flow != FlowId::for_pair(n, a.input, a.output) {
+                malformed_arrival(a, n, fresh);
+            }
             let p = i * n + j;
+            // an2-lint: allow(panic-freedom) p = i*n + j < n*n = ledger.len(): i, j < n checked above
+            let l = &mut self.ledger[p];
             // A scripted fault consumes the arrival on the wire: charged to
             // the drop ledger instead of the pair FIFO. Failed ports still
             // buffer (the mask only gates scheduling), matching the scalar
@@ -477,28 +678,40 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
                 None
             };
             if let Some(cause) = lost {
-                self.pairs[p].dropped += 1;
+                let wrapped;
+                (l.dropped, wrapped) = l.dropped.overflowing_add(1);
+                if wrapped {
+                    self.carry_drop(p);
+                }
+                // an2-lint: allow(overflow-discipline) monotone u64 total, at most one per offered cell
                 self.dropped += 1;
                 if let Some(log) = log.as_deref_mut() {
                     log.record_drop(slot, 0, i, a.flow.0, cause);
                 }
                 continue;
             }
-            let q = &mut self.pairs[p];
-            if q.len == 0 {
+            if self.slab.admit(l, stamp) {
                 self.requests.set(a.input, a.output);
             }
-            q.enqueue(stamp);
+            // an2-lint: allow(overflow-discipline) queued counts cells held in memory, so it fits usize
             self.queued += 1;
-            self.arrivals += 1;
+            // an2-lint: allow(overflow-discipline) monotone u64 total, at most one per offered cell
             self.admitted_total += 1;
         }
-        if skip_schedule {
-            // Clock drift: the crossbar cannot schedule; queues only grow.
-            self.peak_occupancy = self.peak_occupancy.max(self.queued);
-            self.slot += 1;
-            return;
+        // Under clock drift the crossbar cannot schedule; queues only grow.
+        if !skip_schedule {
+            self.transmit(stamp);
         }
+        self.peak_occupancy = self.peak_occupancy.max(self.queued);
+        // an2-lint: allow(overflow-discipline) the slot clock is a monotone u64
+        self.slot += 1;
+    }
+
+    /// The scheduling half of a slot: computes a matching and sends each
+    /// matched pair's head-of-queue cell, stamped `stamp` on arrival.
+    // an2-lint: hot
+    fn transmit(&mut self, stamp: u32) {
+        let n = self.n;
         // Idle-slot skip: with zero active pairs (O(1) from the request
         // matrix's incremental counter) and a scheduler that declares the
         // idle call a no-op, the slot's matching is known empty without
@@ -517,33 +730,82 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         );
         // A departing cell arrived in the measurement window iff its delay
         // is at most the window's age: `slot - d >= measure_start`.
-        let window = slot - self.measure_start;
-        // Same warming sweep for the matched pairs' records.
+        debug_assert!(self.slot >= self.measure_start);
+        let window = self.slot.wrapping_sub(self.measure_start);
+        // Same warming sweep as for the arrivals, over the matched pairs.
         let mut warm = 0u32;
         for (i, j) in matching.pairs() {
-            warm = warm.wrapping_add(self.pairs[i.index() * n + j.index()].len);
+            let p = i.index().wrapping_mul(n) + j.index();
+            warm = warm.wrapping_add(self.ledger.get(p).map_or(0, |l| l.queue));
         }
         std::hint::black_box(warm);
         for (i, j) in matching.pairs() {
-            let p = i.index() * n + j.index();
-            let q = &mut self.pairs[p];
-            let d = u64::from(stamp.wrapping_sub(q.dequeue()));
-            q.count += 1;
-            if q.len == 0 {
+            debug_assert!(
+                i.index() < n && j.index() < n,
+                "scheduler matched outside the switch"
+            );
+            // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i, j < n and the pair index < ledger.len()
+            let l = &mut self.ledger[i.index() * n + j.index()];
+            if l.queue == NO_QUEUE {
+                unqueued_match(self.scheduler.name(), i, j);
+            }
+            // an2-lint: allow(overflow-discipline) monotone u64 window count, at most one per slot
+            l.count += 1;
+            let (arrived, drained) = self.slab.serve(l);
+            if drained {
                 self.requests.clear(i, j);
             }
+            let d = u64::from(stamp.wrapping_sub(arrived));
+            // an2-lint: allow(overflow-discipline) the pair held a cell (checked above), so queued >= 1
             self.queued -= 1;
-            self.departures += 1;
+            // an2-lint: allow(overflow-discipline) monotone u64 total, at most one per admitted cell
             self.departed_total += 1;
+            // an2-lint: allow(overflow-discipline, panic-freedom) monotone u64 count; j < n = per_output.len() as the scheduler's output
             self.per_output[j.index()] += 1;
             if d <= window {
                 self.delay.record(d);
                 self.sketch.record(d);
             }
         }
-        self.peak_occupancy = self.peak_occupancy.max(self.queued);
-        self.slot += 1;
     }
+
+    /// Carries pair `p`'s drop count past its 2^32-th drop into the side
+    /// table.
+    // an2-lint: cold
+    #[cold]
+    fn carry_drop(&mut self, p: usize) {
+        *self.drop_carries.entry(p).or_insert(0) += 1;
+    }
+}
+
+/// Panics for an arrival [`BatchCrossbar::step_slot`] documents as
+/// malformed: outside the switch, a second cell at one input (`fresh` is
+/// false for an in-range repeat), or not the pair's flow.
+// an2-lint: cold
+#[cold]
+fn malformed_arrival(a: &Arrival, n: usize, fresh: bool) -> ! {
+    assert!(
+        a.input.index() < n && a.output.index() < n,
+        "arrival ({},{}) outside {n}x{n} switch",
+        a.input,
+        a.output
+    );
+    assert!(fresh, "two cells arrived at input {} in one slot", a.input);
+    panic!(
+        "flow {} is not the pair flow of ({},{}): \
+         BatchCrossbar requires one flow per pair; use CrossbarSwitch",
+        a.flow, a.input, a.output
+    )
+}
+
+/// Panics for a matched pair that holds no cell: the scheduler broke the
+/// contract that a matching respects the requests, and serving the pair
+/// would corrupt the queues. (Chaos campaigns record the panic as a
+/// violation; it is how a seeded scheduler bug shows in a release build.)
+// an2-lint: cold
+#[cold]
+fn unqueued_match(scheduler: &str, i: InputPort, j: OutputPort) -> ! {
+    panic!("{scheduler} scheduled pair ({i},{j}) with no queued cell")
 }
 
 #[cfg(test)]
@@ -555,6 +817,23 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         assert_eq!(self.slot, 0, "only a fresh engine can be moved");
         self.slot = slot;
         self.measure_start = slot;
+    }
+
+    /// Charges pair `(i, j)` with `drops` earlier fault drops, as if that
+    /// many had struck it, so tests can cross the 32-bit per-pair drop
+    /// count without dropping four billion cells.
+    fn preset_pair_drops(&mut self, i: usize, j: usize, drops: u64) {
+        let p = i * self.n + j;
+        assert_eq!(
+            self.pair_drops(i, j),
+            0,
+            "only an undropped pair can be preset"
+        );
+        self.ledger[p].dropped = drops as u32; // the low 32 bits
+        if drops >> 32 > 0 {
+            self.drop_carries.insert(p, drops >> 32);
+        }
+        self.dropped += drops;
     }
 }
 
@@ -577,11 +856,11 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
 
     fn start_measurement(&mut self) {
         self.measure_start = self.slot;
-        self.arrivals = 0;
-        self.departures = 0;
+        self.window_admitted = self.admitted_total;
+        self.window_departed = self.departed_total;
         self.per_output.fill(0);
-        for q in &mut self.pairs {
-            q.count = 0;
+        for l in &mut self.ledger {
+            l.count = 0;
         }
         self.delay = DelayStats::new();
         self.sketch = QuantileSketch::new();
@@ -590,16 +869,16 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
 
     fn report(&self) -> SwitchReport {
         let mut per_flow = Vec::new();
-        for (p, q) in self.pairs.iter().enumerate() {
-            if q.count > 0 {
-                per_flow.push((p as u64, q.count));
+        for (p, l) in self.ledger.iter().enumerate() {
+            if l.count > 0 {
+                per_flow.push((p as u64, l.count));
             }
         }
         SwitchReport {
             delay: self.delay.clone(),
             slots: self.slot - self.measure_start,
-            arrivals: self.arrivals,
-            departures: self.departures,
+            arrivals: self.admitted_total - self.window_admitted,
+            departures: self.departed_total - self.window_departed,
             departures_per_output: self.per_output.clone(),
             departures_per_flow: per_flow,
             peak_occupancy: self.peak_occupancy,
@@ -611,6 +890,7 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
     use crate::sim::{simulate, SimConfig};
     use crate::switch::CrossbarSwitch;
     use crate::traffic::RateMatrixTraffic;
@@ -621,35 +901,292 @@ mod tests {
     fn pair_queue_fifo_order_across_spill_and_growth() {
         // 100 cells crosses inline -> spill (at 8) and several doublings;
         // interleaved dequeues exercise the wrapped-ring compaction.
-        let mut r = PairQueue::default();
+        let mut slab = QueueSlab::with_capacity(1);
+        let mut l = PairLedger::default();
         for v in 0..100u32 {
-            r.enqueue(v);
+            slab.admit(&mut l, v);
         }
         for v in 0..50u32 {
-            assert_eq!(r.dequeue(), v);
+            assert_eq!(slab.serve(&mut l).0, v);
         }
         for v in 100..200u32 {
-            r.enqueue(v);
+            slab.admit(&mut l, v);
         }
         for v in 50..200u32 {
-            assert_eq!(r.dequeue(), v);
+            assert_eq!(slab.serve(&mut l), (v, v == 199));
         }
-        assert_eq!(r.len, 0);
+        assert_eq!(l.queue, NO_QUEUE);
     }
 
     #[test]
     fn pair_queue_inline_only_never_allocates_spill() {
-        let mut r = PairQueue::default();
+        let mut slab = QueueSlab::with_capacity(1);
+        let mut l = PairLedger::default();
         // Stay at depth <= QUEUE_INLINE across many operations.
         for round in 0..50u32 {
             for v in 0..QUEUE_INLINE as u32 {
-                r.enqueue(round * 100 + v);
+                slab.admit(&mut l, round * 100 + v);
             }
             for v in 0..QUEUE_INLINE as u32 {
-                assert_eq!(r.dequeue(), round * 100 + v);
+                assert_eq!(slab.serve(&mut l).0, round * 100 + v);
             }
         }
-        assert!(r.spill.is_empty(), "shallow queue must not spill");
+        assert!(
+            slab.records[1].spill.is_empty(),
+            "shallow queue must not spill"
+        );
+        assert_eq!(slab.records.len(), 2, "one record serves every round");
+    }
+
+    #[test]
+    fn recycled_record_keeps_fifo_order_at_a_moved_ring_head() {
+        // Pair A spills past its inline slots, drains, and hands its
+        // record (ring and all) to pair B, whose cells then start at A's
+        // final ring head and wrap around the ring's end.
+        let mut slab = QueueSlab::with_capacity(4);
+        let (mut a, mut b) = (PairLedger::default(), PairLedger::default());
+        for v in 0..12u32 {
+            assert_eq!(slab.admit(&mut a, v), v == 0);
+        }
+        let h = a.queue;
+        assert_ne!(h, NO_QUEUE);
+        for v in 0..12u32 {
+            assert_eq!(slab.serve(&mut a), (v, v == 11));
+        }
+        assert_eq!(a.queue, NO_QUEUE, "a drained pair holds no record");
+        let q = &slab.records[h as usize];
+        let (ring, head) = (q.spill.len(), q.head as usize);
+        assert!(
+            ring > 0 && head > 0,
+            "A must leave a spilled ring at a moved head"
+        );
+        for v in 100..115u32 {
+            assert_eq!(slab.admit(&mut b, v), v == 100);
+        }
+        assert_eq!(b.queue, h, "B must take A's drained record");
+        assert_eq!(
+            slab.records[h as usize].spill.len(),
+            ring,
+            "the ring is kept"
+        );
+        assert!(head + 15 > ring, "B's cells must wrap the ring's end");
+        for v in 100..115u32 {
+            assert_eq!(slab.serve(&mut b), (v, v == 114));
+        }
+        assert_eq!(
+            slab.records.len(),
+            2,
+            "one record and the sentinel served both pairs"
+        );
+    }
+
+    #[test]
+    fn a_deep_queue_takes_a_drained_ring_instead_of_allocating() {
+        // A goes 40 deep (a 64-cell ring) and drains; B, shallow, drains
+        // into an inline record. C then takes B's inline record (smallest
+        // ring first) and, past 7 cells, swaps storage with A's drained
+        // record: C's queue moves into the 64-cell ring, A's record takes
+        // C's empty storage, and no new ring is allocated.
+        let mut slab = QueueSlab::with_capacity(4);
+        let [mut a, mut b, mut c] = [PairLedger::default(); 3];
+        for v in 0..40u32 {
+            slab.admit(&mut a, v);
+        }
+        slab.admit(&mut b, 7);
+        let (ha, hb) = (a.queue, b.queue);
+        for v in 0..40u32 {
+            assert_eq!(slab.serve(&mut a).0, v);
+        }
+        assert_eq!(slab.serve(&mut b), (7, true));
+        let ring = slab.records[ha as usize].spill.as_ptr();
+        assert_eq!(slab.records[ha as usize].spill.len(), 64);
+        for v in 0..30u32 {
+            assert_eq!(slab.admit(&mut c, v), v == 0);
+        }
+        assert_eq!(c.queue, hb, "C takes the inline record first");
+        let q = &slab.records[hb as usize];
+        assert_eq!(q.spill.as_ptr(), ring, "C's queue moved into A's old ring");
+        assert!(slab.records[ha as usize].spill.is_empty());
+        assert_eq!(slab.nonempty, 1, "A's record now waits on the inline list");
+        for v in 0..30u32 {
+            assert_eq!(slab.serve(&mut c), (v, v == 29));
+        }
+        assert_eq!(slab.records.len(), 3);
+    }
+
+    #[test]
+    fn a_donor_record_restarts_at_the_head_of_the_ring_it_receives() {
+        // A drains from 40 deep, leaving its 64-cell ring's head at 40. D,
+        // full at 16 cells in a 16-cell ring, swaps storage with A's
+        // record, which must then index the 16-cell ring from its start:
+        // E takes that record next and must see FIFO order.
+        let mut slab = QueueSlab::with_capacity(4);
+        let [mut a, mut d, mut e] = [PairLedger::default(); 3];
+        for v in 0..40u32 {
+            slab.admit(&mut a, v);
+        }
+        for v in 0..16u32 {
+            slab.admit(&mut d, v);
+        }
+        let ha = a.queue as usize;
+        for v in 0..40u32 {
+            assert_eq!(slab.serve(&mut a).0, v);
+        }
+        assert_eq!(
+            (slab.records[ha].spill.len(), slab.records[ha].head),
+            (64, 40)
+        );
+        slab.admit(&mut d, 16);
+        assert_eq!(
+            slab.records[d.queue as usize].spill.len(),
+            64,
+            "D took A's ring"
+        );
+        assert_eq!(slab.records[ha].spill.len(), 16, "A's record took D's ring");
+        for v in 100..112u32 {
+            slab.admit(&mut e, v);
+        }
+        assert_eq!(e.queue as usize, ha, "E takes the smallest ring on offer");
+        for v in 100..112u32 {
+            assert_eq!(slab.serve(&mut e), (v, v == 111));
+        }
+        for v in 0..17u32 {
+            assert_eq!(slab.serve(&mut d), (v, v == 16));
+        }
+    }
+
+    /// Steps `engine` over `slots` slots from its current one, feeding
+    /// one cell per slot to each listed pair while `slot < feed_until`,
+    /// under `plan`.
+    fn drive_pairs(
+        engine: &mut BatchCrossbar<Pim>,
+        plan: &mut FaultPlan,
+        pairs: &[(usize, usize)],
+        slots: std::ops::Range<u64>,
+        feed_until: u64,
+    ) {
+        let mut log = FaultLog::new();
+        for slot in slots {
+            let arrivals: Vec<Arrival> = if slot < feed_until {
+                pairs
+                    .iter()
+                    .map(|&(i, j)| {
+                        Arrival::pair(
+                            engine.n,
+                            an2_sched::InputPort::new(i),
+                            an2_sched::OutputPort::new(j),
+                        )
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            engine.step_faulted(&arrivals, plan, &mut log);
+        }
+    }
+
+    fn drift(slot: u64, slots: u64) -> FaultEvent {
+        FaultEvent {
+            slot,
+            kind: FaultKind::ClockDrift { switch: 0, slots },
+        }
+    }
+
+    #[test]
+    fn recycled_records_keep_fifo_order_and_delays_in_the_engine() {
+        // Phase 1: clock drift holds scheduling off while pairs A=(0,0)
+        // and C=(1,1) each queue 12 cells (spilling at 8); each then drains
+        // one cell per slot, so every cell waits exactly 12 slots. Phase
+        // 2: B=(2,3) and D=(3,2) queue 10 cells each under a second drift
+        // and take A's and C's drained records, at the heads A and C left;
+        // A comes back mid-drift with one cell and takes a fresh record.
+        // Any mix-up of records, heads or depths breaks FIFO order, and
+        // with it the constant per-phase delay.
+        let mut engine = BatchCrossbar::new(4, Pim::new(4, 9));
+        let mut plan = FaultPlan::from_events(vec![drift(0, 12), drift(30, 10)]);
+        drive_pairs(&mut engine, &mut plan, &[(0, 0), (1, 1)], 0..30, 12);
+        let r = engine.report();
+        assert_eq!((r.departures, r.delay.count()), (24, 24));
+        assert_eq!((r.delay.max(), r.delay.mean()), (12, 12.0));
+        let (a, c) = (engine.ledger[0].queue, engine.ledger[5].queue);
+        assert_eq!((a, c, engine.active_pairs()), (NO_QUEUE, NO_QUEUE, 0));
+        let records = engine.slab.records.len();
+        assert_eq!(records, 3, "two records and the sentinel");
+
+        engine.start_measurement();
+        drive_pairs(&mut engine, &mut plan, &[(2, 3), (3, 2)], 30..35, 35);
+        drive_pairs(
+            &mut engine,
+            &mut plan,
+            &[(2, 3), (3, 2), (0, 0)],
+            35..36,
+            36,
+        );
+        drive_pairs(&mut engine, &mut plan, &[(2, 3), (3, 2)], 36..40, 40);
+        let (b, d) = (
+            engine.ledger[2 * 4 + 3].queue,
+            engine.ledger[3 * 4 + 2].queue,
+        );
+        let mut taken = [b, d];
+        taken.sort_unstable();
+        assert_eq!(taken, [1, 2], "B and D must take the drained records");
+        for h in taken {
+            let q = &engine.slab.records[h as usize];
+            assert!(
+                !q.spill.is_empty() && q.head > 0,
+                "a kept ring at a moved head"
+            );
+        }
+        assert_ne!(engine.ledger[0].queue, NO_QUEUE, "A is active again");
+        drive_pairs(&mut engine, &mut plan, &[], 40..60, 0);
+        let r = engine.report();
+        // B and D: 10 cells each, each waits 10 slots. A: one cell at slot
+        // 35, served when the drift ends at slot 40 (its pair shares no
+        // port with B or D).
+        assert_eq!((r.departures, r.delay.count()), (21, 21));
+        assert_eq!(r.delay.max(), 10);
+        assert_eq!(r.delay.mean(), 205.0 / 21.0);
+        assert_eq!(
+            r.departures_per_flow,
+            vec![(0, 1), (2 * 4 + 3, 10), (3 * 4 + 2, 10)]
+        );
+        assert_eq!(
+            engine.slab.records.len(),
+            records + 1,
+            "only A needed a fresh record"
+        );
+        assert!(engine.verify_conservation().is_ok());
+    }
+
+    #[test]
+    fn pair_drops_stay_exact_past_the_32_bit_count() {
+        // A pair preset three drops short of 2^32 loses six more cells:
+        // its count crosses the 32-bit ledger field, and both the per-pair
+        // figure and the drop ledger must stay exact.
+        let mut engine = BatchCrossbar::new(4, Pim::new(4, 5));
+        let start = (1u64 << 32) - 3;
+        engine.preset_pair_drops(2, 1, start);
+        assert_eq!(engine.pair_drops(2, 1), start);
+        let drops: Vec<FaultEvent> = (0..6)
+            .map(|slot| FaultEvent {
+                slot,
+                kind: FaultKind::CellDrop {
+                    switch: 0,
+                    input: 2,
+                },
+            })
+            .collect();
+        let mut plan = FaultPlan::from_events(drops);
+        drive_pairs(&mut engine, &mut plan, &[(2, 1), (0, 3)], 0..8, 8);
+        assert_eq!(engine.pair_drops(2, 1), start + 6);
+        assert_eq!(engine.pair_drops(0, 3), 0);
+        assert_eq!(engine.dropped(), start + 6);
+        assert_eq!(engine.verify_drop_ledger(), Ok(()));
+        assert_eq!(engine.admitted(), 2 + 8, "the undropped cells are admitted");
+        // A second pair past the limit is carried separately.
+        engine.preset_pair_drops(3, 3, 5 << 32);
+        assert_eq!(engine.pair_drops(3, 3), 5 << 32);
+        assert_eq!(engine.verify_drop_ledger(), Ok(()));
     }
 
     fn reports_match(a: &SwitchReport, b: &SwitchReport) {
@@ -766,6 +1303,37 @@ mod tests {
             an2_sched::OutputPort::new(1),
         );
         a.flow = FlowId(99);
+        batch.step_slot(&[a]);
+    }
+
+    /// A broken scheduler that always matches input 0 to output 0.
+    struct AlwaysZero;
+
+    impl Scheduler for AlwaysZero {
+        fn schedule(&mut self, requests: &an2_sched::RequestMatrix) -> an2_sched::Matching {
+            let mut m = an2_sched::Matching::new(requests.n());
+            m.pair(an2_sched::InputPort::new(0), an2_sched::OutputPort::new(0))
+                .unwrap();
+            m
+        }
+
+        fn name(&self) -> &'static str {
+            "always-zero"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "with no queued cell")]
+    fn matching_a_pair_without_cells_panics() {
+        // Serving an empty pair would corrupt the queues, in release
+        // builds too (where the engine's own check, not the debug
+        // assertion on the whole matching, refuses it).
+        let mut batch = BatchCrossbar::new(4, AlwaysZero);
+        let a = Arrival::pair(
+            4,
+            an2_sched::InputPort::new(1),
+            an2_sched::OutputPort::new(2),
+        );
         batch.step_slot(&[a]);
     }
 

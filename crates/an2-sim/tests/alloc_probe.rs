@@ -5,8 +5,9 @@
 //! Same counting-allocator scheme as `an2-sched/tests/zero_alloc.rs`: a
 //! thread-local counter wraps the system allocator, the code under test is
 //! warmed up (first slots may grow the delay histogram and scheduler
-//! scratch to steady-state capacity, and a pair queue deeper than its
-//! inline slots spills once), and after that the counter must not move.
+//! scratch to steady-state capacity, add queue records up to the peak
+//! number of pairs holding cells, and give deep queues their spill
+//! rings), and after that the counter must not move.
 //!
 //! The `an2-lint` call-graph rule proves the *scheduler* half of the slot
 //! loop allocation-free at the source level; this test is the runtime
@@ -240,6 +241,70 @@ fn chaos_stepping_does_not_allocate_after_warmup() {
     drive(&mut engine, &mut plan, &mut log, &mut rng, 500);
     let allocs = local_count() - before;
     assert_eq!(allocs, 0, "chaos stepping allocated {allocs} times");
+}
+
+/// Queue records are recycled, not allocated: under short on–off bursts
+/// at N=64, pairs drain and re-activate every few slots, each drain puts
+/// the pair's record on one of the engine's free lists and each first
+/// cell takes one back. The slot loop makes no allocation once the warmup
+/// has seen the peak number of pairs holding cells, and the peak number
+/// of queues running deep at once (a full queue moves into a drained
+/// record's bigger ring before it allocates one); at this load both are
+/// reached within the warmup. Checked plain, faulted under an empty plan,
+/// and faulted with cell drops striking throughout the measured region.
+#[test]
+fn batch_churn_recycles_queue_records_without_allocating() {
+    use an2_sim::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan};
+    use an2_sim::traffic::{BurstyTraffic, Traffic};
+    let n = 64usize;
+    let (warmup, measured) = (20_000u64, 4_000u64);
+    // A drop on a rotating input every fourth slot of both regions. The
+    // fault log grows by doubling, so it is sized in the warmup, whose
+    // drops outnumber the measured region's fivefold.
+    let drops = (0..warmup + measured).step_by(4).map(|slot| FaultEvent {
+        slot,
+        kind: FaultKind::CellDrop {
+            switch: 0,
+            input: (slot as usize / 4) % n,
+        },
+    });
+    for phase in ["step_slot", "empty plan", "cell drops"] {
+        let mut engine = BatchCrossbar::new(n, Pim::new(n, 0xC4));
+        let mut traffic = BurstyTraffic::new(n, 0.5, 4.0, 0xC5);
+        let mut plan = match phase {
+            "cell drops" => FaultPlan::from_events(drops.clone().collect()),
+            _ => FaultPlan::new(),
+        };
+        let mut log = FaultLog::new();
+        let mut buf: Vec<Arrival> = Vec::with_capacity(n);
+        let (mut drains, mut active) = (0u64, 0usize);
+        let mut allocs = 0;
+        for slot in 0..warmup + measured {
+            buf.clear();
+            traffic.arrivals(slot, &mut buf);
+            let before = local_count();
+            if phase == "step_slot" {
+                engine.step_slot(&buf);
+            } else {
+                engine.step_faulted(&buf, &mut plan, &mut log);
+            }
+            if slot >= warmup {
+                allocs += local_count() - before;
+                // A lower bound on drains: the active count only falls
+                // when pairs drain.
+                drains += active.saturating_sub(engine.active_pairs()) as u64;
+            }
+            active = engine.active_pairs();
+        }
+        assert_eq!(allocs, 0, "{phase}: slot loop allocated {allocs} times");
+        assert!(drains > measured, "{phase}: {drains} drains, not churn");
+        if phase == "cell drops" {
+            assert_eq!(plan.remaining(), 0);
+            assert!(engine.dropped() >= 1_000, "the drops must have struck");
+            assert_eq!(engine.verify_drop_ledger(), Ok(()));
+        }
+        assert_eq!(engine.verify_conservation(), Ok(()));
+    }
 }
 
 /// The wide-radix sparse slot loop: a 1024-port engine under light

@@ -20,6 +20,7 @@ use an2_sim::cell::Arrival;
 use an2_sim::metrics::SwitchReport;
 use an2_sim::model::SwitchModel;
 use an2_sim::switch::CrossbarSwitch;
+use an2_sim::traffic::{BurstyTraffic, Traffic};
 use an2_sched::{InputPort, OutputPort};
 use proptest::prelude::*;
 
@@ -96,6 +97,34 @@ fn run_digest(model: &mut impl SwitchModel, n: usize, load: f64, seed: u64) -> u
     digest_report(&model.report(), model.queued())
 }
 
+/// Like [`run_digest`], but with arrivals drawn from `traffic`.
+fn run_traffic_digest(model: &mut impl SwitchModel, traffic: &mut impl Traffic) -> u64 {
+    let mut buf = Vec::new();
+    for slot in 0..320u64 {
+        if slot == 32 {
+            model.start_measurement();
+        }
+        buf.clear();
+        traffic.arrivals(slot, &mut buf);
+        model.step(&buf);
+    }
+    digest_report(&model.report(), model.queued())
+}
+
+/// On–off bursts, uniform or all aimed at one output. Short bursts at
+/// moderate load, and a hot spot fed just below (or just above) one cell
+/// per slot, keep pairs draining and re-activating all run long, so the
+/// batch engine hands its queue records from pair to pair constantly.
+fn bursty(n: usize, hot: bool, load_pct: u32, mean_burst: f64, seed: u64) -> BurstyTraffic {
+    if hot {
+        // The hot output receives n * load cells per slot: 0.625 to 1.19.
+        let load = f64::from(load_pct) / 80.0 / n as f64;
+        BurstyTraffic::new(n, load, mean_burst, seed).with_hotspot(n / 2)
+    } else {
+        BurstyTraffic::new(n, f64::from(load_pct) / 100.0, mean_burst, seed)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -116,6 +145,28 @@ proptest! {
             db, ds,
             "batch and scalar engines diverged: scheduler {} n {} load {}",
             which, n, load
+        );
+    }
+
+    #[test]
+    fn batch_engine_matches_scalar_digest_under_bursts(
+        n_idx in 0usize..2,
+        which in 0usize..5,
+        hot in any::<bool>(),
+        load_pct in 50u32..=95,
+        mean_burst in 1.0f64..12.0,
+        seed in any::<u64>(),
+    ) {
+        let n = [16usize, 64][n_idx];
+        let mut batch = BatchCrossbar::new(n, make_scheduler(which, n, seed));
+        let mut scalar = CrossbarSwitch::with_ports(n, make_scheduler(which, n, seed));
+        let db = run_traffic_digest(&mut batch, &mut bursty(n, hot, load_pct, mean_burst, seed));
+        let ds = run_traffic_digest(&mut scalar, &mut bursty(n, hot, load_pct, mean_burst, seed));
+        prop_assert_eq!(
+            db, ds,
+            "batch and scalar engines diverged under bursts: scheduler {} n {} hot {} \
+             load {}% burst {}",
+            which, n, hot, load_pct, mean_burst
         );
     }
 }
