@@ -118,8 +118,7 @@ pub fn run(n: usize, effort: Effort, seed: u64, pool: &Pool) -> Fig1Result {
             }
             "pim-drain" => with_port_width!(n, W => {
                 let mut pim = CrossbarSwitch::new(PimN::<_, W>::new(n, s));
-                let dropped = pim.preload(&snapshot);
-                assert_eq!(dropped, 0, "unbounded VOQs must admit the snapshot");
+                pim.preload(&snapshot);
                 drain(&mut pim) as f64
             }),
             "fifo-sustained" => {

@@ -37,8 +37,8 @@
 //! `--threads 8` runs can be byte-compared.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{with_port_width, PimN, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
-use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, PortSide};
+use an2_sched::{with_port_width, PimN, RequestMatrixN, Scheduler};
+use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, SwitchFaults};
 use an2_sim::metrics::QuantileSketch;
 use an2_task::{task_seed, Pool};
 use std::fmt;
@@ -253,10 +253,9 @@ struct SwitchShard<const W: usize> {
     // --- fault state (inert in fault-free runs) ---------------------
     /// This switch's slice of the campaign's fault plan.
     plan: FaultPlan,
-    /// Port health; failed ports are masked out of scheduling only.
-    mask: PortMaskN<W>,
-    /// Scheduling is suspended while `slot < drift_until` (clock drift).
-    drift_until: u64,
+    /// Port health and clock drift; failed ports are masked out of
+    /// scheduling only.
+    faults: SwitchFaults<W>,
     /// Physical state of the outgoing ring link (LinkDown/LinkUp events).
     link_up: bool,
     /// A re-reservation backoff loop is running for the ring link.
@@ -307,8 +306,7 @@ impl<const W: usize> SwitchShard<W> {
             delay_sum: 0,
             sketch: QuantileSketch::new(),
             plan: FaultPlan::new(),
-            mask: PortMaskN::all(cfg.radix),
-            drift_until: 0,
+            faults: SwitchFaults::new(cfg.radix),
             link_up: true,
             reserving: false,
             retry_at: 0,
@@ -354,8 +352,7 @@ impl<const W: usize> SwitchShard<W> {
         if FAULTED {
             self.faulted_slot(slot);
         } else {
-            let none = PortSetN::new();
-            self.advance(slot, &none, &none, false);
+            self.advance(slot, &LostArrivals::default(), true);
         }
         let out = self.outbox.take().unwrap_or(EMPTY);
         if let Some(link) = links.get(self.k) {
@@ -384,15 +381,17 @@ impl<const W: usize> SwitchShard<W> {
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) monotone u64 fault counters; slot >= down_since and backoff is clamped to MAX_BACKOFF, so the slot arithmetic cannot wrap
     fn faulted_slot(&mut self, slot: u64) {
-        let mut injected = PortSetN::new();
-        let mut corrupted = PortSetN::new();
+        let mut lost = LostArrivals::default();
         let mut mask_changed = false;
         // Move the plan out so event handling can borrow `self` freely.
         let mut plan = std::mem::take(&mut self.plan);
         for ev in plan.due(slot) {
             match ev.kind {
-                FaultKind::LinkDown { output, .. } => {
-                    if output == 0 {
+                // Physical repair only: the output stays masked until a
+                // re-reservation probe succeeds.
+                FaultKind::LinkUp { output: 0, .. } => self.link_up = true,
+                kind => {
+                    if let FaultKind::LinkDown { output: 0, .. } = kind {
                         // The outgoing ring link died: start the
                         // re-reservation loop. The cell already on the
                         // wire is the successor's to drop (`split_plan`).
@@ -404,37 +403,7 @@ impl<const W: usize> SwitchShard<W> {
                             self.retry_at = slot + 1;
                         }
                     }
-                    mask_changed |= self.mask.fail_output(output);
-                }
-                FaultKind::LinkUp { output, .. } => {
-                    if output == 0 {
-                        // Physical repair only: the output stays masked
-                        // until a re-reservation probe succeeds.
-                        self.link_up = true;
-                    } else {
-                        mask_changed |= self.mask.recover_output(output);
-                    }
-                }
-                FaultKind::PortFail { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.fail_input(port),
-                        PortSide::Output => self.mask.fail_output(port),
-                    };
-                }
-                FaultKind::PortRecover { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.recover_input(port),
-                        PortSide::Output => self.mask.recover_output(port),
-                    };
-                }
-                FaultKind::CellDrop { input, .. } => {
-                    injected.insert(input);
-                }
-                FaultKind::CellCorrupt { input, .. } => {
-                    corrupted.insert(input);
-                }
-                FaultKind::ClockDrift { slots, .. } => {
-                    self.drift_until = self.drift_until.max(slot.saturating_add(slots));
+                    mask_changed |= self.faults.apply(slot, kind, &mut lost);
                 }
             }
             self.applied += 1;
@@ -447,7 +416,7 @@ impl<const W: usize> SwitchShard<W> {
             self.res_attempts += 1;
             if self.link_up {
                 self.reserving = false;
-                mask_changed |= self.mask.recover_output(0);
+                mask_changed |= self.faults.recover_output(0);
                 self.recoveries += 1;
                 self.recovery_slots += slot - self.down_since;
             } else {
@@ -457,10 +426,10 @@ impl<const W: usize> SwitchShard<W> {
             }
         }
         if mask_changed {
-            self.sched.set_port_mask(self.mask);
+            self.sched.set_port_mask(self.faults.mask());
         }
-        let skip_schedule = slot < self.drift_until;
-        self.advance(slot, &injected, &corrupted, skip_schedule);
+        let schedule = self.faults.schedules(slot);
+        self.advance(slot, &lost, schedule);
         if !self.link_up && self.outbox.take().is_some() {
             self.dropped += 1;
         }
@@ -474,15 +443,9 @@ impl<const W: usize> SwitchShard<W> {
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) queued mirrors ring occupancy; slot >= inject_slot(cell) since cells are injected at or before the current slot; delivery counters are monotone u64
     // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < rings.len()
-    fn advance(
-        &mut self,
-        slot: u64,
-        injected: &PortSetN<W>,
-        corrupted: &PortSetN<W>,
-        skip_schedule: bool,
-    ) {
+    fn advance(&mut self, slot: u64, lost: &LostArrivals<W>, schedule: bool) {
         if let Some(cell) = self.inbox.take() {
-            if injected.contains(0) || corrupted.contains(0) {
+            if lost.cause(0).is_some() {
                 // The cell in flight on the (dying or glitching) ring link
                 // is lost at the receiver.
                 self.dropped += 1;
@@ -495,14 +458,14 @@ impl<const W: usize> SwitchShard<W> {
                 let d = (self.k + 1 + self.rng.index(self.span)) % self.switches;
                 let q = 1 + self.rng.index(self.radix - 1);
                 self.injected += 1;
-                if injected.contains(h) || corrupted.contains(h) {
+                if lost.cause(h).is_some() {
                     self.dropped += 1;
                 } else {
                     self.enqueue_cell(h, pack(d, q, slot));
                 }
             }
         }
-        if skip_schedule || (self.requests.is_empty() && self.sched.idle_slot_is_noop()) {
+        if !schedule || (self.requests.is_empty() && self.sched.idle_slot_is_noop()) {
             return;
         }
         let matching = self.sched.schedule(&self.requests);
@@ -859,6 +822,7 @@ fn drive<const W: usize, const FAULTED: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use an2_sim::fault::PortSide;
 
     fn small() -> ShardNetConfig {
         ShardNetConfig {

@@ -1,23 +1,30 @@
-//! Batched structure-of-arrays crossbar engine for large radices.
+//! The single-switch engine: a structure-of-arrays input-queued crossbar.
 //!
-//! [`CrossbarSwitch`](crate::switch::CrossbarSwitch) walks heap-allocated
-//! per-flow queues (a slab of `VecDeque<Cell>` FIFOs) every slot. That
-//! layout supports the general many-flows-per-pair experiments, but at
-//! N=1024 the pointer chasing and per-cell `Cell` bookkeeping dominate the
-//! slot loop. [`BatchCrossbar`] is the wide-radix engine behind the
-//! scaling benches: it restricts itself to the *one-flow-per-pair*
-//! convention (`FlowId::for_pair`, which every uniform/load-sweep workload
-//! uses) and stores each input–output pair's queue as a FIFO of `u32`
-//! arrival slots. Storage follows traffic rather than N: a dense 16-byte
-//! ledger per pair, and queue records only for the pairs that hold cells.
+//! [`BatchCrossbar`] is the one slot procedure every single-switch
+//! experiment runs, from the paper's 16-port figures to the 1024-port
+//! scaling runs; [`CrossbarSwitch`](crate::switch::CrossbarSwitch) is a
+//! thin face over it that reports under its scheduler's name. One slot
+//! applies the fault events due ([`BatchCrossbar::step_faulted`]), admits
+//! the arrivals, tells a queue-aware scheduler each requested pair's depth
+//! and head-cell age, schedules, transmits the matched cells and records
+//! the metrics.
 //!
-//! Under that convention the two engines are **bit-identical**: the VOQ
-//! round-robin over flows degenerates to a per-pair FIFO, so pushing
-//! arrival slots instead of `Cell` objects loses nothing, and the
-//! incremental request-matrix maintenance (set on first cell, clear on
-//! drain) matches [`crate::voq::VoqBuffers`] exactly. The property test
-//! `tests/batch_vs_scalar.rs` pins byte-identical [`SwitchReport`]
-//! digests across schedulers, sizes and loads.
+//! The engine keeps to the *one-flow-per-pair* convention
+//! (`FlowId::for_pair`, which every single-switch workload uses) and
+//! stores each input–output pair's queue as a FIFO of `u32` arrival
+//! stamps. With one flow per pair the paper's per-flow round robin inside
+//! a pair (§3.3) is plain FIFO order, so nothing is lost; chains where
+//! several flows share a pair, or where buffers are finite, run on
+//! [`crate::voq::VoqBuffers`]. The request matrix is maintained
+//! incrementally (set on a pair's first cell, clear on drain). Storage
+//! follows traffic rather than N: a dense 16-byte ledger per pair, and
+//! queue records only for the pairs that hold cells.
+//!
+//! `tests/engine_golden.rs` pins the engine's report digests, recorded
+//! from the retired per-flow scalar loop, across schedulers, sizes and
+//! traffic shapes; `an2-verify`'s `tests/engine_differential.rs` checks it
+//! slot by slot against a plain loop over the reference VOQ, queue-aware
+//! schedulers included.
 //!
 //! Layout at N=1024 (width `W = 16`):
 //!
@@ -44,13 +51,18 @@
 //! light. Arrivals still address random pairs, so each touch costs one
 //! ledger miss, over a quarter of the memory a record per pair would take.
 //!
+//! Cells are stamped with the slot's low 32 bits. A delay, and a queue
+//! age reported to the scheduler, is the wrapping difference of two
+//! stamps, so runs may pass 2^32 slots and both are exact for any cell
+//! that has waited fewer than 2^32 slots.
+//!
 //! Delay statistics are collected twice: the exact [`DelayStats`]
-//! histogram (for digest parity with the scalar engine) and the O(1)-memory
+//! histogram (what the pinned report digests cover) and the O(1)-memory
 //! [`QuantileSketch`] (what long network runs keep when the exact
 //! histogram would grow unboundedly).
 
 use crate::cell::{Arrival, FlowId};
-use crate::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
+use crate::fault::{FaultLog, FaultPlan, LostArrivals, SwitchFaults};
 use crate::metrics::{DelayStats, QuantileSketch, SwitchReport};
 use crate::model::SwitchModel;
 use an2_sched::{InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
@@ -155,6 +167,18 @@ impl PairQueue {
             self.spill[(self.head as usize + len) & mask] = v;
         }
         self.len += 1;
+    }
+
+    /// The arrival stamp of the oldest cell; the record holds at least
+    /// one.
+    #[inline]
+    fn front(&self) -> u32 {
+        let [first_inline, ..] = self.inline;
+        // An unspilled record has no ring, so the lookup falls through.
+        self.spill
+            .get(self.head as usize)
+            .copied()
+            .unwrap_or(first_inline)
     }
 
     #[inline]
@@ -343,10 +367,8 @@ impl QueueSlab {
 /// Structure-of-arrays crossbar simulator for the one-flow-per-pair
 /// regime, generic over the scheduler bitset width `W`.
 ///
-/// Behaves identically to [`CrossbarSwitch`](crate::switch::CrossbarSwitch)
-/// with unbounded buffers when every arrival's flow id is
-/// [`FlowId::for_pair`]; panics on any other flow id (use the scalar
-/// engine for many-flows-per-pair experiments).
+/// Every arrival's flow id must be [`FlowId::for_pair`]; any other panics.
+/// [`CrossbarSwitch`](crate::switch::CrossbarSwitch) runs on this engine.
 ///
 /// # Examples
 ///
@@ -385,11 +407,9 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     delay: DelayStats,
     sketch: QuantileSketch,
     peak_occupancy: usize,
-    /// Port health as seen by [`BatchCrossbar::step_faulted`]; failed
-    /// ports keep buffering arrivals but are masked out of scheduling.
-    mask: PortMaskN<W>,
-    /// Scheduling is suspended while `slot < drift_until` (clock drift).
-    drift_until: u64,
+    /// Port health and clock drift as seen by
+    /// [`BatchCrossbar::step_faulted`].
+    faults: SwitchFaults<W>,
     /// Lifetime cells admitted to a pair queue (never reset).
     admitted_total: u64,
     /// Lifetime cells transmitted (never reset).
@@ -438,8 +458,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             delay: DelayStats::new(),
             sketch: QuantileSketch::new(),
             peak_occupancy: 0,
-            mask: PortMaskN::all(n),
-            drift_until: 0,
+            faults: SwitchFaults::new(n),
             admitted_total: 0,
             departed_total: 0,
             dropped: 0,
@@ -450,13 +469,13 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     // an2-lint: allow(panic-freedom) a mis-sized mask is a harness bug, not degraded traffic; the trait documents the panic
     pub fn set_port_mask(&mut self, mask: PortMaskN<W>) {
         assert_eq!(mask.n(), self.n, "mask size mismatch");
-        self.mask = mask;
+        self.faults.set_mask(mask);
         self.scheduler.set_port_mask(mask);
     }
 
     /// The current port health mask (mutated by [`BatchCrossbar::step_faulted`]).
     pub fn port_mask(&self) -> PortMaskN<W> {
-        self.mask
+        self.faults.mask()
     }
 
     /// The wrapped scheduler (e.g. to read a `CheckedScheduler`'s
@@ -550,6 +569,49 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         self.requests.len()
     }
 
+    /// The request matrix: pair `(i, j)` requests iff it holds a cell.
+    pub fn requests(&self) -> &RequestMatrixN<W> {
+        &self.requests
+    }
+
+    /// Cells queued from input `i` to output `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port is outside the switch.
+    pub fn pair_occupancy(&self, i: InputPort, j: OutputPort) -> usize {
+        assert!(
+            i.index() < self.n && j.index() < self.n,
+            "pair ({i},{j}) out of range"
+        );
+        let h = self.ledger[i.index() * self.n + j.index()].queue;
+        self.slab.records[h as usize].len as usize
+    }
+
+    /// Loads a queue snapshot directly into the pair queues, bypassing the
+    /// one-cell-per-input-per-slot link constraint. Used to set up
+    /// scenario states like the paper's Figure 1 (queues that accumulated
+    /// before the observation window); cells are stamped with the current
+    /// slot and count as arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any port is out of range or a flow id is not its pair's.
+    pub fn preload(&mut self, arrivals: &[Arrival]) {
+        let stamp = self.slot as u32;
+        for a in arrivals {
+            let (i, j) = (a.input.index(), a.output.index());
+            if i >= self.n || j >= self.n || a.flow != FlowId::for_pair(self.n, a.input, a.output) {
+                malformed_arrival(a, self.n, true);
+            }
+            if self.slab.admit(&mut self.ledger[i * self.n + j], stamp) {
+                self.requests.set(a.input, a.output);
+            }
+            self.queued += 1;
+            self.admitted_total += 1;
+        }
+    }
+
     /// Advances one cell slot: arrivals join their pair FIFOs, the
     /// scheduler computes a matching, matched pairs each transmit their
     /// head-of-queue cell.
@@ -560,8 +622,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// an arrival's flow id is not `FlowId::for_pair` for its pair.
     // an2-lint: hot
     pub fn step_slot(&mut self, arrivals: &[Arrival]) {
-        let none = PortSetN::<W>::new();
-        self.advance(arrivals, &none, &none, false, None);
+        self.advance(arrivals, &LostArrivals::default(), true, None);
     }
 
     /// Advances one slot under a fault plan: applies the plan's events due
@@ -570,13 +631,12 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// transmit sequence, recording every applied fault and lost cell in
     /// `log`.
     ///
-    /// Same semantics as the scalar
-    /// [`CrossbarSwitch::step_faulted`](crate::switch::CrossbarSwitch::step_faulted):
-    /// the `switch` tag on events is ignored (build per-switch plans when
-    /// driving several switches), failed ports keep *buffering* arrivals —
-    /// the mask only gates scheduling — and with an empty plan the slot is
-    /// bit-identical to [`BatchCrossbar::step_slot`] (pinned by
-    /// `tests/batch_faults.rs` at N ∈ {64, 256, 1024}).
+    /// The `switch` tag on events is ignored (build per-switch plans when
+    /// driving several switches); [`SwitchFaults::apply`] decodes each
+    /// event. Failed ports keep *buffering* arrivals — the mask only gates
+    /// scheduling — and with an empty plan the slot is bit-identical to
+    /// [`BatchCrossbar::step_slot`] (pinned by `tests/batch_faults.rs` at
+    /// N ∈ {64, 256, 1024}).
     ///
     /// # Panics
     ///
@@ -585,46 +645,17 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     // an2-lint: hot
     pub fn step_faulted(&mut self, arrivals: &[Arrival], plan: &mut FaultPlan, log: &mut FaultLog) {
         let slot = self.slot;
-        let mut injected = PortSetN::<W>::new();
-        let mut corrupted = PortSetN::<W>::new();
+        let mut lost = LostArrivals::default();
         let mut mask_changed = false;
         for ev in plan.due(slot) {
-            match ev.kind {
-                FaultKind::LinkDown { output, .. } => {
-                    mask_changed |= self.mask.fail_output(output);
-                }
-                FaultKind::LinkUp { output, .. } => {
-                    mask_changed |= self.mask.recover_output(output);
-                }
-                FaultKind::PortFail { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.fail_input(port),
-                        PortSide::Output => self.mask.fail_output(port),
-                    };
-                }
-                FaultKind::PortRecover { side, port, .. } => {
-                    mask_changed |= match side {
-                        PortSide::Input => self.mask.recover_input(port),
-                        PortSide::Output => self.mask.recover_output(port),
-                    };
-                }
-                FaultKind::CellDrop { input, .. } => {
-                    injected.insert(input);
-                }
-                FaultKind::CellCorrupt { input, .. } => {
-                    corrupted.insert(input);
-                }
-                FaultKind::ClockDrift { slots, .. } => {
-                    self.drift_until = self.drift_until.max(slot.saturating_add(slots));
-                }
-            }
+            mask_changed |= self.faults.apply(slot, ev.kind, &mut lost);
             log.record_applied(*ev);
         }
         if mask_changed {
-            self.scheduler.set_port_mask(self.mask);
+            self.scheduler.set_port_mask(self.faults.mask());
         }
-        let skip_schedule = slot < self.drift_until;
-        self.advance(arrivals, &injected, &corrupted, skip_schedule, Some(log));
+        let schedule = self.faults.schedules(slot);
+        self.advance(arrivals, &lost, schedule, Some(log));
     }
 
     /// The per-slot engine shared by [`BatchCrossbar::step_slot`] (no
@@ -633,9 +664,8 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     fn advance(
         &mut self,
         arrivals: &[Arrival],
-        injected: &PortSetN<W>,
-        corrupted: &PortSetN<W>,
-        skip_schedule: bool,
+        lost: &LostArrivals<W>,
+        schedule: bool,
         mut log: Option<&mut FaultLog>,
     ) {
         let slot = self.slot;
@@ -668,16 +698,8 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             let l = &mut self.ledger[p];
             // A scripted fault consumes the arrival on the wire: charged to
             // the drop ledger instead of the pair FIFO. Failed ports still
-            // buffer (the mask only gates scheduling), matching the scalar
-            // engine's semantics.
-            let lost = if injected.contains(i) {
-                Some(DropCause::Injected)
-            } else if corrupted.contains(i) {
-                Some(DropCause::Corrupted)
-            } else {
-                None
-            };
-            if let Some(cause) = lost {
+            // buffer (the mask only gates scheduling).
+            if let Some(cause) = lost.cause(i) {
                 let wrapped;
                 (l.dropped, wrapped) = l.dropped.overflowing_add(1);
                 if wrapped {
@@ -699,7 +721,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             self.admitted_total += 1;
         }
         // Under clock drift the crossbar cannot schedule; queues only grow.
-        if !skip_schedule {
+        if schedule {
             self.transmit(stamp);
         }
         self.peak_occupancy = self.peak_occupancy.max(self.queued);
@@ -712,6 +734,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     // an2-lint: hot
     fn transmit(&mut self, stamp: u32) {
         let n = self.n;
+        if self.scheduler.wants_queue_observations() {
+            self.observe_queues(stamp);
+        }
         // Idle-slot skip: with zero active pairs (O(1) from the request
         // matrix's incremental counter) and a scheduler that declares the
         // idle call a no-op, the slot's matching is known empty without
@@ -769,6 +794,25 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         }
     }
 
+    /// Tells a queue-aware scheduler what stands behind each request: the
+    /// pair's depth and its head cell's age in slots. The walk covers
+    /// exactly the requested pairs, each of which holds a cell. An age is
+    /// the wrapping difference of 32-bit stamps, so like a delay it is
+    /// exact for cells that have waited fewer than 2^32 slots.
+    // an2-lint: hot
+    fn observe_queues(&mut self, stamp: u32) {
+        let n = self.n;
+        for (i, j) in self.requests.pairs() {
+            let p = i.index().wrapping_mul(n).wrapping_add(j.index());
+            let queue = self.ledger.get(p).map_or(NO_QUEUE, |l| l.queue);
+            debug_assert!(queue != NO_QUEUE, "a requested pair holds a cell");
+            if let Some(q) = self.slab.records.get(queue as usize) {
+                let age = stamp.wrapping_sub(q.front());
+                self.scheduler.observe_queue(i, j, q.len, age);
+            }
+        }
+    }
+
     /// Carries pair `p`'s drop count past its 2^32-th drop into the side
     /// table.
     // an2-lint: cold
@@ -793,7 +837,7 @@ fn malformed_arrival(a: &Arrival, n: usize, fresh: bool) -> ! {
     assert!(fresh, "two cells arrived at input {} in one slot", a.input);
     panic!(
         "flow {} is not the pair flow of ({},{}): \
-         BatchCrossbar requires one flow per pair; use CrossbarSwitch",
+         the single-switch engine requires one flow per pair",
         a.flow, a.input, a.output
     )
 }
@@ -890,11 +934,9 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultEvent;
+    use crate::fault::{FaultEvent, FaultKind};
     use crate::sim::{simulate, SimConfig};
-    use crate::switch::CrossbarSwitch;
     use crate::traffic::RateMatrixTraffic;
-    use an2_sched::islip::RoundRobinMatching;
     use an2_sched::Pim;
 
     #[test]
@@ -1198,32 +1240,6 @@ mod tests {
         assert_eq!(a.peak_occupancy, b.peak_occupancy);
         assert_eq!(a.final_occupancy, b.final_occupancy);
         assert_eq!(a.delay, b.delay);
-    }
-
-    #[test]
-    fn matches_scalar_engine_pim() {
-        let mut batch = BatchCrossbar::new(8, Pim::new(8, 42));
-        let mut scalar = CrossbarSwitch::new(Pim::new(8, 42));
-        let cfg = SimConfig {
-            warmup_slots: 100,
-            measure_slots: 1000,
-        };
-        let rb = simulate(&mut batch, &mut RateMatrixTraffic::uniform(8, 0.9, 7), cfg);
-        let rs = simulate(&mut scalar, &mut RateMatrixTraffic::uniform(8, 0.9, 7), cfg);
-        reports_match(&rb, &rs);
-    }
-
-    #[test]
-    fn matches_scalar_engine_islip() {
-        let mut batch = BatchCrossbar::new(16, RoundRobinMatching::islip(16, 4));
-        let mut scalar = CrossbarSwitch::new(RoundRobinMatching::islip(16, 4));
-        let cfg = SimConfig {
-            warmup_slots: 50,
-            measure_slots: 500,
-        };
-        let rb = simulate(&mut batch, &mut RateMatrixTraffic::uniform(16, 1.0, 9), cfg);
-        let rs = simulate(&mut scalar, &mut RateMatrixTraffic::uniform(16, 1.0, 9), cfg);
-        reports_match(&rb, &rs);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! randomness.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
+use an2_sched::{PortMaskN, PortSetN};
 
 /// Which side of a switch a [`FaultKind::PortFail`] affects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,10 +29,12 @@ pub enum PortSide {
 
 /// One kind of injected fault.
 ///
-/// `switch` is the index of the affected switch. The single-switch harness
-/// ([`crate::switch::CrossbarSwitch::step_faulted`]) ignores the tag and
-/// applies every due event to itself; the network simulator dispatches by
-/// it.
+/// `switch` is the index of the affected switch. The single-switch engine
+/// ([`crate::batch::BatchCrossbar::step_faulted`], which `CrossbarSwitch`
+/// runs on) ignores the tag and applies every due event to itself; the
+/// network simulators dispatch by it. The single-switch engine and the
+/// sharded ring decode an event's effect on one switch through
+/// [`SwitchFaults::apply`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The link leaving `switch` through output `output` goes down: the
@@ -377,6 +380,116 @@ impl DropCause {
             DropCause::Corrupted => 3,
             DropCause::DeadLink => 4,
             DropCause::NoRoute => 5,
+        }
+    }
+}
+
+/// The fault state of one switch's slot loop: port health and the clock
+/// drift bound. It is the one decoder of [`FaultKind`] events shared by
+/// the batch engine ([`crate::batch::BatchCrossbar::step_faulted`]) and
+/// the sharded ring's faulted slot.
+///
+/// Failed ports keep buffering arrivals; the mask only gates scheduling.
+/// A fresh state has every port healthy and no drift, so a slot loop
+/// driven by an empty plan never changes it.
+#[derive(Clone, Copy, Debug)]
+pub struct SwitchFaults<const W: usize> {
+    mask: PortMaskN<W>,
+    /// Scheduling is suspended while `slot < drift_until`.
+    drift_until: u64,
+}
+
+impl<const W: usize> SwitchFaults<W> {
+    /// A healthy `n`-port switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `n > W * 64`.
+    pub fn new(n: usize) -> Self {
+        Self {
+            mask: PortMaskN::all(n),
+            drift_until: 0,
+        }
+    }
+
+    /// The current port health mask.
+    pub fn mask(&self) -> PortMaskN<W> {
+        self.mask
+    }
+
+    /// Replaces the port health mask.
+    pub fn set_mask(&mut self, mask: PortMaskN<W>) {
+        self.mask = mask;
+    }
+
+    /// Unmasks output `j`; returns whether the mask changed.
+    pub fn recover_output(&mut self, j: usize) -> bool {
+        self.mask.recover_output(j)
+    }
+
+    /// Whether the crossbar may schedule at `slot`: not during a clock
+    /// drift excursion.
+    #[inline]
+    pub fn schedules(&self, slot: u64) -> bool {
+        slot >= self.drift_until
+    }
+
+    /// Applies `kind` striking at `slot`: masks or unmasks ports, extends
+    /// the drift bound, and marks the arrival a cell loss consumes in
+    /// `lost`. Returns whether the port mask changed, in which case the
+    /// caller pushes [`SwitchFaults::mask`] to its scheduler. The event's
+    /// `switch` tag is not read: the caller dispatches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event names a port outside the switch.
+    pub fn apply(&mut self, slot: u64, kind: FaultKind, lost: &mut LostArrivals<W>) -> bool {
+        match kind {
+            FaultKind::LinkDown { output, .. } => self.mask.fail_output(output),
+            FaultKind::LinkUp { output, .. } => self.mask.recover_output(output),
+            FaultKind::PortFail { side, port, .. } => match side {
+                PortSide::Input => self.mask.fail_input(port),
+                PortSide::Output => self.mask.fail_output(port),
+            },
+            FaultKind::PortRecover { side, port, .. } => match side {
+                PortSide::Input => self.mask.recover_input(port),
+                PortSide::Output => self.mask.recover_output(port),
+            },
+            FaultKind::CellDrop { input, .. } => {
+                lost.injected.insert(input);
+                false
+            }
+            FaultKind::CellCorrupt { input, .. } => {
+                lost.corrupted.insert(input);
+                false
+            }
+            FaultKind::ClockDrift { slots, .. } => {
+                self.drift_until = self.drift_until.max(slot.saturating_add(slots));
+                false
+            }
+        }
+    }
+}
+
+/// The inputs whose arriving cell one slot's fault events consume, by
+/// cause; the default loses none.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LostArrivals<const W: usize> {
+    injected: PortSetN<W>,
+    corrupted: PortSetN<W>,
+}
+
+impl<const W: usize> LostArrivals<W> {
+    /// Why the cell arriving at `input` this slot is lost, if it is. An
+    /// injected drop takes precedence over a corruption.
+    #[inline]
+    pub fn cause(&self, input: usize) -> Option<DropCause> {
+        if self.injected.contains(input) {
+            Some(DropCause::Injected)
+        } else if self.corrupted.contains(input) {
+            Some(DropCause::Corrupted)
+        } else {
+            None
         }
     }
 }

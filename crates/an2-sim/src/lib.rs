@@ -2,11 +2,19 @@
 //!
 //! This crate provides the evaluation substrate of §3.5 of *High Speed
 //! Switch Scheduling for Local Area Networks* (Anderson et al., ASPLOS
-//! 1992): workload generators ([`traffic`]), the paper's random-access
-//! input buffers ([`voq`]), three switch organizations ([`switch`],
-//! [`fifo_switch`], [`output_queued`]) behind one [`model::SwitchModel`]
-//! trait, queueing metrics ([`metrics`]), and the sweep machinery that
-//! regenerates the delay-vs-load figures ([`experiment`]).
+//! 1992): workload generators ([`traffic`]), three switch organizations
+//! ([`switch`], [`fifo_switch`], [`output_queued`]) behind one
+//! [`model::SwitchModel`] trait, queueing metrics ([`metrics`]), and the
+//! sweep machinery that regenerates the delay-vs-load figures
+//! ([`experiment`]).
+//!
+//! The input-queued crossbar has one engine, [`batch::BatchCrossbar`]:
+//! per-pair FIFOs of arrival stamps, an incremental request matrix, fault
+//! events decoded by [`fault::SwitchFaults`], and queue observations for
+//! queue-aware schedulers. [`switch::CrossbarSwitch`] is its face under
+//! the scheduler's name. The paper's per-flow random-access buffers
+//! ([`voq`]), where several flows share a pair and buffers may be finite,
+//! serve the network simulator and the speedup and hybrid switches.
 //!
 //! # Quick start
 //!

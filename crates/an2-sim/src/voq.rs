@@ -180,10 +180,6 @@ pub struct VoqBuffers<const W: usize = 4> {
     /// [`VoqBuffers::requests`] is a free borrow instead of an `O(N²)`
     /// rebuild every slot.
     requests: RequestMatrixN<W>,
-    /// Scratch for [`VoqBuffers::oldest_per_input`].
-    heads: Vec<Option<Cell>>,
-    /// Scratch: arrival sequence of each entry in `heads`.
-    head_seqs: Vec<u64>,
     /// Per-pair cell budget; `None` = unbounded (the pre-fault default).
     capacity: Option<usize>,
     /// Cells discarded (drop-tail, redirect overflow, stranded flows).
@@ -223,8 +219,6 @@ impl<const W: usize> VoqBuffers<W> {
             total: 0,
             per_input: vec![0; n],
             requests: RequestMatrixN::new(n),
-            heads: Vec::new(),
-            head_seqs: Vec::new(),
             capacity: None,
             drops_total: 0,
             drops_per_input: vec![0; n],
@@ -337,25 +331,6 @@ impl<const W: usize> VoqBuffers<W> {
             .get(&flow)
             .and_then(|&k| self.slab.get(k as usize))
             .map_or(0, |s| s.cells.len())
-    }
-
-    /// The arrival slot of the pair's head-of-line cell — the oldest cell
-    /// that a matching of `(i, j)` would serve next — or `None` when the
-    /// pair has nothing queued. Queue-aware schedulers (MWM-OCF) turn
-    /// this into a cell age; the oldest head across the pair's eligible
-    /// flows is the right notion under both service disciplines, since
-    /// Fifo serves exactly that cell and RoundRobin will not serve an
-    /// older one (there is none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either port is out of range.
-    pub fn pair_head_arrival(&self, i: InputPort, j: OutputPort) -> Option<u64> {
-        let (_, k) = self.oldest_eligible(self.pair_index(i, j));
-        self.slab
-            .get(k as usize)
-            .and_then(|s| s.cells.front())
-            .map(|&(_, cell)| cell.arrival_slot)
     }
 
     /// Walks pair `p`'s eligible list for the flow whose head cell was
@@ -497,9 +472,8 @@ impl<const W: usize> VoqBuffers<W> {
     /// is at its configured capacity.
     ///
     /// A drop rejects the *arriving* cell only: queued cells, flow head
-    /// cells, and eligibility lists are untouched, so
-    /// [`VoqBuffers::oldest_per_input`] and in-flow FIFO order stay valid
-    /// across drops. The flow is still pinned to the cell's output.
+    /// cells, and eligibility lists are untouched, so pair heads and
+    /// in-flow FIFO order stay valid across drops. The flow is still pinned to the cell's output.
     ///
     /// # Panics
     ///
@@ -707,28 +681,6 @@ impl<const W: usize> VoqBuffers<W> {
     pub fn requests(&self) -> &RequestMatrixN<W> {
         &self.requests
     }
-
-    /// Fills an internal buffer (one entry per input) with each input's
-    /// *oldest* queued cell — what a FIFO switch would expose — and returns
-    /// it. Provided for comparison tooling; the FIFO model keeps its own
-    /// simpler buffers. The returned slice borrows scratch storage reused
-    /// across calls.
-    pub fn oldest_per_input(&mut self) -> &[Option<Cell>] {
-        self.heads.clear();
-        self.heads.resize(self.n, None);
-        self.head_seqs.clear();
-        self.head_seqs.resize(self.n, u64::MAX);
-        for s in &self.slab {
-            if let Some(&(seq, cell)) = s.cells.front() {
-                let idx = cell.input.index();
-                if seq < self.head_seqs[idx] {
-                    self.head_seqs[idx] = seq;
-                    self.heads[idx] = Some(cell);
-                }
-            }
-        }
-        &self.heads
-    }
 }
 
 #[cfg(test)]
@@ -814,16 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn oldest_per_input_finds_earliest_queued() {
-        let mut voq = VoqBuffers::new(4);
-        push_ok(&mut voq, cell(4, 0, 3, 5)); // queued first
-        push_ok(&mut voq, cell(4, 0, 1, 7)); // different VOQ, queued later
-        let heads = voq.oldest_per_input();
-        assert_eq!(heads[0].unwrap().arrival_slot, 5);
-        assert!(heads[1].is_none());
-    }
-
-    #[test]
     fn fifo_discipline_serves_across_flows_in_arrival_order() {
         let mut voq = VoqBuffers::with_discipline(4, ServiceDiscipline::Fifo);
         assert_eq!(voq.discipline(), ServiceDiscipline::Fifo);
@@ -891,17 +833,6 @@ mod tests {
         // A different pair of the same input still has room.
         push_ok(&mut voq, cell(4, 0, 2, 0));
         assert_eq!(voq.push(cell(4, 0, 1, 1)), PushOutcome::Dropped);
-    }
-
-    #[test]
-    fn oldest_per_input_stays_valid_after_drops() {
-        let mut voq = VoqBuffers::new(4);
-        voq.set_pair_capacity(Some(1));
-        push_ok(&mut voq, cell(4, 0, 3, 5));
-        assert_eq!(voq.push(cell(4, 0, 3, 6)), PushOutcome::Dropped);
-        let heads = voq.oldest_per_input();
-        // The dropped arrival never entered a queue; the head is untouched.
-        assert_eq!(heads[0].unwrap().arrival_slot, 5);
     }
 
     #[test]

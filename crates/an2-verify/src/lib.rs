@@ -18,7 +18,9 @@
 //!   and Karol cross-checks.
 //! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
 //!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
-//!   oracle for the interned-slab `an2_sim::voq::VoqBuffers`.
+//!   oracle for the interned-slab `an2_sim::voq::VoqBuffers` and, driven
+//!   by a plain slot loop, for the single-switch engine's queues and
+//!   queue observations.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
 //!   scheduler + VOQ pair slot by slot, re-verifying after every slot
 //!   that the matching is a legal (optionally maximal) permutation

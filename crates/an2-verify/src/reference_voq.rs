@@ -9,7 +9,10 @@
 //! interned flow slab and intrusive per-pair lists, and the differential
 //! property test `tests/voq_differential.rs` runs both on the same random
 //! operation sequences and fails on the first divergence in popped cells,
-//! push outcomes, drop counts, request matrices or head-of-line views.
+//! push outcomes, drop counts or request matrices. It is also the queue
+//! oracle of `tests/engine_differential.rs`: a plain slot loop over it,
+//! with [`ReferenceVoq::pair_head_arrival`] giving each pair's head-cell
+//! age, checks the single-switch engine's queue observations.
 
 use an2_sched::det::DetHashMap;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
@@ -254,19 +257,5 @@ impl ReferenceVoq {
     /// flow.
     pub fn requests(&self) -> &RequestMatrix {
         &self.requests
-    }
-
-    /// Each input's oldest queued cell (by push order).
-    pub fn oldest_per_input(&self) -> Vec<Option<Cell>> {
-        let mut heads: Vec<Option<(u64, Cell)>> = vec![None; self.n];
-        for q in self.flows.values() {
-            if let Some(&(seq, cell)) = q.front() {
-                let h = &mut heads[cell.input.index()];
-                if h.is_none_or(|(s, _)| seq < s) {
-                    *h = Some((seq, cell));
-                }
-            }
-        }
-        heads.into_iter().map(|h| h.map(|(_, c)| c)).collect()
     }
 }
