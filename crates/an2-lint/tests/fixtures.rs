@@ -269,8 +269,18 @@ fn the_closure_crosses_crate_boundaries() {
         .find(|(file, _, name, _)| file.ends_with("helper.rs") && name.contains("admit"))
         .expect("admit must be in the v2 closure");
     assert!(admit.3.contains("schedule"), "{admit:?}");
-    // The per-file v1 closure cannot see it: v2 strictly dominates here.
-    assert!(out.closure.v2_fns > out.closure.v1_fns, "{:#?}", out.closure);
+    // The per-file v1 closure cannot see it: v1 holds `schedule` alone,
+    // v2 adds `admit`. This is where the v2/v1 ratio is pinned against the
+    // linter's 1.5x acceptance floor: on the workspace the ratio also moves
+    // with how much code the tree carries, so `workspace_clean.rs` checks
+    // containment there instead.
+    assert_eq!(
+        (out.closure.v2_fns, out.closure.v1_fns),
+        (2, 1),
+        "{:#?}",
+        out.closure
+    );
+    assert!(out.closure.ratio() >= 1.5, "{:#?}", out.closure);
 }
 
 #[test]

@@ -30,7 +30,6 @@
 pub mod cbr;
 pub mod clock;
 pub mod fairness;
-pub mod meter;
 pub mod netsim;
 pub mod shard;
 

@@ -56,7 +56,6 @@ pub mod islip;
 pub mod kgrant;
 mod matching;
 pub mod maximum;
-pub mod multicast;
 pub mod mwm;
 pub mod pim;
 // The one module permitted to contain `unsafe`: the runtime-dispatched

@@ -134,13 +134,6 @@ impl HybridSwitch {
         (self.cbr_departures, self.vbr_departures)
     }
 
-    /// Cells rejected at admission across both buffer pools (drop-tail
-    /// under a finite capacity; 0 when unbounded). Part of the
-    /// conservation ledger: offered = admitted arrivals + `drops()`.
-    pub fn drops(&self) -> u64 {
-        self.cbr.drops() + self.vbr.drops()
-    }
-
     /// Advances one slot with class-tagged arrivals.
     ///
     /// # Panics
@@ -194,7 +187,7 @@ impl HybridSwitch {
     }
 
     fn record_departure(&mut self, cell: &Cell, class: ServiceClass, slot: u64) {
-        self.metrics.on_voq_departure(cell);
+        self.metrics.on_departure(cell);
         match class {
             ServiceClass::Cbr => {
                 self.cbr_departures += 1;
@@ -233,16 +226,13 @@ impl SwitchModel for HybridSwitch {
 
     fn start_measurement(&mut self) {
         self.metrics.restart();
-        self.cbr.reset_flow_departures();
-        self.vbr.reset_flow_departures();
         self.cbr_delay = DelayStats::new();
         self.cbr_departures = 0;
         self.vbr_departures = 0;
     }
 
     fn report(&self) -> SwitchReport {
-        self.metrics
-            .report_voq(self.queued(), &[&self.cbr, &self.vbr])
+        self.metrics.report(self.queued())
     }
 }
 

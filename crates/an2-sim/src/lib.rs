@@ -48,14 +48,12 @@ pub mod fifo_switch;
 pub mod hybrid_switch;
 pub mod metrics;
 pub mod model;
-pub mod multicast_switch;
 pub mod output_queued;
 pub mod sim;
 pub mod speedup_switch;
 pub mod switch;
 pub mod traffic;
 pub mod units;
-pub mod virtual_clock;
 pub mod voq;
 
 pub use batch::BatchCrossbar;

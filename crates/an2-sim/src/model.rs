@@ -7,7 +7,6 @@
 
 use crate::cell::{Arrival, Cell};
 use crate::metrics::{DelayStats, SwitchReport};
-use crate::voq::VoqBuffers;
 use an2_sched::det::DetHashMap;
 
 /// A switch simulated slot-by-slot.
@@ -46,14 +45,8 @@ pub trait SwitchModel {
 ///
 /// Delay is recorded at departure, only for cells that *arrived* during
 /// the measurement window (standard warmup truncation — cells already
-/// queued at warmup's end carry transient state).
-///
-/// Per-flow departure counts come from one of two places. Models whose
-/// cells leave straight from [`VoqBuffers`] let the buffers' flow slab
-/// count them ([`ModelMetrics::on_voq_departure`] +
-/// [`ModelMetrics::report_voq`]), which costs no hash per cell; the other
-/// models count here, in a map keyed by flow id
-/// ([`ModelMetrics::on_departure`] + [`ModelMetrics::report`]).
+/// queued at warmup's end carry transient state). Per-flow departure
+/// counts are kept in a map keyed by flow id.
 #[derive(Clone, Debug)]
 pub(crate) struct ModelMetrics {
     n: usize,
@@ -101,17 +94,11 @@ impl ModelMetrics {
         self.arrivals += 1;
     }
 
-    /// Records a departure, counting it per flow here.
+    /// Records a departure.
     pub(crate) fn on_departure(&mut self, cell: &Cell) {
-        self.on_voq_departure(cell);
-        *self.per_flow.entry(cell.flow.0).or_insert(0) += 1;
-    }
-
-    /// Records a departure whose per-flow count the [`VoqBuffers`] it was
-    /// popped from already keeps.
-    pub(crate) fn on_voq_departure(&mut self, cell: &Cell) {
         self.departures += 1;
         self.per_output[cell.output.index()] += 1;
+        *self.per_flow.entry(cell.flow.0).or_insert(0) += 1;
         if cell.arrival_slot >= self.measure_start {
             self.delay.record(self.slot - cell.arrival_slot);
         }
@@ -123,39 +110,12 @@ impl ModelMetrics {
         self.slot += 1;
     }
 
-    /// The report of a model that counted departures per flow here.
+    /// The statistics since the last [`ModelMetrics::restart`], with
+    /// per-flow departures sorted by flow id.
     pub(crate) fn report(&self, final_occupancy: usize) -> SwitchReport {
         let mut per_flow: Vec<(u64, u64)> =
             self.per_flow.iter().map(|(&f, &c)| (f, c)).collect();
         per_flow.sort_unstable();
-        self.report_with(final_occupancy, per_flow)
-    }
-
-    /// The report of a model whose departures were counted per flow by
-    /// `voqs` (see [`ModelMetrics::on_voq_departure`]); counts of one flow
-    /// in several buffers, or in several incarnations, are summed.
-    pub(crate) fn report_voq<const W: usize>(
-        &self,
-        final_occupancy: usize,
-        voqs: &[&VoqBuffers<W>],
-    ) -> SwitchReport {
-        let mut per_flow = Vec::new();
-        for voq in voqs {
-            voq.flow_departures(&mut per_flow);
-        }
-        per_flow.sort_unstable();
-        per_flow.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 += later.1;
-            }
-            same
-        });
-        self.report_with(final_occupancy, per_flow)
-    }
-
-    /// Assembles the report around `per_flow`, sorted by flow id.
-    fn report_with(&self, final_occupancy: usize, per_flow: Vec<(u64, u64)>) -> SwitchReport {
         SwitchReport {
             delay: self.delay.clone(),
             slots: self.slot - self.measure_start,

@@ -70,13 +70,6 @@ impl SpeedupSwitch {
     pub fn output_queued(&self) -> usize {
         self.output_queues.iter().map(VecDeque::len).sum()
     }
-
-    /// Cells rejected at admission (drop-tail under a finite VOQ capacity;
-    /// always 0 with the default unbounded buffers). Part of the
-    /// conservation ledger: offered = admitted arrivals + `drops()`.
-    pub fn drops(&self) -> u64 {
-        self.voq.drops()
-    }
 }
 
 impl SwitchModel for SpeedupSwitch {

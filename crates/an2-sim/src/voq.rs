@@ -19,7 +19,7 @@
 //! ```text
 //! index: DetHashMap<FlowId, u32>   flow -> slab index, touched once per new flow
 //! slab:  [FlowSlot]                id, route pin, next-eligible link,
-//!                                  departure count, FIFO of (seq, Cell)
+//!                                  FIFO of (seq, Cell)
 //! free:  [u32]                     slots released by drop_flow, reused first
 //! pairs: [PairSlot; n*n]           row-major: eligible-list head/tail,
 //!                                  last-flow cache, queued-cell count
@@ -39,12 +39,10 @@
 //!
 //! `drop_flow` releases a flow's slot to a free list that the next new flow
 //! reuses, so the slab tracks the live flows, not every flow ever seen.
-//! Each slot also counts its departures, which lets a switch report
-//! per-flow departure counts without a hash per departed cell.
 
 use crate::cell::{Cell, FlowId};
 use an2_sched::det::DetHashMap;
-use an2_sched::{InputPort, OutputPort, PortSetN, RequestMatrixN};
+use an2_sched::{InputPort, OutputPort, PortSet, RequestMatrix};
 use std::collections::VecDeque;
 
 /// Outcome of [`VoqBuffers::push`]: whether the buffer admitted the cell.
@@ -106,8 +104,6 @@ struct FlowSlot {
     live: bool,
     /// The next flow in this flow's pair's eligible list, or [`NIL`].
     next: u32,
-    /// Cells popped since the last [`VoqBuffers::reset_flow_departures`].
-    departed: u64,
     /// Queued cells with their push sequence numbers, oldest first.
     cells: VecDeque<(u64, Cell)>,
 }
@@ -134,9 +130,8 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 };
 
 /// The input-side buffer pool of one switch: per-flow FIFO queues plus
-/// per-(input, output) round-robin lists of eligible flows. `W` is the
-/// word count of the request matrix's port sets; the default four words
-/// hold switches of up to 256 ports.
+/// per-(input, output) round-robin lists of eligible flows, for switches
+/// of up to [`PortSet::CAPACITY`] ports.
 ///
 /// # Examples
 ///
@@ -145,7 +140,7 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 /// use an2_sim::cell::{Arrival, Cell, FlowId};
 /// use an2_sched::{InputPort, OutputPort};
 ///
-/// let mut voq: VoqBuffers = VoqBuffers::new(4);
+/// let mut voq = VoqBuffers::new(4);
 /// let a = Arrival::pair(4, InputPort::new(0), OutputPort::new(2));
 /// assert!(voq.push(a.into_cell(0)).is_admitted());
 /// assert_eq!(voq.len(), 1);
@@ -154,7 +149,7 @@ const EMPTY_PAIR: PairSlot = PairSlot {
 /// assert!(voq.is_empty());
 /// ```
 #[derive(Clone, Debug)]
-pub struct VoqBuffers<const W: usize = 4> {
+pub struct VoqBuffers {
     n: usize,
     discipline: ServiceDiscipline,
     /// Monotonic push counter; orders cells across flows for `Fifo`.
@@ -168,9 +163,6 @@ pub struct VoqBuffers<const W: usize = 4> {
     /// `pairs[i * n + j]`: eligible list, last-flow cache and cell count
     /// of pair `(i, j)`.
     pairs: Vec<PairSlot>,
-    /// Departures of flows whose slots `drop_flow` released, kept until
-    /// the next [`VoqBuffers::reset_flow_departures`].
-    retired: DetHashMap<FlowId, u64>,
     /// Total queued cells.
     total: usize,
     /// Queued cells per input (for occupancy metrics).
@@ -179,7 +171,7 @@ pub struct VoqBuffers<const W: usize = 4> {
     /// pair `(i, j)` has an eligible flow. Kept in sync by `push`/`pop` so
     /// [`VoqBuffers::requests`] is a free borrow instead of an `O(N²)`
     /// rebuild every slot.
-    requests: RequestMatrixN<W>,
+    requests: RequestMatrix,
     /// Per-pair cell budget; `None` = unbounded (the pre-fault default).
     capacity: Option<usize>,
     /// Cells discarded (drop-tail, redirect overflow, stranded flows).
@@ -188,13 +180,13 @@ pub struct VoqBuffers<const W: usize = 4> {
     drops_per_input: Vec<u64>,
 }
 
-impl<const W: usize> VoqBuffers<W> {
+impl VoqBuffers {
     /// Creates empty buffers for an `n`-port switch with the AN2
     /// round-robin flow discipline.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > W * 64`.
+    /// Panics if `n == 0` or `n > PortSet::CAPACITY`.
     pub fn new(n: usize) -> Self {
         Self::with_discipline(n, ServiceDiscipline::RoundRobin)
     }
@@ -203,10 +195,10 @@ impl<const W: usize> VoqBuffers<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > W * 64`.
+    /// Panics if `n == 0` or `n > PortSet::CAPACITY`.
     pub fn with_discipline(n: usize, discipline: ServiceDiscipline) -> Self {
         assert!(n > 0, "switch must have at least one port");
-        assert!(n <= PortSetN::<W>::CAPACITY, "switch size {n} out of range");
+        assert!(n <= PortSet::CAPACITY, "switch size {n} out of range");
         Self {
             n,
             discipline,
@@ -215,10 +207,9 @@ impl<const W: usize> VoqBuffers<W> {
             slab: Vec::new(),
             free: Vec::new(),
             pairs: vec![EMPTY_PAIR; n * n],
-            retired: DetHashMap::default(),
             total: 0,
             per_input: vec![0; n],
-            requests: RequestMatrixN::new(n),
+            requests: RequestMatrix::new(n),
             capacity: None,
             drops_total: 0,
             drops_per_input: vec![0; n],
@@ -309,8 +300,8 @@ impl<const W: usize> VoqBuffers<W> {
             i.index() < self.n && j.index() < self.n,
             "pair ({i},{j}) outside switch"
         );
-        debug_assert!(self.n <= PortSetN::<W>::CAPACITY, "constructor bounds n");
-        // an2-lint: allow(overflow-discipline) i, j < n <= W * 64 (asserted above), so i * n + j < n * n fits in usize
+        debug_assert!(self.n <= PortSet::CAPACITY, "constructor bounds n");
+        // an2-lint: allow(overflow-discipline) i, j < n <= PortSet::CAPACITY (asserted above), so i * n + j < n * n fits in usize
         i.index() * self.n + j.index()
     }
 
@@ -444,7 +435,7 @@ impl<const W: usize> VoqBuffers<W> {
     fn intern(&mut self, flow: FlowId, output: OutputPort) -> u32 {
         let k = if let Some(k) = self.free.pop() {
             let s = &mut self.slab[k as usize];
-            debug_assert!(!s.live && s.cells.is_empty() && s.departed == 0);
+            debug_assert!(!s.live && s.cells.is_empty());
             s.id = flow;
             s.output = output;
             s.live = true;
@@ -459,7 +450,6 @@ impl<const W: usize> VoqBuffers<W> {
                 output,
                 live: true,
                 next: NIL,
-                departed: 0,
                 cells: VecDeque::new(),
             });
             k
@@ -524,7 +514,6 @@ impl<const W: usize> VoqBuffers<W> {
         };
         let slot = self.slab.get_mut(k as usize)?;
         let (_, cell) = slot.cells.pop_front()?;
-        slot.departed = slot.departed.wrapping_add(1);
         if slot.cells.is_empty() {
             self.unlink(p, prev, k);
             if self.pairs[p].head == NIL {
@@ -615,8 +604,7 @@ impl<const W: usize> VoqBuffers<W> {
     /// discarded (all counted as drops).
     ///
     /// The flow's slab slot goes back to the free list for the next new
-    /// flow; its departure count so far is kept for
-    /// [`VoqBuffers::flow_departures`].
+    /// flow.
     pub fn drop_flow(&mut self, flow: FlowId) -> usize {
         let Some(k) = self.index.remove(&flow) else {
             return 0;
@@ -641,44 +629,14 @@ impl<const W: usize> VoqBuffers<W> {
         slot.cells.clear();
         slot.live = false;
         slot.next = NIL;
-        let departed = std::mem::take(&mut slot.departed);
-        if departed > 0 {
-            *self.retired.entry(flow).or_insert(0) += departed;
-        }
         self.free.push(k);
         count
-    }
-
-    /// Cells popped per flow since construction or the last
-    /// [`VoqBuffers::reset_flow_departures`], as `(flow id, departures)`
-    /// for every flow with at least one, appended to `out` in no
-    /// particular order. Flows released by [`VoqBuffers::drop_flow`] keep
-    /// their count; a flow dropped and seen again may appear twice, once
-    /// per incarnation, so callers that need one entry per flow sort and
-    /// merge (as `SwitchReport::departures_per_flow` does).
-    pub fn flow_departures(&self, out: &mut Vec<(u64, u64)>) {
-        out.extend(
-            self.slab
-                .iter()
-                .filter(|s| s.departed > 0)
-                .map(|s| (s.id.0, s.departed)),
-        );
-        out.extend(self.retired.iter().map(|(f, &c)| (f.0, c)));
-    }
-
-    /// Zeroes every per-flow departure count (a switch's measurement
-    /// window restarting).
-    pub fn reset_flow_departures(&mut self) {
-        for s in &mut self.slab {
-            s.departed = 0;
-        }
-        self.retired.clear();
     }
 
     /// The request matrix for the next slot: pair `(i, j)` requests iff it
     /// has at least one eligible flow. Maintained incrementally by
     /// `push`/`pop`, so this is a borrow, not a rebuild.
-    pub fn requests(&self) -> &RequestMatrixN<W> {
+    pub fn requests(&self) -> &RequestMatrix {
         &self.requests
     }
 }
@@ -800,7 +758,7 @@ mod tests {
 
     #[test]
     fn empty_pair_pop_is_none() {
-        let mut voq: VoqBuffers = VoqBuffers::new(2);
+        let mut voq = VoqBuffers::new(2);
         assert!(voq.pop(InputPort::new(0), OutputPort::new(0)).is_none());
     }
 
@@ -953,29 +911,5 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![8, 7]);
-    }
-
-    #[test]
-    fn flow_departures_count_pops_and_survive_drop_flow() {
-        let mut voq = VoqBuffers::new(4);
-        for s in 0..3 {
-            push_ok(&mut voq, flow_cell(5, 0, 1, s));
-            push_ok(&mut voq, flow_cell(6, 1, 1, s));
-        }
-        voq.pop(InputPort::new(0), OutputPort::new(1)).unwrap();
-        voq.pop(InputPort::new(0), OutputPort::new(1)).unwrap();
-        voq.pop(InputPort::new(1), OutputPort::new(1)).unwrap();
-        assert_eq!(voq.drop_flow(FlowId(5)), 1);
-        // Flow 5 comes back on another pair and departs once more.
-        push_ok(&mut voq, flow_cell(5, 2, 3, 9));
-        voq.pop(InputPort::new(2), OutputPort::new(3)).unwrap();
-        let mut out = Vec::new();
-        voq.flow_departures(&mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![(5, 1), (5, 2), (6, 1)]);
-        voq.reset_flow_departures();
-        out.clear();
-        voq.flow_departures(&mut out);
-        assert!(out.is_empty());
     }
 }

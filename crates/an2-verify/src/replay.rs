@@ -148,7 +148,7 @@ impl ReplayCase {
             n: u64_field(json, "n")? as usize,
             active_ports: u64_field(json, "active_ports")? as usize,
             seed: u64_field(json, "seed")?,
-            load: f64_field(json, "load")?,
+            load: load_field(json, "load")?,
             slots: u64_field(json, "slots")?,
             iterations: u64_field(json, "iterations")? as usize,
             accept: str_field(json, "accept")?,
@@ -276,6 +276,20 @@ fn f64_field(json: &str, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("replay.json: bad \"{key}\": {e}"))
 }
 
+/// An offered load: a finite fraction in [0, 1]. A bare `f64` parse
+/// would take `NaN` or `-1`, and the run would then offer no cells and
+/// report a clean case.
+fn load_field(json: &str, key: &str) -> Result<f64, String> {
+    let load = f64_field(json, key)?;
+    if (0.0..=1.0).contains(&load) {
+        Ok(load)
+    } else {
+        Err(format!(
+            "replay.json: \"{key}\" must lie in [0, 1], got {load}"
+        ))
+    }
+}
+
 fn bool_field(json: &str, key: &str) -> Result<bool, String> {
     match lexeme(value_after(json, key)?) {
         "true" => Ok(true),
@@ -392,5 +406,16 @@ mod tests {
             ReplayCase::from_json(&json.replace("\"version\": 1,", "\"version\": 4294967297,"))
                 .expect_err("wrapped version");
         assert_eq!(err.to_string(), "unsupported replay version 4294967297");
+        // A load that no run can offer is refused, naming the key.
+        for load in ["NaN", "-1", "1.5", "inf"] {
+            let bad = json.replace("\"load\": 1,", &format!("\"load\": {load},"));
+            assert_ne!(bad, json);
+            match ReplayCase::from_json(&bad) {
+                Err(ReplayParseError::Field(message)) => {
+                    assert!(message.contains("\"load\""), "{message}");
+                }
+                other => panic!("load {load} accepted: {other:?}"),
+            }
+        }
     }
 }

@@ -65,7 +65,6 @@ fn cbr_flows_get_exactly_their_reserved_slots_per_frame() {
     let (cbr, vbr) = sw.departures_by_class();
     assert!(cbr >= (frames - 1) * per_frame);
     assert!(vbr > 0, "datagram traffic still flows around the reservations");
-    assert_eq!(sw.drops(), 0, "unbounded buffers drop nothing");
     assert!(
         sw.cbr_queued() <= per_frame as usize,
         "CBR backlog must stay bounded by one frame of demand"

@@ -8,10 +8,8 @@
 //! output, so the last-flow cache, the intrusive eligible lists and the
 //! slab's free list all see churn. After every call the two must agree on
 //! the returned cell or outcome and on every observable: lengths and
-//! occupancies, drop counters and the request matrix. At the end, the
-//! slab's per-flow departure counts must equal a tally of the popped cells.
+//! occupancies, drop counters and the request matrix.
 
-use an2_sched::det::DetHashMap;
 use an2_sched::{InputPort, OutputPort};
 use an2_sim::cell::{Cell, FlowId};
 use an2_sim::voq::{ServiceDiscipline, VoqBuffers};
@@ -54,7 +52,6 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
         .collect();
     let mut voq = VoqBuffers::with_discipline(n, discipline);
     let mut reference = ReferenceVoq::new(n, discipline);
-    let mut departed: DetHashMap<u64, u64> = DetHashMap::default();
     for (step, &(kind, a, b)) in script.iter().enumerate() {
         let f = a % flows;
         match kind {
@@ -77,11 +74,11 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
                 } else {
                     (input(f), pin[f as usize])
                 };
-                let cell = voq.pop(i, j);
-                assert_eq!(cell, reference.pop(i, j), "pop ({i},{j}) at {step}");
-                if let Some(c) = cell {
-                    *departed.entry(c.flow.0).or_insert(0) += 1;
-                }
+                assert_eq!(
+                    voq.pop(i, j),
+                    reference.pop(i, j),
+                    "pop ({i},{j}) at {step}"
+                );
             }
             80..=87 => {
                 let to = OutputPort::new(b as usize % n);
@@ -107,13 +104,6 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
         }
         assert_same(&voq, &reference, n, flows);
     }
-    let mut counted = Vec::new();
-    voq.flow_departures(&mut counted);
-    let mut merged: DetHashMap<u64, u64> = DetHashMap::default();
-    for (f, c) in counted {
-        *merged.entry(f).or_insert(0) += c;
-    }
-    assert_eq!(merged, departed, "per-flow departure counts");
 }
 
 fn script() -> impl Strategy<Value = Vec<Op>> {
