@@ -208,16 +208,17 @@ fn probe_case(name: &str, seed: u64, skew: usize) -> ReplayCase {
     let mut case = ReplayCase::new(16, seed, 0.7, 512);
     case.accept_skew = skew;
     match name {
-        // Iteration-count studies: run to completion and demand maximality.
+        // Iteration-count studies: run to completion (`n` iterations) and
+        // demand maximality.
         "table1" | "fig2" | "fig8" | "appendix-c" | "stat-fairness" => {
-            case.iterations = 0;
+            case.iterations = case.n;
             case.expect_maximal = true;
         }
         // The O(log N) bound is about large switches.
         "appendix-a" => {
             case.n = 64;
             case.active_ports = 64;
-            case.iterations = 0;
+            case.iterations = case.n;
             case.expect_maximal = true;
             case.slots = 256;
         }
@@ -361,6 +362,24 @@ mod tests {
             let summary = check_experiment(name, 0xA52_1992, 0)
                 .unwrap_or_else(|f| panic!("{name}: {}", f.violation));
             assert!(summary.checks > 0, "{name} ran no checks");
+        }
+    }
+
+    #[test]
+    fn every_capture_a_probe_writes_parses_back() {
+        // The replay reader's bounds (iterations and active ports in
+        // 1..=n, the slot cap) must admit every case a probe can emit.
+        let mut cases: Vec<ReplayCase> = [
+            "table1", "fig3", "fig8", "appendix-a", "karol", "ablate-sched", "ablate-rng",
+        ]
+        .iter()
+        .map(|name| probe_case(name, 0xA52_1992, 1))
+        .collect();
+        cases.push(ReplayCase::new(16, 3, 0.7, 128)); // queue-aware probe
+        cases.push(ReplayCase::new(4, 3, 0.5, 512)); // network probes
+        for case in cases {
+            let parsed = ReplayCase::from_json(&case.to_json());
+            assert_eq!(parsed.as_ref(), Ok(&case), "{case:?}");
         }
     }
 

@@ -5,11 +5,13 @@
 //! Each reader gets a valid document cut short at every byte, and the
 //! same document with random single-byte substitutions, insertions and
 //! deletions. Every call must return `Ok` or `Err`; a panic fails the
-//! test. Edits that leave invalid UTF-8 are decoded lossily, as no reader
+//! test, and so does a replay case accepted with a budget no replay can
+//! run to the end. Edits that leave invalid UTF-8 are decoded lossily, as no reader
 //! is ever handed anything but a `&str`.
 
 use an2_bench::perf;
-use an2_verify::ReplayCase;
+use an2_verify::replay::MAX_REPLAY_SLOTS;
+use an2_verify::{ReplayCase, ReplayParseError};
 use proptest::prelude::*;
 
 /// The committed `BENCH_sched.json`: a v3 report with both `cases` and
@@ -79,7 +81,61 @@ fn replay_capture_survives_truncation_at_every_byte() {
         "the intact capture parses"
     );
     for end in 0..json.len() {
-        let _ = ReplayCase::from_json(&json[..end]);
+        replay_reader(&json[..end]);
+    }
+}
+
+/// Parses `doc` with the replay reader and, when it is accepted, checks
+/// that the case is one a replay can run to the end: every budget in range.
+fn replay_reader(doc: &str) {
+    if let Ok(case) = ReplayCase::from_json(doc) {
+        assert!((1..=case.n).contains(&case.iterations), "{case:?}");
+        assert!((1..=case.n).contains(&case.active_ports), "{case:?}");
+        assert!(case.slots <= MAX_REPLAY_SLOTS, "{case:?}");
+    }
+}
+
+#[test]
+fn replay_refuses_budgets_no_capture_holds() {
+    // Each edit is one a hand-edited capture could carry. Before the
+    // bounds, the first made `an2-repro replay` spin past 10 s in PIM's
+    // iteration loop; the test only parses, so a lost bound fails here
+    // at once instead of hanging a replay.
+    let json = replay_capture();
+    let cases = [
+        (
+            (
+                "\"iterations\": 4,",
+                "\"iterations\": 18446744073709551615,",
+            ),
+            ReplayParseError::Iterations {
+                iterations: u64::MAX,
+                n: 16,
+            },
+        ),
+        (
+            ("\"iterations\": 4,", "\"iterations\": 0,"),
+            ReplayParseError::Iterations {
+                iterations: 0,
+                n: 16,
+            },
+        ),
+        (
+            ("\"active_ports\": 16,", "\"active_ports\": 99999,"),
+            ReplayParseError::ActivePorts {
+                active_ports: 99_999,
+                n: 16,
+            },
+        ),
+        (
+            ("\"slots\": 512,", "\"slots\": 18446744073709551615,"),
+            ReplayParseError::Slots(u64::MAX),
+        ),
+    ];
+    for ((from, to), want) in cases {
+        let edited = json.replace(from, to);
+        assert_ne!(edited, json, "{from} must occur in the capture");
+        assert_eq!(ReplayCase::from_json(&edited), Err(want));
     }
 }
 
@@ -109,7 +165,7 @@ proptest! {
         syntax in proptest::bool::ANY,
         byte in any::<u8>(),
     ) {
-        let _ = ReplayCase::from_json(&edit(&replay_capture(), at, kind, syntax, byte));
+        replay_reader(&edit(&replay_capture(), at, kind, syntax, byte));
     }
 
     #[test]

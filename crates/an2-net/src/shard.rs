@@ -32,14 +32,35 @@
 //! keep their request matrix, matching and masks in one 64-bit word per
 //! row, which the four-word width would zero and scan four times over.
 //!
-//! The end-of-run [`ShardReport`] aggregates per-switch counters in index
-//! order and carries an FNV digest over them, so `--threads 1` and
-//! `--threads 8` runs can be byte-compared.
+//! State follows traffic, as the paper's shared random-access input
+//! buffers do (§2.4). A radix-16 switch keeps an 832-byte record (RNG,
+//! counters, fault state, the scheduler's fixed part), a 4-byte queue
+//! handle per pair (1 KB), a queue slab ([`QueueSlab`] of packed `u64`
+//! cells) that starts with eight 64-byte records and holds one only per
+//! pair with queued cells, and PIM's per-port streams and request rows.
+//! That is 4.4 KB of heap per switch when the thousand-switch ring is
+//! built and 4.6 KB after its 10k slots (peak heap over the 1000
+//! switches, counting allocator), against 13.2 and 14.2 KB with a ring
+//! buffer per pair and a delay sketch per switch. Only the `2 * radix - 1`
+//! pairs into the ring port or out of the ring input ever hold a cell.
+//!
+//! What the run reports about delivered cells (the delay sketch, the
+//! summed delay, the faulted runs' per-window deliveries) is gathered
+//! once per lockstep part, not per switch: [`Pool::lockstep`] hands each
+//! part its own tally, and the tallies merge by addition in part order,
+//! which no partition can change. The end-of-run [`ShardReport`]
+//! aggregates per-switch counters in index order and carries an FNV
+//! digest over them, so `--threads 1` and `--threads 8` runs can be
+//! byte-compared.
+//!
+//! Cells carry the low 32 bits of their injection slot, and a delay is
+//! the wrapping difference of two stamps, so runs may pass 2^32 slots.
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{with_port_width, PimN, RequestMatrixN, Scheduler};
 use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, SwitchFaults};
 use an2_sim::metrics::QuantileSketch;
+use an2_sim::slab::{QueueSlab, NO_QUEUE};
 use an2_task::{task_seed, Pool};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,9 +69,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAX_SWITCHES: usize = 1 << 20;
 
 /// A ring-link half carrying no cell. [`pack`] never produces it: a
-/// packed cell's port field is below the radix (at most 256, not `0xFFF`)
-/// and its slot field is below `u32::MAX`, both enforced by
-/// [`ShardNetConfig::validate`].
+/// packed cell's port field is below the radix (at most 256, enforced by
+/// [`ShardNetConfig::validate`]), never the all-ones `0xFFF`.
 const EMPTY: u64 = u64::MAX;
 
 /// One ring link, owned by its sender: the cell sent in slot `s` waits in
@@ -89,62 +109,16 @@ impl Link {
 /// probes the link within `MAX_BACKOFF` slots of it physically returning.
 const MAX_BACKOFF: u64 = 64;
 
+/// Queue records a switch's slab starts with, besides its sentinel: eight
+/// records fill 512 bytes. At the thousand-switch ring's load a switch
+/// seldom has more than seven pairs holding cells at once; a busier one
+/// grows its slab to its peak and then recycles records.
+const SLAB_RESERVE: usize = 7;
+
 /// Slots per throughput-recovery window in faulted runs: delivered-cell
 /// counts are bucketed at this granularity so the chaos driver can find
 /// the slot where post-fault throughput regains its pre-fault baseline.
 pub const FAULT_WINDOW: u64 = 32;
-
-/// A growable FIFO of packed transit cells with power-of-two capacity;
-/// the per-pair VOQ storage of a shard switch. Same shape as the batch
-/// engine's slot ring, but carrying `u64` payloads (routed cells), not
-/// bare arrival slots.
-#[derive(Debug, Default)]
-struct Ring {
-    buf: Box<[u64]>,
-    head: u32,
-    len: u32,
-}
-
-impl Ring {
-    #[inline]
-    // an2-lint: allow(overflow-discipline) grow() runs first, so len < capacity before the increment
-    // an2-lint: allow(panic-freedom) tail is masked by the power-of-two ring capacity
-    fn enqueue(&mut self, v: u64) {
-        if self.len as usize == self.buf.len() {
-            self.grow();
-        }
-        let mask = self.buf.len() - 1;
-        let tail = (self.head as usize + self.len as usize) & mask;
-        self.buf[tail] = v;
-        self.len += 1;
-    }
-
-    #[inline]
-    // an2-lint: allow(overflow-discipline) callers only dequeue VOQs the request matrix marks non-empty (the debug_assert pins len > 0)
-    // an2-lint: allow(panic-freedom) head is masked by the power-of-two ring capacity
-    fn dequeue(&mut self) -> u64 {
-        debug_assert!(self.len > 0, "dequeue from empty ring");
-        let mask = self.buf.len() - 1;
-        let v = self.buf[self.head as usize];
-        self.head = ((self.head as usize + 1) & mask) as u32;
-        self.len -= 1;
-        v
-    }
-
-    /// Doubles capacity, compacting the live window to the front.
-    // an2-lint: cold
-    #[cold]
-    fn grow(&mut self) {
-        let cap = self.buf.len();
-        let mut next = vec![0u64; (cap * 2).max(4)].into_boxed_slice();
-        let mask = cap.max(1) - 1;
-        for k in 0..self.len as usize {
-            next[k] = self.buf[(self.head as usize + k) & mask];
-        }
-        self.buf = next;
-        self.head = 0;
-    }
-}
 
 /// Scenario parameters for a sharded ring-network run.
 #[derive(Clone, Copy, Debug)]
@@ -182,8 +156,9 @@ impl ShardNetConfig {
     }
 
     /// Checks every range the packed cell format and the ring links rely
-    /// on; together they keep a packed cell distinct from the link's
-    /// [`EMPTY`] sentinel.
+    /// on; the radix bound keeps a packed cell distinct from the link's
+    /// [`EMPTY`] sentinel. The slot count is unbounded: cells carry the
+    /// slot's low 32 bits, and delays are wrapping differences.
     fn validate(&self) {
         assert!(self.switches >= 2, "a ring needs at least two switches");
         assert!(
@@ -199,19 +174,18 @@ impl ShardNetConfig {
             (0.0..=1.0).contains(&self.host_load),
             "host_load must be a probability"
         );
-        assert!(self.slots < u32::MAX as u64, "slot counter is packed in 32 bits");
     }
 }
 
 /// Packed transit cell: destination switch (20 bits), destination host
-/// port (12 bits), injection slot (32 bits).
+/// port (12 bits), low 32 bits of the injection slot.
 #[inline]
-fn pack(dst_switch: usize, dst_port: usize, slot: u64) -> u64 {
+fn pack(dst_switch: usize, dst_port: usize, stamp: u32) -> u64 {
     debug_assert!(
-        dst_switch < MAX_SWITCHES && dst_port < 0xFFF && slot < u64::from(u32::MAX),
-        "cell fields out of range: switch {dst_switch}, port {dst_port}, slot {slot}"
+        dst_switch < MAX_SWITCHES && dst_port < 0xFFF,
+        "cell fields out of range: switch {dst_switch}, port {dst_port}"
     );
-    ((dst_switch as u64) << 44) | ((dst_port as u64) << 32) | slot
+    ((dst_switch as u64) << 44) | ((dst_port as u64) << 32) | u64::from(stamp)
 }
 
 #[inline]
@@ -224,14 +198,61 @@ fn dst_port(cell: u64) -> usize {
     ((cell >> 32) & 0xFFF) as usize
 }
 
+/// The low 32 bits of the slot `cell` was injected in.
 #[inline]
-fn inject_slot(cell: u64) -> u64 {
-    cell & 0xFFFF_FFFF
+fn stamp(cell: u64) -> u32 {
+    cell as u32
 }
 
-/// One ring switch: private RNG, PIM scheduler, per-pair VOQ rings, and
-/// the single-cell buffers for the ring link's receive and send ends, on
-/// `W`-word port sets.
+/// What one lockstep part gathers from the switches it steps: the delays
+/// of the cells they deliver and, in faulted runs, the deliveries per
+/// [`FAULT_WINDOW`]. Every field merges by addition (the sketch bucket by
+/// bucket), so the merged tally is the same however the ring was split.
+#[derive(Debug)]
+struct PartTally {
+    /// Summed end-to-end delay of the delivered cells.
+    delay_sum: u128,
+    delay: QuantileSketch,
+    /// Delivered-cell counts per window; empty in fault-free runs.
+    windows: Vec<u64>,
+    /// The window the current slot falls in.
+    window: usize,
+}
+
+impl PartTally {
+    fn new(buckets: usize) -> Self {
+        Self {
+            delay_sum: 0,
+            delay: QuantileSketch::new(),
+            windows: vec![0; buckets],
+            window: 0,
+        }
+    }
+
+    /// Records a cell delivered `d` slots after its injection.
+    #[inline]
+    // an2-lint: allow(overflow-discipline) monotone sums of delivered cells and their delays, bounded by the run's cell-slots
+    fn deliver(&mut self, d: u64) {
+        self.delay_sum += u128::from(d);
+        self.delay.record(d);
+        if let Some(w) = self.windows.get_mut(self.window) {
+            *w += 1;
+        }
+    }
+
+    /// Adds `other` into this tally.
+    fn merge(&mut self, other: &PartTally) {
+        self.delay_sum += other.delay_sum;
+        self.delay.merge(&other.delay);
+        for (w, &v) in self.windows.iter_mut().zip(&other.windows) {
+            *w += v;
+        }
+    }
+}
+
+/// One ring switch: private RNG, PIM scheduler, per-pair queue handles
+/// into its own queue slab, and the single-cell buffers for the ring
+/// link's receive and send ends, on `W`-word port sets.
 #[derive(Debug)]
 struct SwitchShard<const W: usize> {
     k: usize,
@@ -242,14 +263,18 @@ struct SwitchShard<const W: usize> {
     rng: Xoshiro256,
     sched: PimN<Xoshiro256, W>,
     requests: RequestMatrixN<W>,
-    rings: Vec<Ring>,
+    /// One [`QueueSlab`] handle per pair, row-major; [`NO_QUEUE`] while
+    /// the pair holds no cell.
+    handles: Vec<u32>,
+    /// Queue records of the pairs holding cells: on the ring only the
+    /// `2 * radix - 1` pairs into the ring port or out of the ring input
+    /// ever do, and at light load a few at a time.
+    slab: QueueSlab<u64>,
     inbox: Option<u64>,
     outbox: Option<u64>,
     queued: u64,
     injected: u64,
     delivered: u64,
-    delay_sum: u128,
-    sketch: QuantileSketch,
     // --- fault state (inert in fault-free runs) ---------------------
     /// This switch's slice of the campaign's fault plan.
     plan: FaultPlan,
@@ -278,16 +303,11 @@ struct SwitchShard<const W: usize> {
     /// reservation latency in slots.
     recoveries: u64,
     recovery_slots: u64,
-    /// Delivered-cell counts per [`FAULT_WINDOW`]-slot bucket; empty in
-    /// fault-free runs (the faulted runner pre-sizes it).
-    windows: Vec<u32>,
 }
 
 impl<const W: usize> SwitchShard<W> {
     fn new(cfg: &ShardNetConfig, k: usize) -> Self {
         let seed = task_seed(cfg.seed, &format!("sw{k}"));
-        let mut rings = Vec::new();
-        rings.resize_with(cfg.radix * cfg.radix, Ring::default);
         Self {
             k,
             switches: cfg.switches,
@@ -297,14 +317,13 @@ impl<const W: usize> SwitchShard<W> {
             rng: Xoshiro256::seed_from(seed),
             sched: PimN::new(cfg.radix, seed),
             requests: RequestMatrixN::new(cfg.radix),
-            rings,
+            handles: vec![NO_QUEUE; cfg.radix * cfg.radix],
+            slab: QueueSlab::with_capacity(SLAB_RESERVE),
             inbox: None,
             outbox: None,
             queued: 0,
             injected: 0,
             delivered: 0,
-            delay_sum: 0,
-            sketch: QuantileSketch::new(),
             plan: FaultPlan::new(),
             faults: SwitchFaults::new(cfg.radix),
             link_up: true,
@@ -318,13 +337,12 @@ impl<const W: usize> SwitchShard<W> {
             res_failures: 0,
             recoveries: 0,
             recovery_slots: 0,
-            windows: Vec::new(),
         }
     }
 
     #[inline]
-    // an2-lint: allow(overflow-discipline) queued counts resident cells, bounded by total ring capacity
-    // an2-lint: allow(panic-freedom) p = input * radix + output with both factors < radix, so p < rings.len()
+    // an2-lint: allow(overflow-discipline) queued counts resident cells, bounded by the slab's records
+    // an2-lint: allow(panic-freedom) p = input * radix + output with both factors < radix, so p < handles.len()
     fn enqueue_cell(&mut self, input: usize, cell: u64) {
         let output = if dst_switch(cell) == self.k {
             dst_port(cell)
@@ -332,27 +350,27 @@ impl<const W: usize> SwitchShard<W> {
             0
         };
         let p = input * self.radix + output;
-        if self.rings[p].len == 0 {
+        if self.slab.admit(&mut self.handles[p], cell) {
             self.requests.set(
                 an2_sched::InputPort::new(input),
                 an2_sched::OutputPort::new(output),
             );
         }
-        self.rings[p].enqueue(cell);
         self.queued += 1;
     }
 
     /// One slot: take the predecessor's cell off its link, run the slot
     /// (under this switch's fault plan when `FAULTED`), then put the
-    /// outgoing cell, or [`EMPTY`], on this switch's own link.
+    /// outgoing cell, or [`EMPTY`], on this switch's own link. Delivered
+    /// cells are recorded in `tally`, the stepping part's.
     // an2-lint: hot
-    fn step<const FAULTED: bool>(&mut self, slot: u64, links: &[Link]) {
+    fn step<const FAULTED: bool>(&mut self, slot: u64, links: &[Link], tally: &mut PartTally) {
         debug_assert_eq!(links.len(), self.switches, "one link per switch");
         self.receive(links, slot);
         if FAULTED {
-            self.faulted_slot(slot);
+            self.faulted_slot(slot, tally);
         } else {
-            self.advance(slot, &LostArrivals::default(), true);
+            self.advance(slot, &LostArrivals::default(), true, tally);
         }
         let out = self.outbox.take().unwrap_or(EMPTY);
         if let Some(link) = links.get(self.k) {
@@ -380,7 +398,7 @@ impl<const W: usize> SwitchShard<W> {
     /// never depends on fault state.
     // an2-lint: hot
     // an2-lint: allow(overflow-discipline) monotone u64 fault counters; slot >= down_since and backoff is clamped to MAX_BACKOFF, so the slot arithmetic cannot wrap
-    fn faulted_slot(&mut self, slot: u64) {
+    fn faulted_slot(&mut self, slot: u64, tally: &mut PartTally) {
         let mut lost = LostArrivals::default();
         let mut mask_changed = false;
         // Move the plan out so event handling can borrow `self` freely.
@@ -429,7 +447,7 @@ impl<const W: usize> SwitchShard<W> {
             self.sched.set_port_mask(self.faults.mask());
         }
         let schedule = self.faults.schedules(slot);
-        self.advance(slot, &lost, schedule);
+        self.advance(slot, &lost, schedule, tally);
         if !self.link_up && self.outbox.take().is_some() {
             self.dropped += 1;
         }
@@ -439,11 +457,20 @@ impl<const W: usize> SwitchShard<W> {
     /// happen for every host arrival whether or not a fault consumes it,
     /// so masking and drops are draw-neutral. An idle crossbar skips the
     /// scheduler call, which PIM declares draw-neutral
-    /// ([`Scheduler::idle_slot_is_noop`]).
+    /// ([`Scheduler::idle_slot_is_noop`]). Cells are stamped with the
+    /// slot's low 32 bits and a delay is the wrapping difference of two
+    /// stamps, so runs may pass 2^32 slots.
     // an2-lint: hot
-    // an2-lint: allow(overflow-discipline) queued mirrors ring occupancy; slot >= inject_slot(cell) since cells are injected at or before the current slot; delivery counters are monotone u64
-    // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < rings.len()
-    fn advance(&mut self, slot: u64, lost: &LostArrivals<W>, schedule: bool) {
+    // an2-lint: allow(overflow-discipline) queued mirrors slab occupancy; delivery counters are monotone u64
+    // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i and j are < radix and p < handles.len()
+    fn advance(
+        &mut self,
+        slot: u64,
+        lost: &LostArrivals<W>,
+        schedule: bool,
+        tally: &mut PartTally,
+    ) {
+        let now = slot as u32;
         if let Some(cell) = self.inbox.take() {
             if lost.cause(0).is_some() {
                 // The cell in flight on the (dying or glitching) ring link
@@ -461,7 +488,7 @@ impl<const W: usize> SwitchShard<W> {
                 if lost.cause(h).is_some() {
                     self.dropped += 1;
                 } else {
-                    self.enqueue_cell(h, pack(d, q, slot));
+                    self.enqueue_cell(h, pack(d, q, now));
                 }
             }
         }
@@ -471,8 +498,8 @@ impl<const W: usize> SwitchShard<W> {
         let matching = self.sched.schedule(&self.requests);
         for (i, j) in matching.pairs() {
             let p = i.index() * self.radix + j.index();
-            let cell = self.rings[p].dequeue();
-            if self.rings[p].len == 0 {
+            let (cell, drained) = self.slab.serve(&mut self.handles[p]);
+            if drained {
                 self.requests.clear(i, j);
             }
             self.queued -= 1;
@@ -480,13 +507,8 @@ impl<const W: usize> SwitchShard<W> {
                 debug_assert!(self.outbox.is_none(), "two cells matched onto the ring link");
                 self.outbox = Some(cell);
             } else {
-                let d = slot - inject_slot(cell);
                 self.delivered += 1;
-                self.delay_sum += d as u128;
-                self.sketch.record(d);
-                if !self.windows.is_empty() {
-                    self.windows[(slot / FAULT_WINDOW) as usize] += 1;
-                }
+                tally.deliver(u64::from(now.wrapping_sub(stamp(cell))));
             }
         }
     }
@@ -560,7 +582,7 @@ impl fmt::Display for ShardReport {
 /// Panics if the configuration is out of range (see [`ShardNetConfig`]
 /// field docs) or if cell conservation is violated.
 pub fn run_shard_net(cfg: &ShardNetConfig, pool: &Pool) -> ShardReport {
-    let r = with_port_width!(cfg.radix, W => drive::<W, false>(cfg, &FaultPlan::new(), pool));
+    let r = with_port_width!(cfg.radix, W => drive::<W, false>(cfg, &FaultPlan::new(), pool, 0));
     ShardReport {
         slots: r.slots,
         switches: r.switches,
@@ -706,18 +728,21 @@ pub fn run_shard_net_faulted(
     plan: &FaultPlan,
     pool: &Pool,
 ) -> ShardFaultReport {
-    with_port_width!(cfg.radix, W => drive::<W, true>(cfg, plan, pool))
+    with_port_width!(cfg.radix, W => drive::<W, true>(cfg, plan, pool, 0))
 }
 
 /// The driver behind both runners, on `W`-word port sets. It builds the
 /// ring on the calling thread, steps it on `pool` with one lockstep round
-/// per slot, and reduces the per-switch counters in switch-index order.
-/// A fault-free run (`FAULTED == false`) ignores `plan`, keeps no window
-/// buckets, and leaves its always-zero drop count out of the digest.
+/// per slot from slot `start` (0 outside tests), and reduces the
+/// per-switch counters in switch-index order and the parts' tallies in
+/// part order. A fault-free run (`FAULTED == false`) ignores `plan`,
+/// keeps no window buckets, and leaves its always-zero drop count out of
+/// the digest.
 fn drive<const W: usize, const FAULTED: bool>(
     cfg: &ShardNetConfig,
     plan: &FaultPlan,
     pool: &Pool,
+    start: u64,
 ) -> ShardFaultReport {
     cfg.validate();
     let k = cfg.switches;
@@ -730,19 +755,24 @@ fn drive<const W: usize, const FAULTED: bool>(
     if FAULTED {
         for (sw, events) in switches.iter_mut().zip(split_plan(plan, k)) {
             sw.plan = FaultPlan::from_events(events);
-            sw.windows = vec![0u32; buckets];
         }
     }
     let links: Vec<Link> = (0..k).map(|_| Link::new()).collect();
-    pool.lockstep(&mut switches, cfg.slots, |slot, part| {
-        for sw in part {
-            sw.step::<FAULTED>(slot, &links);
-        }
-    });
+    let tallies = pool.lockstep(
+        &mut switches,
+        cfg.slots,
+        || PartTally::new(buckets),
+        |round, part, tally| {
+            tally.window = (round / FAULT_WINDOW) as usize;
+            for sw in part {
+                sw.step::<FAULTED>(start + round, &links, tally);
+            }
+        },
+    );
     // Cells sent in the last slot are still on the wire; they count as
     // in flight at their receiver, as if it were starting one more slot.
     for sw in &mut switches {
-        sw.receive(&links, cfg.slots);
+        sw.receive(&links, start + cfg.slots);
     }
 
     // Deterministic reduction in switch-index order.
@@ -755,9 +785,10 @@ fn drive<const W: usize, const FAULTED: bool>(
     let mut res_failures = 0u64;
     let mut recoveries = 0u64;
     let mut recovery_slots = 0u64;
-    let mut delay_sum = 0u128;
-    let mut delay = QuantileSketch::new();
-    let mut windows = vec![0u64; buckets];
+    let mut tally = PartTally::new(buckets);
+    for part in &tallies {
+        tally.merge(part);
+    }
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let fold = |d: &mut u64, v: u64| {
         for b in v.to_le_bytes() {
@@ -775,11 +806,6 @@ fn drive<const W: usize, const FAULTED: bool>(
         res_failures += sw.res_failures;
         recoveries += sw.recoveries;
         recovery_slots += sw.recovery_slots;
-        delay_sum += sw.delay_sum;
-        delay.merge(&sw.sketch);
-        for (w, &v) in windows.iter_mut().zip(sw.windows.iter()) {
-            *w += v as u64;
-        }
         fold(&mut digest, sw.injected);
         fold(&mut digest, sw.delivered);
         fold(&mut digest, sw.in_flight());
@@ -802,10 +828,10 @@ fn drive<const W: usize, const FAULTED: bool>(
         mean_delay: if delivered == 0 {
             0.0
         } else {
-            delay_sum as f64 / delivered as f64
+            tally.delay_sum as f64 / delivered as f64
         },
-        delay,
-        windows,
+        delay: tally.delay,
+        windows: tally.windows,
         digest,
     };
     assert!(
@@ -907,12 +933,11 @@ mod tests {
 
     #[test]
     fn packed_cells_at_the_field_limits_round_trip_and_stay_off_the_sentinel() {
-        let slot = u64::from(u32::MAX) - 1;
-        let cell = pack(MAX_SWITCHES - 1, 255, slot);
+        let cell = pack(MAX_SWITCHES - 1, 255, u32::MAX);
         assert_ne!(cell, EMPTY);
         assert_eq!(dst_switch(cell), MAX_SWITCHES - 1);
         assert_eq!(dst_port(cell), 255);
-        assert_eq!(inject_slot(cell), slot);
+        assert_eq!(stamp(cell), u32::MAX);
     }
 
     #[test]
@@ -1018,6 +1043,48 @@ mod tests {
   delay mean 2.8752  p50 2  p99 10  max 74
   digest 0xed3ac0811dcf94c7"
         );
+    }
+
+    /// Runs `cfg` under `plan` on a two-thread team from slot `start`, the
+    /// plan's events moved along with it: the start-slot hook that lets a
+    /// test cross the 32-bit stamp wrap without four billion slots.
+    fn faulted_from(cfg: &ShardNetConfig, plan: &FaultPlan, start: u64) -> ShardFaultReport {
+        let shifted = plan
+            .events()
+            .iter()
+            .map(|ev| FaultEvent {
+                slot: ev.slot + start,
+                kind: ev.kind,
+            })
+            .collect();
+        let shifted = FaultPlan::from_events(shifted);
+        with_port_width!(cfg.radix, W => drive::<W, true>(cfg, &shifted, &Pool::new(2), start))
+    }
+
+    #[test]
+    fn runs_straddling_the_stamp_wrap_report_as_runs_from_zero() {
+        // The 32-bit stamps wrap 150 slots into the second run (and before
+        // the third starts), while cells injected before the wrap are
+        // still queued; every delay, window and count must come out the
+        // same. Radix 8 and 100 cover one- and four-word port sets.
+        let mut wide = small();
+        wide.radix = 100;
+        wide.host_load = 0.002;
+        for cfg in [small(), wide] {
+            for plan in [FaultPlan::new(), burst_plan()] {
+                let plain = faulted_from(&cfg, &plan, 0);
+                assert!(plain.delivered > 1000 && plain.delay.max() > 2, "{plain}");
+                for start in [u64::from(u32::MAX) - 150, u64::from(u32::MAX) + 1] {
+                    let shifted = faulted_from(&cfg, &plan, start);
+                    assert_eq!(shifted.to_string(), plain.to_string(), "start {start}");
+                    assert_eq!(shifted.windows, plain.windows, "start {start}");
+                    assert_eq!(shifted.mean_delay.to_bits(), plain.mean_delay.to_bits());
+                    for q in [0.1, 0.5, 0.9, 0.99, 0.999] {
+                        assert_eq!(shifted.delay.quantile(q), plain.delay.quantile(q));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

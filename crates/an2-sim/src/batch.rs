@@ -32,11 +32,12 @@
 //! ledger:    [PairLedger; n*n] row-major, ledger[i*n+j] = 16 bytes:
 //!                              window departure count, fault drops,
 //!                              queue handle (0 = no queued cell)
-//! slab:      [PairQueue]       one 64-byte record per pair holding cells:
+//! slab:      QueueSlab<u32>    one 64-byte record per pair holding cells:
 //!                              7 inline u32 slots + depth + ring head
 //!                              (+ spill ring pointer for deep queues);
 //!                              drained records wait on free lists by
-//!                              ring size
+//!                              ring size (`crate::slab`, shared with the
+//!                              sharded ring's u64 cells)
 //! requests:  RequestMatrixN<W> 16 words/row bit-matrix, set/clear deltas
 //! per_output:[u64; n]          departure counts per output link
 //! ```
@@ -65,26 +66,9 @@ use crate::cell::{Arrival, FlowId};
 use crate::fault::{FaultLog, FaultPlan, LostArrivals, SwitchFaults};
 use crate::metrics::{DelayStats, QuantileSketch, SwitchReport};
 use crate::model::SwitchModel;
+use crate::slab::{QueueSlab, NO_QUEUE};
 use an2_sched::{InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
 use std::collections::BTreeMap;
-
-/// Cells a [`PairQueue`] holds inline before spilling to a boxed ring.
-const QUEUE_INLINE: usize = 7;
-
-/// Cells in a queue's first ring: room to double past the inline slots,
-/// rounded to a power of two.
-const FIRST_RING: usize = (QUEUE_INLINE + 1).next_power_of_two() * 2;
-
-/// Free lists of drained records, one per ring size: class 0 holds the
-/// records that never spilled, class `c >= 1` those whose ring holds
-/// `2^(c+3)` cells (so a [`FIRST_RING`] is class 1). A `u32` depth caps a
-/// ring at 2^32 cells, class 29.
-const RING_CLASSES: usize = 32;
-
-/// The queue handle of a pair with no queued cell. Slab record 0 is a
-/// permanent empty sentinel that is never handed out, so a handle is a
-/// plain slab index and 0 doubles as the free list's end marker.
-const NO_QUEUE: u32 = 0;
 
 /// One input–output pair's dense state: everything the engine keeps for
 /// a pair whether or not it holds cells, in 16 bytes (four pairs per
@@ -97,272 +81,11 @@ struct PairLedger {
     /// drop ledger spans measurement windows). Each wrap past 2^32 is
     /// carried into [`BatchCrossbar::drop_carries`].
     dropped: u32,
-    /// Slab index of this pair's [`PairQueue`], or [`NO_QUEUE`].
+    /// This pair's [`QueueSlab`] handle, or [`NO_QUEUE`].
     queue: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<PairLedger>() == 16);
-
-/// The FIFO of `u32` arrival slots of one pair that holds cells, packed
-/// into a single 64-byte cache line.
-///
-/// Keeping the first [`QUEUE_INLINE`] slots and the depth in one aligned
-/// record makes the common shallow-queue case (steady-state mean depth ≈
-/// 1) one slab line per enqueue/dequeue on top of the ledger line.
-///
-/// A queue deeper than [`QUEUE_INLINE`] moves to a power-of-two boxed
-/// ring (two lines per touch) and, if it fills that, to a ring twice as
-/// big. The ring stays with the record when the pair drains: the record's
-/// next pair either keeps using it or, while drained, the record lends it
-/// to a deeper queue ([`QueueSlab::widen`]).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PairQueue {
-    /// Inline FIFO storage, front-first in `[0..len)` while unspilled.
-    inline: [u32; QUEUE_INLINE],
-    /// Queue depth, inline or spilled.
-    len: u32,
-    /// Ring head index; meaningful only once spilled, and always inside
-    /// the ring. A pair taking over a drained ring starts at whatever head
-    /// it left: every ring index is relative to it.
-    head: u32,
-    /// Next record on its free list while this one is drained.
-    next_free: u32,
-    /// Spilled ring storage; empty means unspilled, else a power of two.
-    spill: Box<[u32]>,
-}
-
-impl PairQueue {
-    /// Cells the record holds before it must move to a bigger ring.
-    fn capacity(&self) -> usize {
-        if self.spill.is_empty() {
-            QUEUE_INLINE
-        } else {
-            self.spill.len()
-        }
-    }
-
-    /// The free list a drained record waits on (see [`RING_CLASSES`]).
-    fn ring_class(&self) -> usize {
-        if self.spill.is_empty() {
-            0
-        } else {
-            (self.spill.len() >> 3).trailing_zeros() as usize
-        }
-    }
-
-    #[inline]
-    // an2-lint: allow(overflow-discipline) the caller makes room first (QueueSlab::widen), so len < capacity before the increment
-    // an2-lint: allow(panic-freedom) len < capacity indexes the inline slots; a ring index is masked by the ring's power-of-two size
-    fn enqueue(&mut self, v: u32) {
-        debug_assert!(
-            (self.len as usize) < self.capacity(),
-            "enqueue into a full record"
-        );
-        let len = self.len as usize;
-        if self.spill.is_empty() {
-            self.inline[len] = v;
-        } else {
-            let mask = self.spill.len() - 1;
-            self.spill[(self.head as usize + len) & mask] = v;
-        }
-        self.len += 1;
-    }
-
-    /// The arrival stamp of the oldest cell; the record holds at least
-    /// one.
-    #[inline]
-    fn front(&self) -> u32 {
-        let [first_inline, ..] = self.inline;
-        // An unspilled record has no ring, so the lookup falls through.
-        self.spill
-            .get(self.head as usize)
-            .copied()
-            .unwrap_or(first_inline)
-    }
-
-    #[inline]
-    // an2-lint: allow(overflow-discipline) callers only serve pairs the request matrix marks non-empty (the debug_assert pins len > 0)
-    // an2-lint: allow(panic-freedom) the inline slots are a fixed array; a ring index is masked by the ring's power-of-two size
-    fn dequeue(&mut self) -> u32 {
-        debug_assert!(self.len > 0, "dequeue from empty pair queue");
-        self.len -= 1;
-        if self.spill.is_empty() {
-            let v = self.inline[0];
-            // One-lane shift within the same cache line: cheaper than ring
-            // arithmetic would make the spilled-or-not branch.
-            self.inline.copy_within(1..QUEUE_INLINE, 0);
-            v
-        } else {
-            let mask = self.spill.len() - 1;
-            let v = self.spill[self.head as usize];
-            self.head = ((self.head as usize + 1) & mask) as u32;
-            v
-        }
-    }
-}
-
-/// The queue records of the pairs that hold cells, with the drained ones
-/// on free lists threaded through [`PairQueue::next_free`], one list per
-/// ring size.
-///
-/// A pair takes a record on its first cell ([`QueueSlab::admit`]) and
-/// gives it back when its last cell leaves ([`QueueSlab::serve`]). Claims
-/// take the smallest ring on offer, most recently drained first, so a
-/// shallow queue keeps to its record's own cache line and big rings wait
-/// for the pairs that go deep: a full queue moves into the largest ring
-/// of a drained record when that is bigger ([`QueueSlab::widen`]). So
-/// the slab grows only when the number of pairs holding cells reaches a
-/// new peak, and rings only when the concurrently deep queues outgrow
-/// every ring the slab holds.
-#[derive(Debug)]
-struct QueueSlab {
-    /// Record 0 is the [`NO_QUEUE`] sentinel; the rest are handed out.
-    records: Vec<PairQueue>,
-    /// Free-list heads by ring class; [`NO_QUEUE`] ends a list.
-    free: [u32; RING_CLASSES],
-    /// Bit `c` is set iff class `c`'s free list is non-empty.
-    nonempty: u32,
-}
-
-impl QueueSlab {
-    /// A slab with room for `reserve` records besides the sentinel.
-    fn with_capacity(reserve: usize) -> Self {
-        let mut records = Vec::with_capacity(reserve + 1);
-        records.push(PairQueue::default());
-        Self {
-            records,
-            free: [NO_QUEUE; RING_CLASSES],
-            nonempty: 0,
-        }
-    }
-
-    /// Appends `v` to the queue of the pair whose ledger entry is `l`,
-    /// handing the pair a record if it held no cell. Returns whether it
-    /// did, i.e. whether the pair just became active.
-    #[inline]
-    fn admit(&mut self, l: &mut PairLedger, v: u32) -> bool {
-        let fresh = l.queue == NO_QUEUE;
-        if fresh {
-            let smallest = self.nonempty.trailing_zeros() as usize;
-            l.queue = if smallest < RING_CLASSES {
-                self.take_free(smallest)
-            } else {
-                self.grow()
-            };
-        }
-        let h = l.queue as usize;
-        debug_assert!(h != 0 && h < self.records.len());
-        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
-        if self.records[h].len as usize == self.records[h].capacity() {
-            self.widen(h);
-        }
-        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
-        self.records[h].enqueue(v);
-        fresh
-    }
-
-    /// Removes the oldest cell of the pair whose ledger entry is `l` and,
-    /// if that was its last, puts the pair's record on a free list.
-    /// Returns the cell's arrival stamp and whether the pair drained.
-    #[inline]
-    fn serve(&mut self, l: &mut PairLedger) -> (u32, bool) {
-        let h = l.queue;
-        debug_assert!(h != NO_QUEUE, "served a pair with no queued cell");
-        debug_assert!((h as usize) < self.records.len());
-        // an2-lint: allow(panic-freedom) a handle is a slab index: only take_free() and grow() hand one out
-        let q = &mut self.records[h as usize];
-        let v = q.dequeue();
-        let drained = q.len == 0;
-        if drained {
-            self.put_free(h);
-            l.queue = NO_QUEUE;
-        }
-        (v, drained)
-    }
-
-    /// Takes the head record off class `c`'s free list (which must be
-    /// non-empty).
-    #[inline]
-    fn take_free(&mut self, c: usize) -> u32 {
-        debug_assert!(self.nonempty & (1 << c) != 0, "free list {c} is empty");
-        let Some(head) = self.free.get_mut(c) else {
-            return NO_QUEUE;
-        };
-        let h = *head;
-        *head = self
-            .records
-            .get(h as usize)
-            .map_or(NO_QUEUE, |q| q.next_free);
-        if *head == NO_QUEUE {
-            self.nonempty &= !(1 << c);
-        }
-        h
-    }
-
-    /// Puts drained record `h` at the head of its class's free list.
-    #[inline]
-    fn put_free(&mut self, h: u32) {
-        let Some(q) = self.records.get_mut(h as usize) else {
-            return;
-        };
-        let c = q.ring_class();
-        debug_assert!(c < RING_CLASSES, "a u32 depth bounds every ring");
-        if let Some(head) = self.free.get_mut(c) {
-            q.next_free = *head;
-            *head = h;
-            self.nonempty |= 1 << c;
-        }
-    }
-
-    /// Moves the full queue of record `h` into a ring with room for at
-    /// least twice its cells: the largest ring of a drained record, when
-    /// that is bigger, else a fresh one. A donor record takes `h`'s old
-    /// storage in exchange and moves to that storage's free list.
-    // an2-lint: cold
-    #[cold]
-    fn widen(&mut self, h: usize) {
-        let (class, cap) = (self.records[h].ring_class(), self.records[h].capacity());
-        let donor = (self.nonempty >> class > 1)
-            .then(|| self.take_free(31 - self.nonempty.leading_zeros() as usize) as usize);
-        let ring = match donor {
-            Some(d) => std::mem::take(&mut self.records[d].spill),
-            None => vec![0u32; (2 * cap).max(FIRST_RING)].into_boxed_slice(),
-        };
-        let q = &mut self.records[h];
-        let old = std::mem::replace(&mut q.spill, ring);
-        let len = q.len as usize;
-        if old.is_empty() {
-            q.spill[..len].copy_from_slice(&q.inline[..len]);
-        } else {
-            let mask = old.len() - 1;
-            for k in 0..len {
-                q.spill[k] = old[(q.head as usize + k) & mask];
-            }
-        }
-        q.head = 0;
-        if let Some(d) = donor {
-            // The donor's head indexed its old ring and may lie outside
-            // this one; drained, the donor can restart at slot 0.
-            let donor = &mut self.records[d];
-            donor.spill = old;
-            donor.head = 0;
-            self.put_free(d as u32);
-        }
-    }
-
-    /// Appends a fresh record and returns its handle: every free list is
-    /// empty, so the pairs holding cells have reached a new peak.
-    // an2-lint: cold
-    #[cold]
-    fn grow(&mut self) -> u32 {
-        // At most one record per pair plus the sentinel, and
-        // `BatchCrossbar::new` bounds the pair count by `u32::MAX`.
-        let h = u32::try_from(self.records.len()).expect("slab handles fit u32");
-        self.records.push(PairQueue::default());
-        h
-    }
-}
 
 /// Structure-of-arrays crossbar simulator for the one-flow-per-pair
 /// regime, generic over the scheduler bitset width `W`.
@@ -392,7 +115,7 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     /// state.
     ledger: Vec<PairLedger>,
     /// Queue records of the pairs that hold cells.
-    slab: QueueSlab,
+    slab: QueueSlab<u32>,
     /// Wraps of a pair's 32-bit drop count past 2^32, by pair index;
     /// empty until some pair loses its 2^32-th cell.
     drop_carries: BTreeMap<usize, u64>,
@@ -585,7 +308,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             "pair ({i},{j}) out of range"
         );
         let h = self.ledger[i.index() * self.n + j.index()].queue;
-        self.slab.records[h as usize].len as usize
+        self.slab.peek(h).map_or(0, |(depth, _)| depth as usize)
     }
 
     /// Loads a queue snapshot directly into the pair queues, bypassing the
@@ -604,7 +327,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             if i >= self.n || j >= self.n || a.flow != FlowId::for_pair(self.n, a.input, a.output) {
                 malformed_arrival(a, self.n, true);
             }
-            if self.slab.admit(&mut self.ledger[i * self.n + j], stamp) {
+            if self.slab.admit(&mut self.ledger[i * self.n + j].queue, stamp) {
                 self.requests.set(a.input, a.output);
             }
             self.queued += 1;
@@ -712,7 +435,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
                 }
                 continue;
             }
-            if self.slab.admit(l, stamp) {
+            if self.slab.admit(&mut l.queue, stamp) {
                 self.requests.set(a.input, a.output);
             }
             // an2-lint: allow(overflow-discipline) queued counts cells held in memory, so it fits usize
@@ -776,7 +499,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             }
             // an2-lint: allow(overflow-discipline) monotone u64 window count, at most one per slot
             l.count += 1;
-            let (arrived, drained) = self.slab.serve(l);
+            let (arrived, drained) = self.slab.serve(&mut l.queue);
             if drained {
                 self.requests.clear(i, j);
             }
@@ -806,9 +529,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             let p = i.index().wrapping_mul(n).wrapping_add(j.index());
             let queue = self.ledger.get(p).map_or(NO_QUEUE, |l| l.queue);
             debug_assert!(queue != NO_QUEUE, "a requested pair holds a cell");
-            if let Some(q) = self.slab.records.get(queue as usize) {
-                let age = stamp.wrapping_sub(q.front());
-                self.scheduler.observe_queue(i, j, q.len, age);
+            if let Some((depth, front)) = self.slab.peek(queue) {
+                let age = stamp.wrapping_sub(front);
+                self.scheduler.observe_queue(i, j, depth, age);
             }
         }
     }
@@ -939,164 +662,6 @@ mod tests {
     use crate::traffic::RateMatrixTraffic;
     use an2_sched::Pim;
 
-    #[test]
-    fn pair_queue_fifo_order_across_spill_and_growth() {
-        // 100 cells crosses inline -> spill (at 8) and several doublings;
-        // interleaved dequeues exercise the wrapped-ring compaction.
-        let mut slab = QueueSlab::with_capacity(1);
-        let mut l = PairLedger::default();
-        for v in 0..100u32 {
-            slab.admit(&mut l, v);
-        }
-        for v in 0..50u32 {
-            assert_eq!(slab.serve(&mut l).0, v);
-        }
-        for v in 100..200u32 {
-            slab.admit(&mut l, v);
-        }
-        for v in 50..200u32 {
-            assert_eq!(slab.serve(&mut l), (v, v == 199));
-        }
-        assert_eq!(l.queue, NO_QUEUE);
-    }
-
-    #[test]
-    fn pair_queue_inline_only_never_allocates_spill() {
-        let mut slab = QueueSlab::with_capacity(1);
-        let mut l = PairLedger::default();
-        // Stay at depth <= QUEUE_INLINE across many operations.
-        for round in 0..50u32 {
-            for v in 0..QUEUE_INLINE as u32 {
-                slab.admit(&mut l, round * 100 + v);
-            }
-            for v in 0..QUEUE_INLINE as u32 {
-                assert_eq!(slab.serve(&mut l).0, round * 100 + v);
-            }
-        }
-        assert!(
-            slab.records[1].spill.is_empty(),
-            "shallow queue must not spill"
-        );
-        assert_eq!(slab.records.len(), 2, "one record serves every round");
-    }
-
-    #[test]
-    fn recycled_record_keeps_fifo_order_at_a_moved_ring_head() {
-        // Pair A spills past its inline slots, drains, and hands its
-        // record (ring and all) to pair B, whose cells then start at A's
-        // final ring head and wrap around the ring's end.
-        let mut slab = QueueSlab::with_capacity(4);
-        let (mut a, mut b) = (PairLedger::default(), PairLedger::default());
-        for v in 0..12u32 {
-            assert_eq!(slab.admit(&mut a, v), v == 0);
-        }
-        let h = a.queue;
-        assert_ne!(h, NO_QUEUE);
-        for v in 0..12u32 {
-            assert_eq!(slab.serve(&mut a), (v, v == 11));
-        }
-        assert_eq!(a.queue, NO_QUEUE, "a drained pair holds no record");
-        let q = &slab.records[h as usize];
-        let (ring, head) = (q.spill.len(), q.head as usize);
-        assert!(
-            ring > 0 && head > 0,
-            "A must leave a spilled ring at a moved head"
-        );
-        for v in 100..115u32 {
-            assert_eq!(slab.admit(&mut b, v), v == 100);
-        }
-        assert_eq!(b.queue, h, "B must take A's drained record");
-        assert_eq!(
-            slab.records[h as usize].spill.len(),
-            ring,
-            "the ring is kept"
-        );
-        assert!(head + 15 > ring, "B's cells must wrap the ring's end");
-        for v in 100..115u32 {
-            assert_eq!(slab.serve(&mut b), (v, v == 114));
-        }
-        assert_eq!(
-            slab.records.len(),
-            2,
-            "one record and the sentinel served both pairs"
-        );
-    }
-
-    #[test]
-    fn a_deep_queue_takes_a_drained_ring_instead_of_allocating() {
-        // A goes 40 deep (a 64-cell ring) and drains; B, shallow, drains
-        // into an inline record. C then takes B's inline record (smallest
-        // ring first) and, past 7 cells, swaps storage with A's drained
-        // record: C's queue moves into the 64-cell ring, A's record takes
-        // C's empty storage, and no new ring is allocated.
-        let mut slab = QueueSlab::with_capacity(4);
-        let [mut a, mut b, mut c] = [PairLedger::default(); 3];
-        for v in 0..40u32 {
-            slab.admit(&mut a, v);
-        }
-        slab.admit(&mut b, 7);
-        let (ha, hb) = (a.queue, b.queue);
-        for v in 0..40u32 {
-            assert_eq!(slab.serve(&mut a).0, v);
-        }
-        assert_eq!(slab.serve(&mut b), (7, true));
-        let ring = slab.records[ha as usize].spill.as_ptr();
-        assert_eq!(slab.records[ha as usize].spill.len(), 64);
-        for v in 0..30u32 {
-            assert_eq!(slab.admit(&mut c, v), v == 0);
-        }
-        assert_eq!(c.queue, hb, "C takes the inline record first");
-        let q = &slab.records[hb as usize];
-        assert_eq!(q.spill.as_ptr(), ring, "C's queue moved into A's old ring");
-        assert!(slab.records[ha as usize].spill.is_empty());
-        assert_eq!(slab.nonempty, 1, "A's record now waits on the inline list");
-        for v in 0..30u32 {
-            assert_eq!(slab.serve(&mut c), (v, v == 29));
-        }
-        assert_eq!(slab.records.len(), 3);
-    }
-
-    #[test]
-    fn a_donor_record_restarts_at_the_head_of_the_ring_it_receives() {
-        // A drains from 40 deep, leaving its 64-cell ring's head at 40. D,
-        // full at 16 cells in a 16-cell ring, swaps storage with A's
-        // record, which must then index the 16-cell ring from its start:
-        // E takes that record next and must see FIFO order.
-        let mut slab = QueueSlab::with_capacity(4);
-        let [mut a, mut d, mut e] = [PairLedger::default(); 3];
-        for v in 0..40u32 {
-            slab.admit(&mut a, v);
-        }
-        for v in 0..16u32 {
-            slab.admit(&mut d, v);
-        }
-        let ha = a.queue as usize;
-        for v in 0..40u32 {
-            assert_eq!(slab.serve(&mut a).0, v);
-        }
-        assert_eq!(
-            (slab.records[ha].spill.len(), slab.records[ha].head),
-            (64, 40)
-        );
-        slab.admit(&mut d, 16);
-        assert_eq!(
-            slab.records[d.queue as usize].spill.len(),
-            64,
-            "D took A's ring"
-        );
-        assert_eq!(slab.records[ha].spill.len(), 16, "A's record took D's ring");
-        for v in 100..112u32 {
-            slab.admit(&mut e, v);
-        }
-        assert_eq!(e.queue as usize, ha, "E takes the smallest ring on offer");
-        for v in 100..112u32 {
-            assert_eq!(slab.serve(&mut e), (v, v == 111));
-        }
-        for v in 0..17u32 {
-            assert_eq!(slab.serve(&mut d), (v, v == 16));
-        }
-    }
-
     /// Steps `engine` over `slots` slots from its current one, feeding
     /// one cell per slot to each listed pair while `slot < feed_until`,
     /// under `plan`.
@@ -1152,7 +717,7 @@ mod tests {
         assert_eq!((r.delay.max(), r.delay.mean()), (12, 12.0));
         let (a, c) = (engine.ledger[0].queue, engine.ledger[5].queue);
         assert_eq!((a, c, engine.active_pairs()), (NO_QUEUE, NO_QUEUE, 0));
-        let records = engine.slab.records.len();
+        let records = engine.slab.records();
         assert_eq!(records, 3, "two records and the sentinel");
 
         engine.start_measurement();
@@ -1173,11 +738,8 @@ mod tests {
         taken.sort_unstable();
         assert_eq!(taken, [1, 2], "B and D must take the drained records");
         for h in taken {
-            let q = &engine.slab.records[h as usize];
-            assert!(
-                !q.spill.is_empty() && q.head > 0,
-                "a kept ring at a moved head"
-            );
+            let (ring, head) = engine.slab.ring(h);
+            assert!(ring > 0 && head > 0, "a kept ring at a moved head");
         }
         assert_ne!(engine.ledger[0].queue, NO_QUEUE, "A is active again");
         drive_pairs(&mut engine, &mut plan, &[], 40..60, 0);
@@ -1193,7 +755,7 @@ mod tests {
             vec![(0, 1), (2 * 4 + 3, 10), (3 * 4 + 2, 10)]
         );
         assert_eq!(
-            engine.slab.records.len(),
+            engine.slab.records(),
             records + 1,
             "only A needed a fresh record"
         );

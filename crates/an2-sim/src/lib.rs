@@ -9,7 +9,8 @@
 //! ([`experiment`]).
 //!
 //! The input-queued crossbar has one engine, [`batch::BatchCrossbar`]:
-//! per-pair FIFOs of arrival stamps, an incremental request matrix, fault
+//! per-pair FIFOs of arrival stamps in a [`slab::QueueSlab`] (records only
+//! for the pairs holding cells), an incremental request matrix, fault
 //! events decoded by [`fault::SwitchFaults`], and queue observations for
 //! queue-aware schedulers. [`switch::CrossbarSwitch`] is its face under
 //! the scheduler's name. The paper's per-flow random-access buffers
@@ -50,6 +51,7 @@ pub mod metrics;
 pub mod model;
 pub mod output_queued;
 pub mod sim;
+pub mod slab;
 pub mod speedup_switch;
 pub mod switch;
 pub mod traffic;

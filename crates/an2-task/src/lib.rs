@@ -195,22 +195,29 @@ impl Pool {
             .collect()
     }
 
-    /// Steps `items` through `rounds` rounds on a fixed team of workers.
+    /// Steps `items` through `rounds` rounds on a fixed team of workers,
+    /// each part folding what it sees into its own accumulator.
     ///
     /// `items` is split into `min(threads, items.len())` contiguous parts
     /// whose lengths differ by at most one (earlier parts take the extra
-    /// items). The helper threads are spawned once per call; the calling
-    /// thread runs part 0. In round `r` every part runs `step(r, part)`,
-    /// then all parts wait at one barrier before round `r + 1` starts.
+    /// items). Each part gets an accumulator from `init` before the first
+    /// round. The helper threads are spawned once per call; the calling
+    /// thread runs part 0. In round `r` every part runs
+    /// `step(r, part, acc)`, then all parts wait at one barrier before
+    /// round `r + 1` starts. The accumulators come back in part order.
     ///
     /// The contract for `step`: state a part writes in round `r` may be
     /// read by other parts (through shared state `step` captures, such as
     /// atomics) only in round `r + 1` or later. The barrier orders every
     /// write of round `r` before every read of round `r + 1`, so relaxed
-    /// atomics suffice. Under that contract the outcome does not depend on
-    /// the worker count. A serial pool, or a one-item slice, runs every
-    /// round on the caller with no spawn and no barrier; an empty slice
-    /// has no parts, so `step` never runs.
+    /// atomics suffice. Under that contract the items end the same at any
+    /// worker count; the accumulators depend on the partition, so a
+    /// caller that wants a count-independent total merges them with an
+    /// operation that does not care how the items were grouped (a sum, a
+    /// maximum, a bucket-wise histogram merge). A serial pool, or a
+    /// one-item slice, runs every round on the caller with no spawn and no
+    /// barrier; an empty slice has no parts, so `step` never runs and no
+    /// accumulator is made.
     ///
     /// A barrier waiter spins for a bounded number of iterations, then
     /// yields its CPU between checks. Nothing is allocated per round.
@@ -221,19 +228,24 @@ impl Pool {
     /// use an2_task::Pool;
     /// use std::sync::atomic::{AtomicU64, Ordering};
     /// // A four-stage shift register: each round, every stage takes its
-    /// // predecessor's value from the previous round.
+    /// // predecessor's value from the previous round; each part counts
+    /// // the values its stages took.
     /// let wires: Vec<[AtomicU64; 2]> =
     ///     (0..4u64).map(|i| [AtomicU64::new(i), AtomicU64::new(i)]).collect();
     /// let mut stages: Vec<(usize, u64)> = (0..4).map(|i| (i, i as u64)).collect();
-    /// Pool::new(2).lockstep(&mut stages, 3, |round, part| {
+    /// let sums = Pool::new(2).lockstep(&mut stages, 3, || 0u64, |round, part, sum| {
     ///     let (read, write) = ((round as usize + 1) % 2, round as usize % 2);
     ///     for (i, v) in part.iter_mut() {
     ///         *v = wires[(*i + 3) % 4][read].load(Ordering::Relaxed);
     ///         wires[*i][write].store(*v, Ordering::Relaxed);
+    ///         *sum += *v;
     ///     }
     /// });
     /// // Three rounds moved every value three stages along the ring.
     /// assert_eq!(stages, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
+    /// // Two parts; their sum is the same at any thread count.
+    /// assert_eq!(sums.len(), 2);
+    /// assert_eq!(sums.iter().sum::<u64>(), 18);
     /// ```
     ///
     /// # Panics
@@ -241,20 +253,28 @@ impl Pool {
     /// If `step` panics in any part, the barrier is poisoned, the other
     /// parts stop at their next barrier wait, and the call panics with
     /// `pool worker panicked` once every worker has been joined.
-    pub fn lockstep<T, F>(&self, items: &mut [T], rounds: u64, step: F)
+    pub fn lockstep<T, A, F>(
+        &self,
+        items: &mut [T],
+        rounds: u64,
+        init: impl FnMut() -> A,
+        step: F,
+    ) -> Vec<A>
     where
         T: Send,
-        F: Fn(u64, &mut [T]) + Sync,
+        A: Send,
+        F: Fn(u64, &mut [T], &mut A) + Sync,
     {
         let parts = self.threads.min(items.len());
-        if parts == 0 {
-            return;
-        }
+        let mut accs: Vec<A> = std::iter::repeat_with(init).take(parts).collect();
+        let Some((first_acc, rest_accs)) = accs.split_first_mut() else {
+            return accs;
+        };
         if parts == 1 {
             for round in 0..rounds {
-                step(round, items);
+                step(round, items, first_acc);
             }
-            return;
+            return accs;
         }
         let (base, extra) = (items.len() / parts, items.len() % parts);
         let barrier = Barrier::new(parts);
@@ -262,12 +282,14 @@ impl Pool {
         std::thread::scope(|scope| {
             let (first, mut rest) = items.split_at_mut(base + usize::from(extra > 0));
             let mut helpers = Vec::with_capacity(parts - 1);
-            for p in 1..parts {
+            for (p, acc) in (1..parts).zip(rest_accs.iter_mut()) {
                 let (part, tail) = rest.split_at_mut(base + usize::from(p < extra));
                 rest = tail;
-                helpers.push(scope.spawn(move || run_part(barrier, rounds, step, part)));
+                helpers.push(scope.spawn(move || run_part(barrier, rounds, step, part, acc)));
             }
-            let caller = catch_unwind(AssertUnwindSafe(|| run_part(barrier, rounds, step, first)));
+            let caller = catch_unwind(AssertUnwindSafe(|| {
+                run_part(barrier, rounds, step, first, first_acc)
+            }));
             // Join every helper before re-raising, so none outlives the call.
             let mut helpers_ok = true;
             for h in helpers {
@@ -275,6 +297,7 @@ impl Pool {
             }
             assert!(caller.is_ok() && helpers_ok, "pool worker panicked");
         });
+        accs
     }
 
     /// Runs a batch of heterogeneous boxed tasks; sugar over [`map`](Pool::map)
@@ -319,13 +342,13 @@ const SPIN_LIMIT: u32 = 1 << 10;
 
 /// One part's loop in [`Pool::lockstep`]: step, then wait for the other
 /// parts. The last round needs no barrier — the join orders it.
-fn run_part<T, F>(barrier: &Barrier, rounds: u64, step: &F, part: &mut [T])
+fn run_part<T, A, F>(barrier: &Barrier, rounds: u64, step: &F, part: &mut [T], acc: &mut A)
 where
-    F: Fn(u64, &mut [T]),
+    F: Fn(u64, &mut [T], &mut A),
 {
     let _poison = PoisonOnUnwind(barrier);
     for round in 0..rounds {
-        step(round, part);
+        step(round, part, acc);
         if round + 1 < rounds && !barrier.wait() {
             // Another part panicked; its round will never complete.
             return;
@@ -488,22 +511,25 @@ mod tests {
 
     /// A shift-register ring stepped through `rounds` rounds: item `i`
     /// folds its predecessor's previous-round output into its state and
-    /// publishes the result on its own double-buffered wire.
-    fn shift_ring(pool: Pool, len: usize, rounds: u64) -> Vec<(usize, u64)> {
+    /// publishes the result on its own double-buffered wire. Each part
+    /// sums the states its items publish; the parts' sums are added up.
+    fn shift_ring(pool: Pool, len: usize, rounds: u64) -> (Vec<(usize, u64)>, u64) {
         let wires: Vec<[AtomicU64; 2]> = (0..len as u64)
             .map(|i| [AtomicU64::new(i), AtomicU64::new(i)])
             .collect();
         let mut items: Vec<(usize, u64)> = (0..len).map(|i| (i, i as u64 * 7)).collect();
-        pool.lockstep(&mut items, rounds, |round, part| {
+        let sums = pool.lockstep(&mut items, rounds, || 0u64, |round, part, sum| {
             let (read, write) = ((round as usize + 1) % 2, round as usize % 2);
             for (i, state) in part.iter_mut() {
                 let pred = (*i + len - 1) % len;
                 let v = wires[pred][read].load(Ordering::Relaxed);
                 *state = state.wrapping_mul(0x9E37_79B9).wrapping_add(v ^ round);
                 wires[*i][write].store(*state, Ordering::Relaxed);
+                *sum = sum.wrapping_add(*state);
             }
         });
-        items
+        assert_eq!(sums.len(), pool.threads().min(len), "one sum per part");
+        (items, sums.into_iter().fold(0, u64::wrapping_add))
     }
 
     #[test]
@@ -529,14 +555,20 @@ mod tests {
         ] {
             let seen = Mutex::new(Vec::new());
             let mut items: Vec<usize> = (0..len).collect();
-            Pool::new(threads).lockstep(&mut items, 4, |round, part| {
+            let accs = Pool::new(threads).lockstep(&mut items, 4, Vec::new, |round, part, acc| {
                 lock(&seen).push((round, part[0], part.len(), std::thread::current().id()));
+                acc.push(part[0]);
             });
             let mut seen = lock_owned(seen);
             seen.sort_by_key(|&(round, first, _, _)| (round, first));
             assert_eq!(seen.len(), 4 * want.len(), "threads={threads} len={len}");
             let lens: Vec<usize> = seen[..want.len()].iter().map(|s| s.2).collect();
             assert_eq!(lens, want, "threads={threads} len={len}");
+            // Each part keeps its accumulator for the whole call, and the
+            // accumulators come back in part order.
+            let firsts: Vec<usize> = seen[..want.len()].iter().map(|s| s.1).collect();
+            let by_part: Vec<Vec<usize>> = firsts.iter().map(|&f| vec![f; 4]).collect();
+            assert_eq!(accs, by_part, "threads={threads} len={len}");
             // Each part keeps its own thread for the whole call.
             let mut ids: Vec<_> = seen.iter().map(|s| format!("{:?}", s.3)).collect();
             ids.sort();
@@ -549,9 +581,13 @@ mod tests {
     fn lockstep_with_zero_rounds_never_steps() {
         let mut items = vec![1u8; 10];
         for threads in [1, 4] {
-            Pool::new(threads).lockstep(&mut items, 0, |_, _| panic!("stepped"));
+            let accs =
+                Pool::new(threads).lockstep(&mut items, 0, || 7, |_, _, _| panic!("stepped"));
+            assert_eq!(accs, vec![7; threads], "accumulators are made, never stepped");
         }
-        Pool::new(4).lockstep(&mut Vec::<u8>::new(), 5, |_, _| panic!("stepped"));
+        let mut empty = Vec::<u8>::new();
+        let none = Pool::new(4).lockstep(&mut empty, 5, || 7, |_, _, _| panic!("stepped"));
+        assert!(none.is_empty(), "an empty slice has no parts");
         assert_eq!(items, vec![1u8; 10]);
     }
 
@@ -570,7 +606,7 @@ mod tests {
     /// Panics in the part starting at item `first` at round 7 of 50.
     fn lockstep_panicking_at(first: usize) {
         let mut items: Vec<usize> = (0..9).collect();
-        Pool::new(3).lockstep(&mut items, 50, |round, part| {
+        Pool::new(3).lockstep(&mut items, 50, || (), |round, part, ()| {
             assert!(!(round == 7 && part[0] == first), "boom");
         });
     }
@@ -591,7 +627,7 @@ mod tests {
     #[should_panic(expected = "pool worker panicked")]
     fn lockstep_last_round_panic_propagates() {
         let mut items: Vec<usize> = (0..4).collect();
-        Pool::new(2).lockstep(&mut items, 3, |round, part| {
+        Pool::new(2).lockstep(&mut items, 3, || (), |round, part, ()| {
             assert!(!(round == 2 && part[0] == 2), "boom");
         });
     }

@@ -12,6 +12,14 @@ use crate::runner::run_case;
 use an2_sched::check::Violation;
 use an2_sched::pim::AcceptPolicy;
 
+/// The longest slot budget a replay case may carry. Every capture the
+/// invariant probes write is far shorter (512 slots at most), and a
+/// replay of this many slots ends in about ten seconds even at the
+/// widest radix (256 ports at full load, PIM to completion: 11 s on one
+/// 2.1 GHz core); a budget past it is an edited capture, refused rather
+/// than left to run for hours.
+pub const MAX_REPLAY_SLOTS: u64 = 1 << 16;
+
 /// A deterministic, self-contained scheduler/switch probe.
 ///
 /// `slots`, `seed`, and the scheduler fields fully determine the run;
@@ -24,15 +32,16 @@ pub struct ReplayCase {
     /// Switch radix.
     pub n: usize,
     /// Traffic is restricted to the first `active_ports` inputs/outputs;
-    /// the shrinker lowers this. Clamped to `1..=n`.
+    /// the shrinker lowers this. In `1..=n`.
     pub active_ports: usize,
     /// Root seed: scheduler streams and traffic streams derive from it.
     pub seed: u64,
     /// Per-input Bernoulli arrival probability per slot.
     pub load: f64,
-    /// Slot budget.
+    /// Slot budget, at most [`MAX_REPLAY_SLOTS`].
     pub slots: u64,
-    /// PIM iteration budget; 0 means run to completion.
+    /// PIM iteration budget, in `1..=n`. PIM never needs more than `n`
+    /// iterations, so `n` runs it to completion.
     pub iterations: usize,
     /// Accept policy: "random", "round-robin", or "lowest".
     pub accept: String,
@@ -51,7 +60,8 @@ pub struct ReplayCase {
 }
 
 impl ReplayCase {
-    /// A correct-by-default probe: PIM(4), random accept, no faults.
+    /// A correct-by-default probe: PIM(4) (or to completion below four
+    /// ports), random accept, no faults.
     pub fn new(n: usize, seed: u64, load: f64, slots: u64) -> Self {
         Self {
             version: 1,
@@ -60,7 +70,7 @@ impl ReplayCase {
             seed,
             load,
             slots,
-            iterations: 4,
+            iterations: n.min(4),
             accept: "random".to_owned(),
             accept_skew: 0,
             pair_capacity: None,
@@ -139,18 +149,26 @@ impl ReplayCase {
     }
 
     /// Parses the `replay.json` format (tolerant of whitespace and key
-    /// order; the annotation keys may be absent).
+    /// order; the annotation keys may be absent), refusing any value no
+    /// case can run with: a switch size past `an2_sched::MAX_PORTS`, an
+    /// iteration budget or port count outside `1..=n`, a slot budget past
+    /// [`MAX_REPLAY_SLOTS`], an unknown accept policy.
     pub fn from_json(json: &str) -> Result<Self, ReplayParseError> {
         let version = u64_field(json, "version")?;
+        let n = u64_field(json, "n")?;
+        let in_ports = |v: u64| (1..=n).contains(&v);
+        let active_ports = u64_field(json, "active_ports")?;
+        let iterations = u64_field(json, "iterations")?;
+        let slots = u64_field(json, "slots")?;
         let case = Self {
             version: u32::try_from(version)
                 .map_err(|_| ReplayParseError::UnsupportedVersion(version))?,
-            n: u64_field(json, "n")? as usize,
-            active_ports: u64_field(json, "active_ports")? as usize,
+            n: n as usize,
+            active_ports: active_ports as usize,
             seed: u64_field(json, "seed")?,
             load: load_field(json, "load")?,
-            slots: u64_field(json, "slots")?,
-            iterations: u64_field(json, "iterations")? as usize,
+            slots,
+            iterations: iterations as usize,
             accept: str_field(json, "accept")?,
             accept_skew: u64_field(json, "accept_skew")? as usize,
             pair_capacity: opt_u64_field(json, "pair_capacity")?.map(|c| c as usize),
@@ -168,8 +186,17 @@ impl ReplayCase {
         if case.version != 1 {
             return Err(ReplayParseError::UnsupportedVersion(version));
         }
-        if case.n == 0 || case.n > an2_sched::MAX_PORTS {
-            return Err(ReplayParseError::SwitchSize(case.n));
+        if n == 0 || n > an2_sched::MAX_PORTS as u64 {
+            return Err(ReplayParseError::SwitchSize(n));
+        }
+        if !in_ports(active_ports) {
+            return Err(ReplayParseError::ActivePorts { active_ports, n });
+        }
+        if !in_ports(iterations) {
+            return Err(ReplayParseError::Iterations { iterations, n });
+        }
+        if slots > MAX_REPLAY_SLOTS {
+            return Err(ReplayParseError::Slots(slots));
         }
         if !matches!(case.accept.as_str(), "random" | "round-robin" | "lowest") {
             return Err(ReplayParseError::AcceptPolicy(case.accept));
@@ -185,8 +212,24 @@ pub enum ReplayParseError {
     Field(String),
     /// The schema version is not 1 (as written, before any narrowing).
     UnsupportedVersion(u64),
-    /// The switch size is 0 or above `an2_sched::MAX_PORTS`.
-    SwitchSize(usize),
+    /// The switch size is 0 or above `an2_sched::MAX_PORTS` (as written).
+    SwitchSize(u64),
+    /// The active port count is outside `1..=n` (as written).
+    ActivePorts {
+        /// The count the document gives.
+        active_ports: u64,
+        /// The switch size.
+        n: u64,
+    },
+    /// The PIM iteration budget is outside `1..=n` (as written).
+    Iterations {
+        /// The budget the document gives.
+        iterations: u64,
+        /// The switch size.
+        n: u64,
+    },
+    /// The slot budget is above [`MAX_REPLAY_SLOTS`].
+    Slots(u64),
     /// The accept policy names none of "random", "round-robin", "lowest".
     AcceptPolicy(String),
 }
@@ -203,6 +246,15 @@ impl std::fmt::Display for ReplayParseError {
             Self::Field(message) => f.write_str(message),
             Self::UnsupportedVersion(v) => write!(f, "unsupported replay version {v}"),
             Self::SwitchSize(n) => write!(f, "switch size {n} out of range"),
+            Self::ActivePorts { active_ports, n } => {
+                write!(f, "{active_ports} active ports outside 1..={n}")
+            }
+            Self::Iterations { iterations, n } => {
+                write!(f, "{iterations} PIM iterations outside 1..={n}")
+            }
+            Self::Slots(slots) => {
+                write!(f, "{slots} slots above the replay cap of {MAX_REPLAY_SLOTS}")
+            }
             Self::AcceptPolicy(name) => write!(f, "unknown accept policy {name:?}"),
         }
     }
@@ -406,6 +458,55 @@ mod tests {
             ReplayCase::from_json(&json.replace("\"version\": 1,", "\"version\": 4294967297,"))
                 .expect_err("wrapped version");
         assert_eq!(err.to_string(), "unsupported replay version 4294967297");
+        // Budgets no case can run with are refused before anything runs:
+        // iterations or active ports outside 1..=n, slots past the cap.
+        let base = ReplayCase::new(4, 9, 1.0, 64);
+        let with = |edit: &dyn Fn(&mut ReplayCase)| {
+            let mut case = base.clone();
+            edit(&mut case);
+            ReplayCase::from_json(&case.to_json())
+        };
+        for iterations in [0u64, 5, 100_000, u64::MAX] {
+            assert_eq!(
+                with(&|c| c.iterations = iterations as usize),
+                Err(ReplayParseError::Iterations { iterations, n: 4 })
+            );
+        }
+        for active_ports in [0u64, 5, 99_999, u64::MAX] {
+            assert_eq!(
+                with(&|c| c.active_ports = active_ports as usize),
+                Err(ReplayParseError::ActivePorts { active_ports, n: 4 })
+            );
+        }
+        assert_eq!(
+            with(&|c| c.slots = MAX_REPLAY_SLOTS + 1),
+            Err(ReplayParseError::Slots(MAX_REPLAY_SLOTS + 1))
+        );
+        assert_eq!(
+            with(&|c| c.slots = u64::MAX),
+            Err(ReplayParseError::Slots(u64::MAX))
+        );
+        assert_eq!(
+            with(&|c| c.n = 257).map(|c| c.n),
+            Err(ReplayParseError::SwitchSize(257))
+        );
+        // The bounds themselves are accepted.
+        for (iterations, active_ports, slots) in [(1, 1, 0), (4, 4, MAX_REPLAY_SLOTS)] {
+            let case = with(&|c| {
+                c.iterations = iterations;
+                c.active_ports = active_ports;
+                c.slots = slots;
+            })
+            .expect("in range");
+            let got = (case.iterations, case.active_ports, case.slots);
+            assert_eq!(got, (iterations, active_ports, slots));
+        }
+        assert_eq!(
+            with(&|c| c.active_ports = 99_999)
+                .expect_err("out of range")
+                .to_string(),
+            "99999 active ports outside 1..=4"
+        );
         // A load that no run can offer is refused, naming the key.
         for load in ["NaN", "-1", "1.5", "inf"] {
             let bad = json.replace("\"load\": 1,", &format!("\"load\": {load},"));

@@ -51,11 +51,8 @@ pub struct RunOutcome {
 pub fn run_case(case: &ReplayCase) -> RunOutcome {
     let n = case.n;
     let m = case.active_ports.clamp(1, n);
-    let limit = if case.iterations == 0 {
-        IterationLimit::ToCompletion
-    } else {
-        IterationLimit::Fixed(case.iterations)
-    };
+    // A budget of `n` iterations runs PIM to completion.
+    let limit = IterationLimit::Fixed(case.iterations.clamp(1, n));
     let mut pim = Pim::with_options(n, case.seed, limit, case.accept_policy());
     if case.accept_skew != 0 {
         pim.debug_set_accept_skew(case.accept_skew);
@@ -191,7 +188,7 @@ mod tests {
     #[test]
     fn to_completion_probe_passes_maximality() {
         let mut case = ReplayCase::new(8, 0x5EED, 0.5, 128);
-        case.iterations = 0; // to completion
+        case.iterations = case.n; // to completion
         case.expect_maximal = true;
         let out = run_case(&case);
         assert!(out.violation.is_none(), "{:?}", out.violation);
