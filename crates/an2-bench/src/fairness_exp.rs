@@ -2,8 +2,8 @@
 
 use crate::Effort;
 use an2_net::fairness::{figure_8_connection_rates, figure_9_shares_with, ChainShares};
+use an2_net::flows::ServiceDiscipline;
 use an2_sched::{AcceptPolicy, IterationLimit, Pim};
-use an2_sim::voq::ServiceDiscipline;
 use an2_task::{task_seed, Pool};
 use std::fmt::Write as _;
 

@@ -8,8 +8,8 @@ use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{IterationLimit, Pim, Scheduler};
 use an2_sim::cell::Arrival;
 use an2_sim::model::SwitchModel;
+use an2_sim::slab::PairFifos;
 use an2_sim::switch::CrossbarSwitch;
-use an2_sim::voq::VoqBuffers;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -119,7 +119,7 @@ fn fabrics_carry_every_matching_the_crossbar_switch_executes() {
         IterationLimit::Fixed(4),
         an2_sched::AcceptPolicy::Random,
     );
-    let mut voq = VoqBuffers::new(n);
+    let mut queues = PairFifos::new(n, None);
     let crossbar = Crossbar::new(n);
     let batcher_banyan = BatcherBanyan::new(n);
 
@@ -138,17 +138,17 @@ fn fabrics_carry_every_matching_the_crossbar_switch_executes() {
         }
         // The mirror sees the same arrivals and scheduler state, so it
         // computes the exact matching the switch is about to execute.
-        for a in &arrivals {
-            assert!(voq.push(a.into_cell(slot)).is_admitted());
+        for &a in &arrivals {
+            assert!(queues.push(a, slot));
         }
-        let matching = mirror.schedule(voq.requests());
+        let matching = mirror.schedule(queues.requests());
         for fabric in [&crossbar as &dyn Fabric, &batcher_banyan] {
             let out = fabric.route_matching(&matching);
             assert!(out.is_clean(), "{} blocked {:?}", fabric.name(), out.blocked);
             assert_eq!(out.delivered.len(), matching.len());
         }
         for (i, j) in matching.pairs() {
-            if voq.pop(i, j).is_some() {
+            if queues.pop(i, j, slot).is_some() {
                 fabric_delivered += 1;
             }
         }
@@ -160,5 +160,5 @@ fn fabrics_carry_every_matching_the_crossbar_switch_executes() {
         report.departures, fabric_delivered,
         "fabric deliveries diverged from the switch's departures"
     );
-    assert_eq!(switch.queued(), voq.len());
+    assert_eq!(switch.queued(), queues.len());
 }

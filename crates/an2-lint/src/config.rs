@@ -119,9 +119,7 @@ impl Config {
                 "crates/an2-sched/src/mwm.rs",
                 "crates/an2-sched/src/serenade.rs",
                 // PR 10: the per-slot code the old closure missed — the
-                // VOQ buffer's push/pop/observe feed and the crossbar
-                // switch's slot loop both run on every cell time.
-                "crates/an2-sim/src/voq.rs",
+                // crossbar switch's slot loop runs on every cell time.
                 "crates/an2-sim/src/switch.rs",
             ]
             .map(String::from)

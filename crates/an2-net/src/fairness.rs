@@ -13,11 +13,11 @@
 //!   chain of three switches gives flows a, b, c, d shares of about 1/2,
 //!   1/4, 1/8, 1/8 where fairness demands 1/4 each.
 
+use crate::flows::ServiceDiscipline;
 use crate::netsim::{Network, SwitchId};
 use an2_sched::{InputPort, OutputPort, Pim, RequestMatrix, Scheduler};
 use an2_sim::cell::FlowId;
 use an2_sim::metrics::jain_index;
-use an2_sim::voq::ServiceDiscipline;
 
 /// Per-connection throughput of a saturated 4×4 switch under the Figure 8
 /// request pattern, measured over `slots` scheduling decisions.

@@ -8,6 +8,9 @@
 //! * [`netsim`] — a slot-synchronous arbitrary-topology network of
 //!   input-queued switches (PIM-scheduled by default), links with latency,
 //!   per-flow static routes, saturating or rate-limited sources.
+//! * [`flows`] — the per-flow input buffers of a network switch (§3.3):
+//!   a FIFO per flow on the shared queue slab, round robin or FIFO across
+//!   the flows of a pair, drop-tail capacity, reroute.
 //! * [`clock`] — drifting frame clocks, including the Appendix B
 //!   slow-then-fast adversary.
 //! * [`cbr`] — the frame-based CBR chain simulation that checks the
@@ -30,6 +33,7 @@
 pub mod cbr;
 pub mod clock;
 pub mod fairness;
+pub mod flows;
 pub mod netsim;
 pub mod shard;
 

@@ -25,11 +25,11 @@
 //! that happens is recorded in a [`FaultLog`] — drops never panic. An empty
 //! plan leaves the simulation bit-identical to one without a fault layer.
 
+use crate::flows::{FlowQueues, PushOutcome, ServiceDiscipline};
 use an2_sched::rng::SelectRng as _;
 use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, PortMask, Scheduler};
 use an2_sim::cell::{Cell, FlowId};
 use an2_sim::fault::{DropCause, FaultKind, FaultLog, FaultPlan, PortSide};
-use an2_sim::voq::{ServiceDiscipline, VoqBuffers};
 use an2_sched::det::DetHashMap;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -187,7 +187,7 @@ enum PortTarget {
 }
 
 struct SwitchNode {
-    voq: VoqBuffers,
+    buffers: FlowQueues,
     scheduler: Box<dyn Scheduler>,
     /// Flow → output port at this switch.
     routes: DetHashMap<FlowId, OutputPort>,
@@ -204,7 +204,7 @@ struct SwitchNode {
 impl fmt::Debug for SwitchNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SwitchNode")
-            .field("n", &self.voq.n())
+            .field("n", &self.buffers.n())
             .field("scheduler", &self.scheduler.name())
             .field("routes", &self.routes.len())
             .field("mask", &self.mask)
@@ -365,7 +365,7 @@ impl Network {
     ) -> SwitchId {
         let id = SwitchId(self.switches.len());
         self.switches.push(SwitchNode {
-            voq: VoqBuffers::with_discipline(n, discipline),
+            buffers: FlowQueues::new(n, discipline),
             scheduler,
             routes: DetHashMap::default(),
             targets: vec![PortTarget::Sink; n],
@@ -386,7 +386,7 @@ impl Network {
 
     fn check_port(&self, sw: SwitchId, port: usize) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        let ports = self.switches[sw.0].voq.n();
+        let ports = self.switches[sw.0].buffers.n();
         if port < ports {
             Ok(())
         } else {
@@ -510,10 +510,10 @@ impl Network {
         Ok(())
     }
 
-    /// Bounds every VOQ of switch `sw` to `capacity` cells per input-output
-    /// pair (`None` = unbounded, the default). Applies to future arrivals;
-    /// over-capacity arrivals are dropped (drop-tail) and counted in the
-    /// [`FaultLog`].
+    /// Bounds the buffers of switch `sw` to `capacity` cells per
+    /// input-output pair (`None` = unbounded, the default). Applies to
+    /// future arrivals; over-capacity arrivals are dropped (drop-tail) and
+    /// counted in the [`FaultLog`].
     ///
     /// # Errors
     ///
@@ -524,7 +524,7 @@ impl Network {
         capacity: Option<usize>,
     ) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        self.switches[sw.0].voq.set_pair_capacity(capacity);
+        self.switches[sw.0].buffers.set_capacity(capacity);
         Ok(())
     }
 
@@ -540,7 +540,7 @@ impl Network {
     /// Panics if `frame_len == 0` (a frame must contain slots).
     pub fn enable_cbr(&mut self, sw: SwitchId, frame_len: usize) -> Result<(), TopologyError> {
         self.check_switch(sw)?;
-        let n = self.switches[sw.0].voq.n();
+        let n = self.switches[sw.0].buffers.n();
         self.switches[sw.0].frame = Some(FrameSchedule::new(n, frame_len));
         Ok(())
     }
@@ -672,7 +672,7 @@ impl Network {
 
     /// Total cells buffered across all switches.
     pub fn queued(&self) -> usize {
-        self.switches.iter().map(|s| s.voq.len()).sum()
+        self.switches.iter().map(|s| s.buffers.len()).sum()
     }
 
     /// Lifetime count of cells injected at sources (never reset).
@@ -713,7 +713,7 @@ impl Network {
                     return Err(format!("switch {idx}: frame schedule inconsistent"));
                 }
             }
-            if !node.voq.capacity_invariant_holds() {
+            if !node.buffers.within_capacity() {
                 return Err(format!("switch {idx}: VOQ occupancy exceeds capacity"));
             }
         }
@@ -791,14 +791,14 @@ impl Network {
             }
             let matching = {
                 let node = &mut self.switches[sw_idx];
-                let requests = node.voq.requests();
+                let requests = node.buffers.requests();
                 let matching = node.scheduler.schedule(requests);
                 debug_assert!(matching.respects(requests));
                 matching
             };
             for (i, j) in matching.pairs() {
                 let cell = self.switches[sw_idx]
-                    .voq
+                    .buffers
                     .pop(i, j)
                     .expect("scheduler contract: matched pairs have queued cells");
                 match self.switches[sw_idx].targets[j.index()] {
@@ -874,7 +874,7 @@ impl Network {
         let Some(node) = self.switches.get_mut(switch) else {
             return;
         };
-        if port >= node.voq.n() {
+        if port >= node.buffers.n() {
             return;
         }
         let changed = match (side, up) {
@@ -1044,32 +1044,18 @@ impl Network {
             Ok(new_len) => {
                 // Redirect queued cells at surviving hops, drop the rest.
                 for &(sw, inp, old_out) in &old {
-                    match self.switches[sw.0].routes.get(&flow).copied() {
-                        Some(new_out) if new_out != old_out => {
-                            let n = self.switches[sw.0].voq.redirect_flow(flow, new_out);
-                            for _ in 0..n {
-                                self.log.record_drop(
-                                    now,
-                                    sw.0,
-                                    inp.index(),
-                                    flow.0,
-                                    DropCause::BufferFull,
-                                );
-                            }
-                        }
-                        Some(_) => {}
-                        None => {
-                            let n = self.switches[sw.0].voq.drop_flow(flow);
-                            for _ in 0..n {
-                                self.log.record_drop(
-                                    now,
-                                    sw.0,
-                                    inp.index(),
-                                    flow.0,
-                                    DropCause::DeadLink,
-                                );
-                            }
-                        }
+                    let node = &mut self.switches[sw.0];
+                    let (lost, cause) = match node.routes.get(&flow).copied() {
+                        Some(new_out) if new_out != old_out => (
+                            node.buffers.redirect_flow(flow, new_out),
+                            DropCause::BufferFull,
+                        ),
+                        Some(_) => continue,
+                        None => (node.buffers.drop_flow(flow), DropCause::DeadLink),
+                    };
+                    for _ in 0..lost {
+                        self.log
+                            .record_drop(now, sw.0, inp.index(), flow.0, cause);
                     }
                 }
                 self.log.record_reroute(now, flow.0, new_len);
@@ -1099,7 +1085,7 @@ impl Network {
         hops: &[(SwitchId, InputPort, OutputPort)],
     ) {
         for &(sw, inp, _) in hops {
-            let n = self.switches[sw.0].voq.drop_flow(flow);
+            let n = self.switches[sw.0].buffers.drop_flow(flow);
             for _ in 0..n {
                 self.log
                     .record_drop(now, sw.0, inp.index(), flow.0, DropCause::DeadLink);
@@ -1327,14 +1313,14 @@ impl Network {
                 .record_drop(now, sw.0, port.index(), flow.0, DropCause::NoRoute);
             return;
         };
-        // an2-lint: allow(alloc-in-hot-path) delegates to VoqBuffer::push; its amortized deque growth is justified at the definition
-        let outcome = node.voq.push(Cell {
+        // an2-lint: allow(alloc-in-hot-path) FlowQueues::push grows its slab and flow table only when the queued cells or flows reach a new peak
+        let outcome = node.buffers.push(Cell {
             flow,
             input: port,
             output: out,
             arrival_slot: injected_at,
         });
-        if outcome.is_dropped() {
+        if outcome == PushOutcome::Dropped {
             self.log
                 .record_drop(now, sw.0, port.index(), flow.0, DropCause::BufferFull);
         }

@@ -14,11 +14,11 @@
 //! stores each input–output pair's queue as a FIFO of `u32` arrival
 //! stamps. With one flow per pair the paper's per-flow round robin inside
 //! a pair (§3.3) is plain FIFO order, so nothing is lost; chains where
-//! several flows share a pair, or where buffers are finite, run on
-//! [`crate::voq::VoqBuffers`]. The request matrix is maintained
-//! incrementally (set on a pair's first cell, clear on drain). Storage
-//! follows traffic rather than N: a dense 16-byte ledger per pair, and
-//! queue records only for the pairs that hold cells.
+//! several flows share a pair run on the network simulator's per-flow
+//! buffers (`an2_net::flows`), on the same [`QueueSlab`]. The request
+//! matrix is maintained incrementally (set on a pair's first cell, clear
+//! on drain). Storage follows traffic rather than N: a dense 16-byte
+//! ledger per pair, and queue records only for the pairs that hold cells.
 //!
 //! `tests/engine_golden.rs` pins the engine's report digests, recorded
 //! from the retired per-flow scalar loop, across schedulers, sizes and

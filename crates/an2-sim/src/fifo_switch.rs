@@ -45,7 +45,7 @@ pub struct FifoSwitch {
     /// Cells per queue eligible for the competition (1 = pure FIFO).
     window: usize,
     rng: Xoshiro256,
-    metrics: ModelMetrics,
+    pub(crate) metrics: ModelMetrics,
 }
 
 impl FifoSwitch {

@@ -4,7 +4,8 @@
 //! cells are transmitted during slots not used by CBR cells. In addition,
 //! VBR cells can use an allocated slot if no cell from the scheduled flow
 //! is present at the switch." CBR cells use statically reserved buffers;
-//! VBR cells use a separate pool (here, a second set of VOQs).
+//! VBR cells use a separate pool: here one [`PairFifos`] bank per class,
+//! each holding one flow per pair ([`crate::cell::FlowId::for_pair`]).
 //!
 //! Each slot `t` this model:
 //! 1. takes the reserved matching for frame slot `t mod frame_len`,
@@ -13,11 +14,11 @@
 //! 3. extends the matching over the VBR request matrix with
 //!    [`Pim::schedule_from`].
 
-use crate::cell::{Arrival, Cell};
+use crate::cell::Arrival;
 use crate::metrics::{DelayStats, SwitchReport};
 use crate::model::{validate_arrivals, ModelMetrics, SwitchModel};
-use crate::voq::VoqBuffers;
-use an2_sched::{FrameSchedule, InputPort, Matching, OutputPort, Pim};
+use crate::slab::PairFifos;
+use an2_sched::{FrameSchedule, Matching, Pim};
 
 /// Which service class an arrival belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,18 +65,12 @@ pub struct ClassedArrival {
 pub struct HybridSwitch {
     schedule: FrameSchedule,
     pim: Pim,
-    cbr: VoqBuffers,
-    vbr: VoqBuffers,
-    metrics: ModelMetrics,
+    cbr: PairFifos,
+    vbr: PairFifos,
+    pub(crate) metrics: ModelMetrics,
     cbr_delay: DelayStats,
     cbr_departures: u64,
     vbr_departures: u64,
-    /// Scratch: untagged arrivals re-tagged as VBR (reused across slots).
-    plain: Vec<Arrival>,
-    /// Scratch: reserved pairs actually carrying a CBR cell this slot.
-    cbr_pairs: Vec<(InputPort, OutputPort)>,
-    /// Scratch for [`SwitchModel::step`]'s class tagging.
-    classed: Vec<ClassedArrival>,
 }
 
 impl HybridSwitch {
@@ -91,15 +86,12 @@ impl HybridSwitch {
                 an2_sched::IterationLimit::ToCompletion,
                 an2_sched::AcceptPolicy::Random,
             ),
-            cbr: VoqBuffers::new(n),
-            vbr: VoqBuffers::new(n),
+            cbr: PairFifos::new(n, None),
+            vbr: PairFifos::new(n, None),
             metrics: ModelMetrics::new(n),
             cbr_delay: DelayStats::new(),
             cbr_departures: 0,
             vbr_departures: 0,
-            plain: Vec::new(),
-            cbr_pairs: Vec::new(),
-            classed: Vec::new(),
         }
     }
 
@@ -139,21 +131,27 @@ impl HybridSwitch {
     /// # Panics
     ///
     /// Panics on the usual arrival violations (duplicate input, port out
-    /// of range).
+    /// of range) or if an arrival's flow id is not its pair's.
     pub fn step_classed(&mut self, arrivals: &[ClassedArrival]) {
+        self.step_tagged(arrivals.iter().map(|c| (&c.arrival, c.class)));
+    }
+
+    /// The slot procedure behind [`HybridSwitch::step_classed`] and
+    /// [`SwitchModel::step`], over arrivals paired with their classes.
+    fn step_tagged<'a>(
+        &mut self,
+        arrivals: impl Iterator<Item = (&'a Arrival, ServiceClass)> + Clone,
+    ) {
         let slot = self.metrics.slot();
-        self.plain.clear();
-        self.plain.extend(arrivals.iter().map(|c| c.arrival));
-        validate_arrivals(self.cbr.n(), &self.plain);
-        for c in arrivals {
-            let cell = c.arrival.into_cell(slot);
-            let admitted = match c.class {
-                ServiceClass::Cbr => self.cbr.push(cell),
-                ServiceClass::Vbr => self.vbr.push(cell),
+        validate_arrivals(self.cbr.n(), arrivals.clone().map(|(a, _)| a));
+        for (&a, class) in arrivals {
+            let bank = match class {
+                ServiceClass::Cbr => &mut self.cbr,
+                ServiceClass::Vbr => &mut self.vbr,
             };
-            if admitted.is_admitted() {
-                self.metrics.on_arrival();
-            }
+            let queued = bank.push(a, slot);
+            debug_assert!(queued, "the class queues are unbounded");
+            self.metrics.on_arrival();
         }
         // Reserved matching for this frame slot, restricted to pairs with
         // a queued CBR cell.
@@ -162,39 +160,29 @@ impl HybridSwitch {
         let n = self.cbr.n();
         let mut initial = Matching::new(n);
         for (i, j) in reserved.pairs() {
-            if self.cbr.pair_occupancy(i, j) > 0 {
+            if self.cbr.requests().has(i, j) {
                 initial.pair(i, j).expect("subset of a legal matching");
             }
         }
-        self.cbr_pairs.clear();
-        self.cbr_pairs.extend(initial.pairs());
-        // PIM fills everything else from the VBR requests.
-        let vbr_requests = self.vbr.requests();
-        let matching = self.pim.schedule_from(vbr_requests, initial);
+        // PIM fills everything else from the VBR requests. The pairs of
+        // the initial matching are exactly the reserved ones holding a CBR
+        // cell; PIM adds only pairs on free ports.
+        let matching = self.pim.schedule_from(self.vbr.requests(), initial);
         for (i, j) in matching.pairs() {
-            if self.cbr_pairs.contains(&(i, j)) {
-                let cell = self.cbr.pop(i, j).expect("occupancy checked above");
-                self.record_departure(&cell, ServiceClass::Cbr, slot);
+            let cbr = reserved.output_of(i) == Some(j) && self.cbr.requests().has(i, j);
+            let bank = if cbr { &mut self.cbr } else { &mut self.vbr };
+            let cell = bank
+                .pop(i, j, slot)
+                .expect("a matched pair holds a cell of its class");
+            self.metrics.on_departure(&cell);
+            if cbr {
+                self.cbr_departures += 1;
+                self.cbr_delay.record(slot - cell.arrival_slot);
             } else {
-                let cell = self
-                    .vbr
-                    .pop(i, j)
-                    .expect("PIM fill respects the VBR request matrix");
-                self.record_departure(&cell, ServiceClass::Vbr, slot);
+                self.vbr_departures += 1;
             }
         }
         self.metrics.end_slot(self.queued());
-    }
-
-    fn record_departure(&mut self, cell: &Cell, class: ServiceClass, slot: u64) {
-        self.metrics.on_departure(cell);
-        match class {
-            ServiceClass::Cbr => {
-                self.cbr_departures += 1;
-                self.cbr_delay.record(slot - cell.arrival_slot);
-            }
-            ServiceClass::Vbr => self.vbr_departures += 1,
-        }
     }
 }
 
@@ -209,15 +197,7 @@ impl SwitchModel for HybridSwitch {
 
     /// Untagged arrivals are treated as VBR datagrams.
     fn step(&mut self, arrivals: &[Arrival]) {
-        // Take the scratch out so `step_classed` can borrow `self` freely.
-        let mut classed = std::mem::take(&mut self.classed);
-        classed.clear();
-        classed.extend(arrivals.iter().map(|&arrival| ClassedArrival {
-            arrival,
-            class: ServiceClass::Vbr,
-        }));
-        self.step_classed(&classed);
-        self.classed = classed;
+        self.step_tagged(arrivals.iter().map(|a| (a, ServiceClass::Vbr)));
     }
 
     fn queued(&self) -> usize {

@@ -13,9 +13,10 @@
 //! for the pairs holding cells), an incremental request matrix, fault
 //! events decoded by [`fault::SwitchFaults`], and queue observations for
 //! queue-aware schedulers. [`switch::CrossbarSwitch`] is its face under
-//! the scheduler's name. The paper's per-flow random-access buffers
-//! ([`voq`]), where several flows share a pair and buffers may be finite,
-//! serve the network simulator and the speedup and hybrid switches.
+//! the scheduler's name. The speedup and hybrid switches queue on the same
+//! slab through [`slab::PairFifos`], one FIFO per pair; the paper's
+//! per-flow buffers, where several flows share a pair, live beside the
+//! network simulator (`an2_net::flows`).
 //!
 //! # Quick start
 //!
@@ -56,7 +57,6 @@ pub mod speedup_switch;
 pub mod switch;
 pub mod traffic;
 pub mod units;
-pub mod voq;
 
 pub use batch::BatchCrossbar;
 pub use cell::{Arrival, Cell, FlowId};

@@ -359,8 +359,8 @@ impl SwitchReport {
     /// (no warmup, no preloaded queues): `arrivals` is window-scoped, so a
     /// cell admitted before the window starts would depart "unpaid". The
     /// invariant layer uses this on purpose-built full-window probes;
-    /// dropped cells are accounted separately (`VoqBuffers::drops` — a
-    /// rejected cell never increments `arrivals`).
+    /// dropped cells are accounted separately (a cell refused by a full
+    /// queue never increments `arrivals`).
     pub fn is_conserved(&self) -> bool {
         self.arrivals == self.departures + self.final_occupancy as u64
     }

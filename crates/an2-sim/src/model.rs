@@ -80,6 +80,16 @@ impl ModelMetrics {
         self.slot
     }
 
+    /// Moves a fresh model's clock to `slot`, as if that many empty slots
+    /// had passed, so tests can cross the `u32` stamp wrap of the pair
+    /// queues without simulating four billion slots.
+    #[cfg(test)]
+    pub(crate) fn start_at_slot(&mut self, slot: u64) {
+        assert_eq!(self.slot, 0, "only a fresh model can be moved");
+        self.slot = slot;
+        self.measure_start = slot;
+    }
+
     pub(crate) fn restart(&mut self) {
         self.measure_start = self.slot;
         self.arrivals = 0;
@@ -134,7 +144,7 @@ impl ModelMetrics {
 /// # Panics
 ///
 /// Panics if two arrivals share an input or any port index is `>= n`.
-pub(crate) fn validate_arrivals(n: usize, arrivals: &[Arrival]) {
+pub(crate) fn validate_arrivals<'a>(n: usize, arrivals: impl IntoIterator<Item = &'a Arrival>) {
     let mut seen = an2_sched::PortSet::new();
     for a in arrivals {
         assert!(
@@ -154,7 +164,110 @@ pub(crate) fn validate_arrivals(n: usize, arrivals: &[Arrival]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use an2_sched::{InputPort, OutputPort};
+    use crate::fifo_switch::FifoSwitch;
+    use crate::hybrid_switch::{ClassedArrival, HybridSwitch, ServiceClass};
+    use crate::output_queued::OutputQueuedSwitch;
+    use crate::speedup_switch::SpeedupSwitch;
+    use crate::traffic::{RateMatrixTraffic, Traffic};
+    use an2_sched::fifo::FifoPriority;
+    use an2_sched::{FrameSchedule, InputPort, OutputPort};
+
+    /// A start just below 2^32 (and a multiple of the hybrid's frame), so
+    /// queued cells, the warmup and the window all straddle the wrap of
+    /// 32-bit arrival stamps.
+    const SHIFTED: u64 = (1 << 32) - 128;
+
+    /// Runs `model` for 400 slots of load-0.95 traffic, opening the
+    /// measurement window at slot 60, with `step` feeding each slot's
+    /// arrivals (and the slot count from 0) to the model.
+    fn run<M: SwitchModel>(
+        mut model: M,
+        mut step: impl FnMut(&mut M, u64, &[Arrival]),
+    ) -> (M, SwitchReport) {
+        let mut traffic = RateMatrixTraffic::uniform(model.n(), 0.95, 7);
+        let mut buf = Vec::new();
+        for s in 0..400 {
+            if s == 60 {
+                model.start_measurement();
+            }
+            buf.clear();
+            traffic.arrivals(s, &mut buf);
+            step(&mut model, s, &buf);
+        }
+        let report = model.report();
+        (model, report)
+    }
+
+    fn same_reports(a: &SwitchReport, b: &SwitchReport) {
+        assert!(
+            a.delay.count() > 1000 && a.delay.max() > 2,
+            "too little traffic"
+        );
+        assert_eq!(a.slots, b.slots);
+        assert_eq!(a.arrivals, b.arrivals);
+        assert_eq!(a.departures, b.departures);
+        assert_eq!(a.departures_per_output, b.departures_per_output);
+        assert_eq!(a.departures_per_flow, b.departures_per_flow);
+        assert_eq!(a.peak_occupancy, b.peak_occupancy);
+        assert_eq!(a.final_occupancy, b.final_occupancy);
+        assert_eq!(a.delay, b.delay);
+    }
+
+    #[test]
+    fn models_report_the_same_past_the_u32_stamp_wrap() {
+        let fifo = |start| {
+            let mut m = FifoSwitch::new(8, FifoPriority::Random, 3);
+            m.metrics.start_at_slot(start);
+            run(m, |m, _, a| m.step(a)).1
+        };
+        same_reports(&fifo(0), &fifo(SHIFTED));
+        let output_queued = |start| {
+            let mut m = OutputQueuedSwitch::new(8);
+            m.metrics.start_at_slot(start);
+            run(m, |m, _, a| m.step(a)).1
+        };
+        same_reports(&output_queued(0), &output_queued(SHIFTED));
+        let speedup = |start| {
+            let mut m = SpeedupSwitch::new(8, 2, 4, 5);
+            m.metrics.start_at_slot(start);
+            run(m, |m, _, a| m.step(a)).1
+        };
+        same_reports(&speedup(0), &speedup(SHIFTED));
+    }
+
+    #[test]
+    fn hybrid_reports_the_same_past_the_u32_stamp_wrap() {
+        // Input 0 paces a CBR cell to output 1 every other slot; the other
+        // inputs' arrivals are VBR.
+        let hybrid = |start| {
+            let mut fs = FrameSchedule::new(8, 4);
+            fs.reserve(InputPort::new(0), OutputPort::new(1), 2).unwrap();
+            let mut m = HybridSwitch::new(fs, 9);
+            m.metrics.start_at_slot(start);
+            let mut classed = Vec::new();
+            let (m, report) = run(m, |m, s, arrivals| {
+                classed.clear();
+                if s % 2 == 0 {
+                    classed.push(ClassedArrival {
+                        arrival: Arrival::pair(8, InputPort::new(0), OutputPort::new(1)),
+                        class: ServiceClass::Cbr,
+                    });
+                }
+                let vbr = arrivals.iter().filter(|a| a.input.index() != 0);
+                classed.extend(vbr.map(|&arrival| ClassedArrival {
+                    arrival,
+                    class: ServiceClass::Vbr,
+                }));
+                m.step_classed(&classed);
+            });
+            (report, m.cbr_delay().clone(), m.departures_by_class())
+        };
+        let (plain, wrapped) = (hybrid(0), hybrid(SHIFTED));
+        same_reports(&plain.0, &wrapped.0);
+        assert!(plain.1.count() > 100 && plain.2 .0 > 100);
+        assert_eq!(plain.1, wrapped.1);
+        assert_eq!(plain.2, wrapped.2);
+    }
 
     #[test]
     fn metrics_window_truncates_warmup_cells() {

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct OutputQueuedSwitch {
     queues: Vec<VecDeque<Cell>>,
-    metrics: ModelMetrics,
+    pub(crate) metrics: ModelMetrics,
 }
 
 impl OutputQueuedSwitch {

@@ -10,12 +10,17 @@
 //! takes it back when the last one leaves ([`QueueSlab::serve`]).
 //!
 //! The slab is generic over what a queue holds ([`QueueCell`]): the
-//! single-switch engine ([`crate::batch::BatchCrossbar`]) queues `u32`
-//! arrival stamps, the sharded ring (`an2_net::shard`) packed `u64` routed
-//! cells. Either way a record is one 64-byte cache line: as many cells
-//! inline as fit beside the record's header (7 stamps or 4 ring cells),
-//! then a power-of-two boxed ring for deep queues.
+//! single-switch engine ([`crate::batch::BatchCrossbar`]) and the
+//! [`PairFifos`] bank queue `u32` arrival stamps, the sharded ring
+//! (`an2_net::shard`) packed `u64` routed cells, and the network
+//! simulator's per-flow buffers (`an2_net::flows`) `[u64; 2]` pairs of
+//! push sequence and injection slot. Either way a record is one 64-byte
+//! cache line: as many cells inline as fit beside the record's header (7
+//! stamps, 4 ring cells or 2 flow cells), then a power-of-two boxed ring
+//! for deep queues.
 
+use crate::cell::{Arrival, Cell, FlowId};
+use an2_sched::{InputPort, OutputPort, RequestMatrix};
 use std::fmt;
 
 /// What a [`QueueSlab`] queues: a small `Copy` value, with the inline
@@ -34,6 +39,11 @@ impl QueueCell for u32 {
 /// Packed routed cells of the sharded ring.
 impl QueueCell for u64 {
     type Inline = [u64; 4];
+}
+
+/// Push sequence and injection slot of a network simulator flow's cell.
+impl QueueCell for [u64; 2] {
+    type Inline = [[u64; 2]; 2];
 }
 
 /// Cells in a queue's first ring: at least twice any inline capacity,
@@ -64,7 +74,7 @@ pub const NO_QUEUE: u32 = 0;
 /// next pair either keeps using it or, while drained, the record lends it
 /// to a deeper queue ([`QueueSlab::widen`]).
 #[repr(align(64))]
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct PairQueue<T: QueueCell> {
     /// Inline FIFO storage, front-first in `[0..len)` while unspilled.
     inline: T::Inline,
@@ -81,7 +91,9 @@ struct PairQueue<T: QueueCell> {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<PairQueue<u32>>() == 64 && std::mem::size_of::<PairQueue<u64>>() == 64
+    std::mem::size_of::<PairQueue<u32>>() == 64
+        && std::mem::size_of::<PairQueue<u64>>() == 64
+        && std::mem::size_of::<PairQueue<[u64; 2]>>() == 64
 );
 
 impl<T: QueueCell> PairQueue<T> {
@@ -184,7 +196,7 @@ impl<T: QueueCell> PairQueue<T> {
 /// assert_eq!(slab.serve(&mut pair), (11, true));
 /// assert_eq!(pair, NO_QUEUE, "a drained pair holds no record");
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct QueueSlab<T: QueueCell> {
     /// Record 0 is the [`NO_QUEUE`] sentinel; the rest are handed out.
     records: Vec<PairQueue<T>>,
@@ -261,6 +273,28 @@ impl<T: QueueCell> QueueSlab<T> {
         self.records
             .get(handle as usize)
             .map(|q| (q.len, q.front()))
+    }
+
+    /// Drops the newest cells of the pair whose handle is `handle` until
+    /// at most `keep` remain. A pair left with none gives its record back
+    /// and its handle becomes [`NO_QUEUE`]. For the cold paths that
+    /// reroute or discard a queue; a handle the slab never handed out is
+    /// left alone.
+    // an2-lint: cold
+    #[cold]
+    pub fn truncate(&mut self, handle: &mut u32, keep: u32) {
+        let h = *handle;
+        let Some(q) = self.records.get_mut(h as usize).filter(|_| h != NO_QUEUE) else {
+            return;
+        };
+        if q.len <= keep {
+            return;
+        }
+        q.len = keep;
+        if keep == 0 {
+            self.put_free(h);
+            *handle = NO_QUEUE;
+        }
     }
 
     /// Takes the head record off class `c`'s free list (which must be
@@ -346,6 +380,169 @@ impl<T: QueueCell> QueueSlab<T> {
     }
 }
 
+/// One FIFO of arrival stamps per input–output pair, for the switch
+/// models that keep to one flow per pair ([`FlowId::for_pair`]) outside
+/// the single-switch engine: the speedup switch, the hybrid CBR/VBR
+/// switch (one bank per service class) and the `an2-verify` probe runner.
+///
+/// The bank keeps a dense `u32` [`QueueSlab`] handle per pair, the
+/// request matrix in step with the queues (set on a pair's first cell,
+/// cleared when it drains), the queued count, and an optional depth bound
+/// that [`PairFifos::push`] enforces by refusing the arriving cell
+/// (drop-tail). Cells are stamped with the slot's low 32 bits, and a
+/// departing cell's arrival slot is the departure slot minus the wrapping
+/// difference of stamps, so runs may pass 2^32 slots and stay exact for
+/// any cell that waited fewer than 2^32 slots.
+///
+/// # Examples
+///
+/// ```
+/// use an2_sched::{InputPort, OutputPort};
+/// use an2_sim::cell::Arrival;
+/// use an2_sim::slab::PairFifos;
+///
+/// let mut bank = PairFifos::new(4, Some(1));
+/// let a = Arrival::pair(4, InputPort::new(0), OutputPort::new(2));
+/// assert!(bank.push(a, 7));
+/// assert!(!bank.push(a, 8), "the pair is at its depth bound");
+/// let cell = bank.pop(InputPort::new(0), OutputPort::new(2), 9).unwrap();
+/// assert_eq!((cell.flow, cell.arrival_slot), (a.flow, 7));
+/// assert_eq!(bank.len(), 0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct PairFifos {
+    n: usize,
+    /// One [`QueueSlab`] handle per pair, row-major.
+    handles: Vec<u32>,
+    slab: QueueSlab<u32>,
+    /// Bit `(i, j)` is set iff pair `(i, j)` holds a cell.
+    requests: RequestMatrix,
+    queued: usize,
+    /// The most cells a pair may hold; `None` is unbounded.
+    bound: Option<u32>,
+}
+
+impl PairFifos {
+    /// Empty queues for an `n`-port switch whose pairs hold at most
+    /// `bound` cells each (`None`: unbounded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 or larger than a [`RequestMatrix`] holds.
+    pub fn new(n: usize, bound: Option<usize>) -> Self {
+        Self {
+            n,
+            handles: vec![NO_QUEUE; n * n],
+            slab: QueueSlab::with_capacity(n),
+            requests: RequestMatrix::new(n),
+            queued: 0,
+            bound: bound.map(|b| u32::try_from(b).unwrap_or(u32::MAX)),
+        }
+    }
+
+    /// The switch radix.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Cells queued across all pairs.
+    pub fn len(&self) -> usize {
+        self.queued
+    }
+
+    /// Returns `true` if no cell is queued.
+    pub fn is_empty(&self) -> bool {
+        self.queued == 0
+    }
+
+    /// The pairs that hold a cell.
+    pub fn requests(&self) -> &RequestMatrix {
+        &self.requests
+    }
+
+    /// Row-major index of pair `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either port is outside the switch.
+    fn pair(&self, i: InputPort, j: OutputPort) -> usize {
+        if i.index() >= self.n || j.index() >= self.n {
+            refused_pair(i, j, self.n, "lies outside the switch");
+        }
+        i.index() * self.n + j.index()
+    }
+
+    /// Whether every pair holds at most the depth bound. [`PairFifos::push`]
+    /// refuses cells past it, so this is a check on the bank itself.
+    pub fn within_bound(&self) -> bool {
+        let Some(bound) = self.bound else {
+            return true;
+        };
+        self.handles
+            .iter()
+            .all(|&h| self.slab.peek(h).is_some_and(|(depth, _)| depth <= bound))
+    }
+
+    /// Queues arrival `a`, stamped with `slot`, or refuses it when its pair
+    /// is at the depth bound. Returns whether the cell was queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port is outside the switch or the arrival's flow id is
+    /// not [`FlowId::for_pair`] of its pair.
+    #[must_use = "a refused cell must be accounted for"]
+    pub fn push(&mut self, a: Arrival, slot: u64) -> bool {
+        let p = self.pair(a.input, a.output);
+        if a.flow != FlowId::for_pair(self.n, a.input, a.output) {
+            refused_pair(
+                a.input,
+                a.output,
+                self.n,
+                "got another flow: these switches queue one flow per pair",
+            );
+        }
+        let Some(h) = self.handles.get_mut(p) else {
+            return false;
+        };
+        if let Some(bound) = self.bound {
+            if self.slab.peek(*h).is_some_and(|(depth, _)| depth >= bound) {
+                return false;
+            }
+        }
+        if self.slab.admit(h, slot as u32) {
+            self.requests.set(a.input, a.output);
+        }
+        self.queued = self.queued.wrapping_add(1);
+        true
+    }
+
+    /// Dequeues the oldest cell of pair `(i, j)` as it departs in `slot`,
+    /// or `None` if the pair holds none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either port is outside the switch.
+    pub fn pop(&mut self, i: InputPort, j: OutputPort, slot: u64) -> Option<Cell> {
+        let p = self.pair(i, j);
+        let h = self.handles.get_mut(p).filter(|h| **h != NO_QUEUE)?;
+        let (stamp, drained) = self.slab.serve(h);
+        if drained {
+            self.requests.clear(i, j);
+        }
+        self.queued = self.queued.wrapping_sub(1);
+        let waited = u64::from((slot as u32).wrapping_sub(stamp));
+        Some(Arrival::pair(self.n, i, j).into_cell(slot.wrapping_sub(waited)))
+    }
+}
+
+/// Panics for a cell [`PairFifos`] refuses by contract: one whose pair
+/// lies outside the switch, or whose flow is not its pair's.
+// an2-lint: cold
+#[cold]
+fn refused_pair(i: InputPort, j: OutputPort, n: usize, why: &str) -> ! {
+    panic!("pair ({i},{j}) of a {n}x{n} switch {why}")
+}
+
 #[cfg(test)]
 impl<T: QueueCell> QueueSlab<T> {
     /// Records, the sentinel included.
@@ -382,6 +579,12 @@ mod tests {
         }
     }
 
+    impl Cell for [u64; 2] {
+        fn of(v: u32) -> Self {
+            [u64::from(v), (0xDEF << 40) | u64::from(v)]
+        }
+    }
+
     fn inline<T: Cell>() -> u32 {
         PairQueue::<T>::INLINE as u32
     }
@@ -412,6 +615,7 @@ mod tests {
     fn pair_queue_fifo_order_across_spill_and_growth() {
         fifo_across_spill_and_growth::<u32>();
         fifo_across_spill_and_growth::<u64>();
+        fifo_across_spill_and_growth::<[u64; 2]>();
     }
 
     fn inline_only_never_spills<T: Cell>() {
@@ -434,6 +638,7 @@ mod tests {
     fn pair_queue_inline_only_never_allocates_spill() {
         inline_only_never_spills::<u32>();
         inline_only_never_spills::<u64>();
+        inline_only_never_spills::<[u64; 2]>();
     }
 
     fn recycled_record_at_a_moved_head<T: Cell>() {
@@ -479,6 +684,7 @@ mod tests {
     fn recycled_record_keeps_fifo_order_at_a_moved_ring_head() {
         recycled_record_at_a_moved_head::<u32>();
         recycled_record_at_a_moved_head::<u64>();
+        recycled_record_at_a_moved_head::<[u64; 2]>();
     }
 
     fn deep_queue_takes_a_drained_ring<T: Cell>() {
@@ -521,6 +727,7 @@ mod tests {
     fn a_deep_queue_takes_a_drained_ring_instead_of_allocating() {
         deep_queue_takes_a_drained_ring::<u32>();
         deep_queue_takes_a_drained_ring::<u64>();
+        deep_queue_takes_a_drained_ring::<[u64; 2]>();
     }
 
     fn donor_restarts_at_its_new_ring_head<T: Cell>() {
@@ -560,5 +767,114 @@ mod tests {
     fn a_donor_record_restarts_at_the_head_of_the_ring_it_receives() {
         donor_restarts_at_its_new_ring_head::<u32>();
         donor_restarts_at_its_new_ring_head::<u64>();
+        donor_restarts_at_its_new_ring_head::<[u64; 2]>();
+    }
+
+    fn truncate_drops_the_newest<T: Cell>() {
+        // Truncation keeps the oldest cells in order, inline and spilled,
+        // and a queue truncated to nothing gives its record back.
+        let mut slab = QueueSlab::<T>::with_capacity(2);
+        let (mut a, mut b) = (NO_QUEUE, NO_QUEUE);
+        for v in 0..3 {
+            slab.admit(&mut a, T::of(v));
+        }
+        for v in 0..40 {
+            slab.admit(&mut b, T::of(v));
+        }
+        slab.serve(&mut b);
+        slab.truncate(&mut a, 5);
+        assert_eq!(
+            slab.peek(a).map(|(depth, _)| depth),
+            Some(3),
+            "nothing to drop"
+        );
+        slab.truncate(&mut a, 2);
+        slab.truncate(&mut b, 20);
+        assert_eq!(slab.serve(&mut a), (T::of(0), false));
+        assert_eq!(slab.serve(&mut a), (T::of(1), true));
+        for v in 1..21 {
+            assert_eq!(slab.serve(&mut b), (T::of(v), v == 20));
+        }
+        let mut c = NO_QUEUE;
+        slab.admit(&mut c, T::of(7));
+        let h = c;
+        slab.truncate(&mut c, 0);
+        assert_eq!(c, NO_QUEUE, "an emptied queue holds no record");
+        slab.truncate(&mut c, 0);
+        slab.admit(&mut c, T::of(8));
+        assert_eq!(c, h, "the record went back on its free list");
+        assert_eq!(slab.records(), 3);
+    }
+
+    #[test]
+    fn truncate_keeps_the_oldest_cells_and_frees_emptied_records() {
+        truncate_drops_the_newest::<u32>();
+        truncate_drops_the_newest::<u64>();
+        truncate_drops_the_newest::<[u64; 2]>();
+    }
+
+    fn arrival(n: usize, i: usize, j: usize) -> Arrival {
+        Arrival::pair(n, InputPort::new(i), OutputPort::new(j))
+    }
+
+    #[test]
+    fn pair_fifos_keep_requests_and_counts_in_step() {
+        let mut bank = PairFifos::new(4, None);
+        assert!(bank.push(arrival(4, 0, 3), 5));
+        assert!(bank.push(arrival(4, 0, 3), 6));
+        assert!(bank.push(arrival(4, 2, 1), 6));
+        let reqs: Vec<_> = bank.requests().pairs().collect();
+        assert_eq!(
+            reqs,
+            [
+                (InputPort::new(0), OutputPort::new(3)),
+                (InputPort::new(2), OutputPort::new(1))
+            ]
+        );
+        assert_eq!(bank.len(), 3);
+        let (i, j) = (InputPort::new(0), OutputPort::new(3));
+        assert_eq!(bank.pop(i, j, 9), Some(arrival(4, 0, 3).into_cell(5)));
+        assert!(bank.requests().has(i, j));
+        assert_eq!(bank.pop(i, j, 9), Some(arrival(4, 0, 3).into_cell(6)));
+        assert!(
+            !bank.requests().has(i, j),
+            "a drained pair stops requesting"
+        );
+        assert_eq!(bank.pop(i, j, 9), None);
+        assert_eq!(bank.len(), 1);
+        assert!(!bank.is_empty());
+    }
+
+    #[test]
+    fn pair_fifos_refuse_cells_past_the_depth_bound() {
+        let mut bank = PairFifos::new(4, Some(2));
+        assert!(bank.push(arrival(4, 1, 2), 0));
+        assert!(bank.push(arrival(4, 1, 2), 1));
+        assert!(!bank.push(arrival(4, 1, 2), 2), "drop-tail at the bound");
+        assert!(bank.push(arrival(4, 1, 3), 2), "the bound is per pair");
+        assert!(bank.within_bound());
+        assert_eq!(bank.len(), 3);
+        // The queued cells are the two oldest.
+        let (i, j) = (InputPort::new(1), OutputPort::new(2));
+        assert_eq!(bank.pop(i, j, 3).map(|c| c.arrival_slot), Some(0));
+        assert!(bank.push(arrival(4, 1, 2), 3), "draining makes room");
+    }
+
+    #[test]
+    fn pair_fifos_report_arrival_slots_across_the_stamp_wrap() {
+        let mut bank = PairFifos::new(2, None);
+        let before = u64::from(u32::MAX) - 1;
+        assert!(bank.push(arrival(2, 1, 0), before));
+        let cell = bank.pop(InputPort::new(1), OutputPort::new(0), before + 5);
+        assert_eq!(cell.map(|c| c.arrival_slot), Some(before));
+    }
+
+    #[test]
+    #[should_panic(expected = "one flow per pair")]
+    fn pair_fifos_reject_a_non_pair_flow() {
+        let mut bank = PairFifos::new(4, None);
+        let mut a = arrival(4, 0, 1);
+        a.flow = FlowId(99);
+        let _ = bank.push(a, 0);
     }
 }

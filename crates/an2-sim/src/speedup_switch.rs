@@ -8,12 +8,16 @@
 //! random-access *input* buffers too and schedules with k-grant PIM, so
 //! no cell is ever dropped; at `k = 1` it is the plain AN2 switch with an
 //! extra (empty) output stage, and as `k → N` it converges to perfect
-//! output queueing.
+//! output queueing. This is the combined input-output queued switch whose
+//! delay under maximal matching with speedup Cogill and Lall analyse.
+//!
+//! The input side keeps one flow per pair ([`crate::cell::FlowId::for_pair`]),
+//! queued in a [`PairFifos`] bank.
 
 use crate::cell::{Arrival, Cell};
 use crate::metrics::SwitchReport;
 use crate::model::{validate_arrivals, ModelMetrics, SwitchModel};
-use crate::voq::VoqBuffers;
+use crate::slab::PairFifos;
 use an2_sched::kgrant::KGrantPim;
 use std::collections::VecDeque;
 
@@ -39,10 +43,10 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpeedupSwitch {
-    voq: VoqBuffers,
+    inputs: PairFifos,
     scheduler: KGrantPim,
     output_queues: Vec<VecDeque<Cell>>,
-    metrics: ModelMetrics,
+    pub(crate) metrics: ModelMetrics,
 }
 
 impl SpeedupSwitch {
@@ -54,7 +58,7 @@ impl SpeedupSwitch {
     /// Panics if `n`, `k` or `iterations` is 0, or `n > MAX_PORTS`.
     pub fn new(n: usize, k: usize, iterations: usize, seed: u64) -> Self {
         Self {
-            voq: VoqBuffers::new(n),
+            inputs: PairFifos::new(n, None),
             scheduler: KGrantPim::new(n, k, iterations, seed),
             output_queues: vec![VecDeque::new(); n],
             metrics: ModelMetrics::new(n),
@@ -74,7 +78,7 @@ impl SpeedupSwitch {
 
 impl SwitchModel for SpeedupSwitch {
     fn n(&self) -> usize {
-        self.voq.n()
+        self.inputs.n()
     }
 
     fn name(&self) -> &'static str {
@@ -84,19 +88,19 @@ impl SwitchModel for SpeedupSwitch {
     fn step(&mut self, arrivals: &[Arrival]) {
         let slot = self.metrics.slot();
         validate_arrivals(self.n(), arrivals);
-        for a in arrivals {
-            if self.voq.push(a.into_cell(slot)).is_admitted() {
-                self.metrics.on_arrival();
-            }
+        for &a in arrivals {
+            let queued = self.inputs.push(a, slot);
+            debug_assert!(queued, "the input queues are unbounded");
+            self.metrics.on_arrival();
         }
         // Up to k cells cross the fabric to each output...
-        let requests = self.voq.requests();
+        let requests = self.inputs.requests();
         let mm = self.scheduler.schedule(requests);
         debug_assert!(mm.respects(requests));
         for (i, j) in mm.pairs() {
             let cell = self
-                .voq
-                .pop(i, j)
+                .inputs
+                .pop(i, j, slot)
                 .expect("scheduler contract: assigned pairs have queued cells");
             self.output_queues[j.index()].push_back(cell);
         }
@@ -111,7 +115,7 @@ impl SwitchModel for SpeedupSwitch {
     }
 
     fn queued(&self) -> usize {
-        self.voq.len() + self.output_queued()
+        self.inputs.len() + self.output_queued()
     }
 
     fn start_measurement(&mut self) {

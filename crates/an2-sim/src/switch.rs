@@ -12,8 +12,8 @@
 //! own name, sized from the scheduler where it knows its radix. Every
 //! arrival's flow is its input–output pair ([`Arrival::pair`]); with one
 //! flow per pair the paper's per-flow round robin inside a pair (§3.3) is
-//! plain FIFO order. Chains where several flows share a pair run on
-//! [`VoqBuffers`](crate::voq::VoqBuffers) instead.
+//! plain FIFO order. Chains where several flows share a pair run on the
+//! network simulator's per-flow buffers (`an2_net::flows`) instead.
 
 use crate::batch::BatchCrossbar;
 use crate::cell::Arrival;

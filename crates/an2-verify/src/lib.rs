@@ -18,14 +18,14 @@
 //!   and Karol cross-checks.
 //! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
 //!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
-//!   oracle for the interned-slab `an2_sim::voq::VoqBuffers` and, driven
-//!   by a plain slot loop, for the single-switch engine's queues and
-//!   queue observations.
+//!   oracle for the network simulator's per-flow buffers
+//!   (`an2_net::flows::FlowQueues`) and, driven by a plain slot loop, for
+//!   the single-switch engine's queues and queue observations.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
-//!   scheduler + VOQ pair slot by slot, re-verifying after every slot
-//!   that the matching is a legal (optionally maximal) permutation
-//!   submatrix of the requests, that VOQ occupancy respects capacity, and
-//!   that cells are conserved. Unlike `an2_sched::CheckedScheduler`
+//!   scheduler over per-pair FIFOs slot by slot, re-verifying after every
+//!   slot that the matching is a legal (optionally maximal) permutation
+//!   submatrix of the requests, that no pair queue exceeds its capacity,
+//!   and that cells are conserved. Unlike `an2_sched::CheckedScheduler`
 //!   (which compiles its checks away in plain release builds) the runner
 //!   always checks — it exists to be asked.
 //! * [`replay`] — a **deterministic replay + shrink harness**: a failing
@@ -35,8 +35,8 @@
 //!   ports while preserving the failure.
 //!
 //! The runtime hooks these build on live with the code they check:
-//! `an2_sched::check` (per-matching invariants), `VoqBuffers::
-//! capacity_invariant_holds`, `SwitchReport::is_conserved`, and
+//! `an2_sched::check` (per-matching invariants), `PairFifos::within_bound`,
+//! `FlowQueues::within_capacity`, `SwitchReport::is_conserved`, and
 //! `Network::verify_invariants`.
 
 #![forbid(unsafe_code)]

@@ -1,27 +1,28 @@
-//! Reference input buffers the slab-based [`an2_sim::voq::VoqBuffers`] is
-//! checked against.
+//! Reference input buffers the network simulator's per-flow buffers
+//! ([`an2_net::flows::FlowQueues`]) are checked against.
 //!
 //! [`ReferenceVoq`] is the straightforward rendering of the paper's §3.3
 //! buffer: a hash map from flow to its FIFO, a hash map from flow to its
 //! pinned output, and a `Vec<Vec<VecDeque<FlowId>>>` of per-pair
 //! round-robin lists of eligible flows. Every operation hashes; nothing is
-//! cached or interned. The production buffer replaced this layout with an
-//! interned flow slab and intrusive per-pair lists, and the differential
-//! property test `tests/voq_differential.rs` runs both on the same random
-//! operation sequences and fails on the first divergence in popped cells,
-//! push outcomes, drop counts or request matrices. It is also the queue
+//! cached or interned. The production buffer keeps each flow's cells in a
+//! slab queue and threads the per-pair lists through its flow records, and
+//! the differential property test `tests/voq_differential.rs` runs both on
+//! the same random operation sequences and fails on the first divergence
+//! in popped cells, push outcomes, drop counts, pair occupancies or
+//! request matrices. It is also the queue
 //! oracle of `tests/engine_differential.rs`: a plain slot loop over it,
 //! with [`ReferenceVoq::pair_head_arrival`] giving each pair's head-cell
 //! age, checks the single-switch engine's queue observations.
 
+use an2_net::flows::{PushOutcome, ServiceDiscipline};
 use an2_sched::det::DetHashMap;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
 use an2_sim::cell::{Cell, FlowId};
-use an2_sim::voq::{PushOutcome, ServiceDiscipline};
 use std::collections::VecDeque;
 
 /// Hash-map-per-flow VOQ buffers with the same observable behaviour as
-/// [`an2_sim::voq::VoqBuffers`].
+/// [`an2_net::flows::FlowQueues`].
 #[derive(Clone, Debug)]
 pub struct ReferenceVoq {
     n: usize,

@@ -1,6 +1,6 @@
 //! The invariant-checked probe runner: drives a PIM scheduler against
-//! per-flow VOQ buffers slot by slot, re-verifying every invariant after
-//! every slot.
+//! per-pair FIFOs ([`PairFifos`]) slot by slot, re-verifying every
+//! invariant after every slot.
 //!
 //! Unlike `an2_sched::CheckedScheduler` — whose checks compile away in
 //! plain release builds so it can wrap hot paths for free — this runner
@@ -12,7 +12,8 @@
 //! * the matching is a legal partial permutation of requested pairs
 //!   (and maximal, when the case demands it);
 //! * every matched pair yields a queued cell;
-//! * VOQ occupancy never exceeds the configured capacity;
+//! * no pair queue holds more than the configured capacity, which the
+//!   queues enforce as a depth bound on enqueue;
 //! * cells are conserved: admitted = delivered + queued, with corrupted
 //!   and rejected cells accounted separately.
 
@@ -21,7 +22,7 @@ use an2_sched::check::{matching_violations, Expectation, Violation};
 use an2_sched::pim::IterationLimit;
 use an2_sched::{InputPort, OutputPort, Pim, Scheduler};
 use an2_sim::cell::Arrival;
-use an2_sim::voq::VoqBuffers;
+use an2_sim::slab::PairFifos;
 use an2_sched::rng::{SelectRng, Xoshiro256};
 
 /// Result of executing a [`ReplayCase`].
@@ -57,8 +58,7 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
     if case.accept_skew != 0 {
         pim.debug_set_accept_skew(case.accept_skew);
     }
-    let mut voq = VoqBuffers::new(n);
-    voq.set_pair_capacity(case.pair_capacity);
+    let mut queues = PairFifos::new(n, case.pair_capacity);
     let expect = if case.expect_maximal {
         Expectation::Maximal
     } else {
@@ -88,7 +88,7 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
                 continue;
             }
             let arrival = Arrival::pair(n, InputPort::new(i), OutputPort::new(j));
-            if voq.push(arrival.into_cell(slot)).is_admitted() {
+            if queues.push(arrival, slot) {
                 admitted += 1;
             } else {
                 dropped += 1;
@@ -97,14 +97,14 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
 
         // 2. Schedule, then verify the matching before touching queues —
         //    a broken matching must be reported, not acted on.
-        let matching = pim.schedule(voq.requests());
+        let matching = pim.schedule(queues.requests());
         checks += 1;
-        matching_violations(slot, voq.requests(), &matching, expect, None, &mut violations);
+        matching_violations(slot, queues.requests(), &matching, expect, None, &mut violations);
 
         // 3. Matched pairs transmit.
         if violations.is_empty() {
             for (i, j) in matching.pairs() {
-                if voq.pop(i, j).is_some() {
+                if queues.pop(i, j, slot).is_some() {
                     delivered += 1;
                 } else {
                     violations.push(Violation {
@@ -121,20 +121,20 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
         }
 
         // 4. Buffer and ledger invariants.
-        if violations.is_empty() && !voq.capacity_invariant_holds() {
+        if violations.is_empty() && !queues.within_bound() {
             violations.push(Violation {
                 slot,
                 rule: "capacity",
                 detail: "a VOQ exceeded its configured pair capacity".to_owned(),
             });
         }
-        if violations.is_empty() && admitted != delivered + voq.len() as u64 {
+        if violations.is_empty() && admitted != delivered + queues.len() as u64 {
             violations.push(Violation {
                 slot,
                 rule: "conservation",
                 detail: format!(
                     "admitted {admitted} != delivered {delivered} + queued {}",
-                    voq.len()
+                    queues.len()
                 ),
             });
         }

@@ -17,6 +17,7 @@
 //! oldest-cell weights, SERENADE), whose decisions depend on every depth
 //! and age the engine reports.
 
+use an2_net::flows::{PushOutcome, ServiceDiscipline};
 use an2_sched::islip::RoundRobinMatchingN;
 use an2_sched::maximum::MaximumMatchingN;
 use an2_sched::rng::{SelectRng, Xoshiro256};
@@ -25,7 +26,6 @@ use an2_sim::cell::Arrival;
 use an2_sim::metrics::{DelayStats, SwitchReport};
 use an2_sim::model::SwitchModel;
 use an2_sim::switch::CrossbarSwitch;
-use an2_sim::voq::ServiceDiscipline;
 use an2_verify::ReferenceVoq;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -84,7 +84,7 @@ impl Reference {
 
     fn step(&mut self, arrivals: &[Arrival]) {
         for a in arrivals {
-            assert!(self.voq.push(a.into_cell(self.slot)).is_admitted());
+            assert_eq!(self.voq.push(a.into_cell(self.slot)), PushOutcome::Admitted);
             self.arrivals += 1;
         }
         if self.scheduler.wants_queue_observations() {

@@ -1,18 +1,21 @@
-//! Differential test of the slab-based `VoqBuffers` against the plain
-//! hash-map `ReferenceVoq`.
+//! Differential test of the network simulator's per-flow buffers
+//! (`an2_net::flows::FlowQueues`, on the shared queue slab) against the
+//! plain hash-map `ReferenceVoq`.
 //!
 //! Both buffers receive the same random sequence of `push`, `pop`,
-//! `redirect_flow`, `drop_flow` and `set_pair_capacity` calls under either
-//! service discipline. Several flows share each input–output pair, flows
-//! are rerouted mid-stream, and dropped flows come back pinned to a new
-//! output, so the last-flow cache, the intrusive eligible lists and the
-//! slab's free list all see churn. After every call the two must agree on
-//! the returned cell or outcome and on every observable: lengths and
-//! occupancies, drop counters and the request matrix.
+//! `redirect_flow`, `drop_flow` and capacity calls under either service
+//! discipline. Several flows share each input–output pair, flows are
+//! rerouted mid-stream, and dropped flows come back on a new output, so
+//! the intrusive eligible lists, the flow table's free list and the slab's
+//! record recycling all see churn. After every call the two must agree on
+//! the returned cell or outcome and on every observable: the queued
+//! count, the cells dropped (summed per input here from the calls'
+//! returns) and the request matrix. At the end both are drained pair by
+//! pair and must yield the same cells.
 
+use an2_net::flows::{FlowQueues, PushOutcome, ServiceDiscipline};
 use an2_sched::{InputPort, OutputPort};
 use an2_sim::cell::{Cell, FlowId};
-use an2_sim::voq::{ServiceDiscipline, VoqBuffers};
 use an2_verify::ReferenceVoq;
 use proptest::collection;
 use proptest::prelude::*;
@@ -20,24 +23,18 @@ use proptest::prelude::*;
 /// One step of the script: an operation selector and two operands.
 type Op = (u8, u64, u64);
 
-/// Asserts every observable of the two buffers is identical.
-fn assert_same(voq: &VoqBuffers, reference: &ReferenceVoq, n: usize, flows: u64) {
-    assert_eq!(voq.len(), reference.len());
-    assert_eq!(voq.is_empty(), reference.is_empty());
-    assert_eq!(voq.drops(), reference.drops());
-    let got: Vec<_> = voq.requests().pairs().collect();
+/// Asserts every observable of the two buffers is identical; `lost[i]`
+/// counts the cells the flow buffers reported dropped at input `i`.
+fn assert_same(queues: &FlowQueues, reference: &ReferenceVoq, lost: &[u64]) {
+    assert_eq!(queues.len(), reference.len());
+    assert_eq!(queues.is_empty(), reference.is_empty());
+    assert_eq!(lost.iter().sum::<u64>(), reference.drops());
+    for (i, &lost) in lost.iter().enumerate() {
+        assert_eq!(lost, reference.drops_at_input(InputPort::new(i)));
+    }
+    let got: Vec<_> = queues.requests().pairs().collect();
     let want: Vec<_> = reference.requests().pairs().collect();
     assert_eq!(got, want, "request matrices differ");
-    for i in (0..n).map(InputPort::new) {
-        assert_eq!(voq.input_occupancy(i), reference.input_occupancy(i));
-        assert_eq!(voq.drops_at_input(i), reference.drops_at_input(i));
-        for j in (0..n).map(OutputPort::new) {
-            assert_eq!(voq.pair_occupancy(i, j), reference.pair_occupancy(i, j));
-        }
-    }
-    for f in (0..flows).map(FlowId) {
-        assert_eq!(voq.flow_occupancy(f), reference.flow_occupancy(f), "{f}");
-    }
 }
 
 /// Runs `script` against both buffers on an `n`-port switch with
@@ -50,10 +47,12 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
     let mut pin: Vec<OutputPort> = (0..flows)
         .map(|f| OutputPort::new((f as usize / n) % 2 % n))
         .collect();
-    let mut voq = VoqBuffers::with_discipline(n, discipline);
+    let mut queues = FlowQueues::new(n, discipline);
     let mut reference = ReferenceVoq::new(n, discipline);
+    let mut lost = vec![0u64; n];
     for (step, &(kind, a, b)) in script.iter().enumerate() {
         let f = a % flows;
+        let at = input(f).index();
         match kind {
             0..=49 => {
                 let cell = Cell {
@@ -62,7 +61,9 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
                     output: pin[f as usize],
                     arrival_slot: step as u64,
                 };
-                assert_eq!(voq.push(cell), reference.push(cell), "push at {step}");
+                let outcome = queues.push(cell);
+                assert_eq!(outcome, reference.push(cell), "push at {step}");
+                lost[at] += u64::from(outcome == PushOutcome::Dropped);
             }
             50..=79 => {
                 // Mostly a pair some flow is pinned to, sometimes any pair.
@@ -75,35 +76,55 @@ fn run(n: usize, per_input: usize, discipline: ServiceDiscipline, script: &[Op])
                     (input(f), pin[f as usize])
                 };
                 assert_eq!(
-                    voq.pop(i, j),
+                    queues.pop(i, j),
                     reference.pop(i, j),
                     "pop ({i},{j}) at {step}"
                 );
             }
             80..=87 => {
                 let to = OutputPort::new(b as usize % n);
-                let lost = voq.redirect_flow(FlowId(f), to);
+                let spilled = queues.redirect_flow(FlowId(f), to);
                 assert_eq!(
-                    lost,
+                    spilled,
                     reference.redirect_flow(FlowId(f), to),
                     "redirect at {step}"
                 );
+                lost[at] += spilled as u64;
                 pin[f as usize] = to;
             }
             88..=93 => {
-                let lost = voq.drop_flow(FlowId(f));
-                assert_eq!(lost, reference.drop_flow(FlowId(f)), "drop_flow at {step}");
+                let dropped = queues.drop_flow(FlowId(f));
+                assert_eq!(
+                    dropped,
+                    reference.drop_flow(FlowId(f)),
+                    "drop_flow at {step}"
+                );
+                lost[at] += dropped as u64;
                 // The flow may come back on any route.
                 pin[f as usize] = OutputPort::new(b as usize % n);
             }
             _ => {
                 let cap = (b % 5 != 0).then_some(b as usize % 4 + 1);
-                voq.set_pair_capacity(cap);
+                queues.set_capacity(cap);
                 reference.set_pair_capacity(cap);
             }
         }
-        assert_same(&voq, &reference, n, flows);
+        assert_same(&queues, &reference, &lost);
     }
+    // Drain every pair: whatever either buffer still holds must come out
+    // the same, cell for cell.
+    for i in (0..n).map(InputPort::new) {
+        for j in (0..n).map(OutputPort::new) {
+            loop {
+                let cell = queues.pop(i, j);
+                assert_eq!(cell, reference.pop(i, j), "drain ({i},{j})");
+                if cell.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+    assert!(queues.is_empty() && reference.is_empty());
 }
 
 fn script() -> impl Strategy<Value = Vec<Op>> {

@@ -12,7 +12,7 @@
 //! ```
 
 use an2::net::fairness::{build_figure_9_chain, figure_9_shares_with};
-use an2::sim::voq::ServiceDiscipline;
+use an2::net::flows::ServiceDiscipline;
 
 fn main() {
     println!("topology: d,c -> [s1] -> [s2] -> [s3] -> bottleneck");
