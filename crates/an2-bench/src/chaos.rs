@@ -42,7 +42,7 @@ use an2_sim::batch::BatchCrossbar;
 use an2_sim::chaos::{ChaosEngine, ChaosScenario};
 use an2_sim::fault::FaultLog;
 use an2_sim::traffic::{SparseUniformTraffic, Traffic as _};
-use an2_task::{task_seed, Pool};
+use an2_task::{task_seed, Fnv, Pool};
 use an2_verify::ReplayCase;
 use std::fmt::Write as _;
 
@@ -373,13 +373,8 @@ impl ChaosReport {
     /// FNV-1a digest over every outcome's numeric fields in index order —
     /// the byte CI diffs across `--threads` values.
     pub fn digest(&self) -> u64 {
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                d ^= b as u64;
-                d = d.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
+        let mut d = Fnv::report();
+        let mut fold = |v: u64| d.u64(v);
         for o in &self.outcomes {
             fold(o.index as u64);
             fold(o.slots);
@@ -394,7 +389,7 @@ impl ChaosReport {
             fold(o.post_recovery_ratio.to_bits());
             fold(o.violation.is_some() as u64);
         }
-        d
+        d.finish()
     }
 
     fn recovered_count(&self) -> usize {

@@ -19,6 +19,13 @@ use an2_sched::{InputPort, OutputPort};
 use an2_sim::cell::FlowId;
 use an2_verify::{run_case, ReplayCase};
 
+use crate::experiments::Experiment;
+
+/// Slots the network chain probe steps and verifies.
+const NETWORK_SLOTS: u64 = 512;
+/// Random instances the crossover probe verifies.
+const CROSSOVER_SLOTS: u64 = 128;
+
 /// A passed check: which probe ran and how many invariant bundles it
 /// evaluated.
 #[derive(Clone, Debug)]
@@ -41,7 +48,31 @@ pub struct CheckFailure {
     pub violation: Violation,
 }
 
-/// Runs the invariant probe matched to experiment `name`.
+/// The invariant probe an experiment runs under `--check`: the shape of
+/// scheduler, load and network that its render stresses hardest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// PIM run to completion on 16 ports, demanding maximality
+    /// (iteration-count studies).
+    ToCompletion,
+    /// The same at n = 64 for 256 slots: the O(log N) bound is about
+    /// large switches.
+    ToCompletion64,
+    /// PIM(4) at full load with 16-cell pair buffers (saturation studies).
+    Saturated,
+    /// PIM(4) with the round-robin accept policy.
+    RoundRobinAccept,
+    /// PIM(4) with the lowest-index accept policy.
+    LowestAccept,
+    /// The default: PIM(4) under bursty load with corruption faults.
+    Pim4,
+    /// A 3-switch chain with a CBR reservation, verified slot by slot.
+    NetworkChain,
+    /// The queue-aware schedulers (MWM, SERENADE), verified from scratch.
+    Crossover,
+}
+
+/// Runs `experiment`'s invariant probe at `seed`.
 ///
 /// `skew` threads the hidden accept-phase bug hook through to the probe's
 /// scheduler (`Pim::debug_set_accept_skew`); it is 0 in every real run
@@ -52,17 +83,14 @@ pub struct CheckFailure {
 ///
 /// Returns the failing case and first violation if any invariant breaks.
 pub fn check_experiment(
-    name: &str,
+    experiment: &Experiment,
     seed: u64,
     skew: usize,
 ) -> Result<CheckSummary, Box<CheckFailure>> {
-    // Experiments built on the multi-switch network simulator get a
-    // network probe; everything else probes the scheduler + VOQ pair the
-    // experiment stresses hardest.
-    match name {
-        "fig9" | "fig67" | "appendix-b" | "subframes" => network_probe(name, seed),
-        "crossover" => crossover_probe(seed),
-        _ => scheduler_probe(name, seed, skew),
+    match experiment.probe {
+        Probe::NetworkChain => network_probe(experiment.name, seed),
+        Probe::Crossover => crossover_probe(seed),
+        probe => scheduler_probe(probe, seed, skew),
     }
 }
 
@@ -96,7 +124,7 @@ fn crossover_probe(seed: u64) -> Result<CheckSummary, Box<CheckFailure>> {
     let n = 16;
     let fail = |violations: Vec<Violation>, probe: String| {
         let violation = violations.into_iter().next().expect("non-empty");
-        let mut case = ReplayCase::new(n, seed, 0.7, 128);
+        let mut case = probe_case(Probe::Crossover, seed, 0);
         case.annotate(&violation);
         Err(Box::new(CheckFailure {
             probe,
@@ -105,7 +133,7 @@ fn crossover_probe(seed: u64) -> Result<CheckSummary, Box<CheckFailure>> {
         }))
     };
 
-    for slot in 0..128u64 {
+    for slot in 0..CROSSOVER_SLOTS {
         let density = rng.uniform_f64();
         let reqs = RequestMatrix::random(n, density, &mut rng);
         let weights: Vec<Vec<u32>> = (0..n)
@@ -203,49 +231,47 @@ fn crossover_probe(seed: u64) -> Result<CheckSummary, Box<CheckFailure>> {
     Ok(CheckSummary { probe, checks })
 }
 
-/// Builds the probe case matched to experiment `name`.
-fn probe_case(name: &str, seed: u64, skew: usize) -> ReplayCase {
+/// The case `probe` replays from: the scheduler probes run it, and the
+/// network and crossover probes, which have no `ReplayCase` encoding of
+/// their own, emit it annotated with their failure so `replay` still has
+/// a deterministic artefact.
+fn probe_case(probe: Probe, seed: u64, skew: usize) -> ReplayCase {
     let mut case = ReplayCase::new(16, seed, 0.7, 512);
     case.accept_skew = skew;
-    match name {
-        // Iteration-count studies: run to completion (`n` iterations) and
-        // demand maximality.
-        "table1" | "fig2" | "fig8" | "appendix-c" | "stat-fairness" => {
+    match probe {
+        Probe::ToCompletion => {
             case.iterations = case.n;
             case.expect_maximal = true;
         }
-        // The O(log N) bound is about large switches.
-        "appendix-a" => {
+        Probe::ToCompletion64 => {
             case.n = 64;
             case.active_ports = 64;
             case.iterations = case.n;
             case.expect_maximal = true;
             case.slots = 256;
         }
-        // Saturation studies: full load plus finite buffers.
-        "karol" | "latency95" => {
+        Probe::Saturated => {
             case.load = 1.0;
             case.pair_capacity = Some(16);
         }
-        // Accept-policy ablations exercise the non-default policies.
-        "ablate-sched" => case.accept = "round-robin".to_owned(),
-        "ablate-rng" => case.accept = "lowest".to_owned(),
-        // Everything else (fig1/3/4/5, table2, ablate-speedup): the
-        // default PIM(4) probe under bursty load with corruption faults.
-        _ => {
+        Probe::RoundRobinAccept => case.accept = "round-robin".to_owned(),
+        Probe::LowestAccept => case.accept = "lowest".to_owned(),
+        Probe::Pim4 => {
             case.pair_capacity = Some(32);
             case.corrupt = (0..32).map(|k| (k * 7 % 512, (k % 16) as usize)).collect();
         }
+        Probe::NetworkChain => return ReplayCase::new(4, seed, 0.5, NETWORK_SLOTS),
+        Probe::Crossover => return ReplayCase::new(16, seed, 0.7, CROSSOVER_SLOTS),
     }
     case
 }
 
 fn scheduler_probe(
-    name: &str,
+    probe: Probe,
     seed: u64,
     skew: usize,
 ) -> Result<CheckSummary, Box<CheckFailure>> {
-    let case = probe_case(name, seed, skew);
+    let case = probe_case(probe, seed, skew);
     let probe = format!(
         "pim n={} accept={} iters={} load={}",
         case.n,
@@ -275,7 +301,7 @@ fn scheduler_probe(
 /// verified after every slot: frame schedules stay consistent, VOQ
 /// occupancy respects capacity, and cells are conserved end-to-end.
 fn network_probe(name: &str, seed: u64) -> Result<CheckSummary, Box<CheckFailure>> {
-    let slots = 512u64;
+    let slots = NETWORK_SLOTS;
     let mut net = Network::new(seed);
     let s0 = net.add_switch(4);
     let s1 = net.add_switch(4);
@@ -307,15 +333,12 @@ fn network_probe(name: &str, seed: u64) -> Result<CheckSummary, Box<CheckFailure
     for slot in 0..slots {
         net.step();
         if let Err(detail) = net.verify_invariants() {
-            // Network probes have no ReplayCase encoding of their own;
-            // emit the default scheduler case so `replay` still has a
-            // deterministic artefact, annotated with the network failure.
             let violation = Violation {
                 slot,
                 rule: "network",
                 detail: format!("{name}: {detail}"),
             };
-            let mut case = ReplayCase::new(4, seed, 0.5, slots);
+            let mut case = probe_case(Probe::NetworkChain, seed, 0);
             case.annotate(&violation);
             return Err(Box::new(CheckFailure {
                 probe,
@@ -333,33 +356,13 @@ fn network_probe(name: &str, seed: u64) -> Result<CheckSummary, Box<CheckFailure
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{self, EXPERIMENTS};
 
     #[test]
     fn every_experiment_probe_passes_clean() {
-        for name in [
-            "table1",
-            "table2",
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig67",
-            "fig8",
-            "fig9",
-            "karol",
-            "latency95",
-            "appendix-a",
-            "appendix-b",
-            "appendix-c",
-            "ablate-sched",
-            "crossover",
-            "ablate-rng",
-            "ablate-speedup",
-            "stat-fairness",
-            "subframes",
-        ] {
-            let summary = check_experiment(name, 0xA52_1992, 0)
+        for experiment in EXPERIMENTS {
+            let name = experiment.name;
+            let summary = check_experiment(experiment, 0xA52_1992, 0)
                 .unwrap_or_else(|f| panic!("{name}: {}", f.violation));
             assert!(summary.checks > 0, "{name} ran no checks");
         }
@@ -369,23 +372,22 @@ mod tests {
     fn every_capture_a_probe_writes_parses_back() {
         // The replay reader's bounds (iterations and active ports in
         // 1..=n, the slot cap) must admit every case a probe can emit.
-        let mut cases: Vec<ReplayCase> = [
-            "table1", "fig3", "fig8", "appendix-a", "karol", "ablate-sched", "ablate-rng",
-        ]
-        .iter()
-        .map(|name| probe_case(name, 0xA52_1992, 1))
-        .collect();
-        cases.push(ReplayCase::new(16, 3, 0.7, 128)); // queue-aware probe
-        cases.push(ReplayCase::new(4, 3, 0.5, 512)); // network probes
-        for case in cases {
+        for experiment in EXPERIMENTS {
+            let mut case = probe_case(experiment.probe, 0xA52_1992, 1);
+            case.annotate(&Violation {
+                slot: case.slots - 1,
+                rule: "respects",
+                detail: String::new(),
+            });
             let parsed = ReplayCase::from_json(&case.to_json());
-            assert_eq!(parsed.as_ref(), Ok(&case), "{case:?}");
+            assert_eq!(parsed.as_ref(), Ok(&case), "{}", experiment.name);
         }
     }
 
     #[test]
     fn seeded_bug_fails_the_check_and_emits_a_replayable_case() {
-        let failure = check_experiment("fig3", 0xA52_1992, 1)
+        let fig3 = experiments::find("fig3").expect("fig3 row");
+        let failure = check_experiment(fig3, 0xA52_1992, 1)
             .expect_err("a skewed accept phase must fail the probe");
         assert_eq!(failure.violation.rule, "respects");
         // The emitted case is self-contained: parsing its JSON back and

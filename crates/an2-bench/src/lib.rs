@@ -2,10 +2,11 @@
 //!
 //! Each module regenerates one table or figure of *High Speed Switch
 //! Scheduling for Local Area Networks* (Anderson et al., ASPLOS 1992); the
-//! `an2-repro` binary exposes them as subcommands. Functions return
-//! structured results plus a formatted text block matching the paper's
-//! presentation, so integration tests can assert the *shape* of each
-//! result (who wins, by what factor, where crossovers fall).
+//! [`experiments`] table lists them, and the `an2-repro` binary exposes
+//! each row as a subcommand. Functions return structured results plus a
+//! formatted text block matching the paper's presentation, so integration
+//! tests can assert the *shape* of each result (who wins, by what factor,
+//! where crossovers fall).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -17,7 +18,7 @@ pub mod appendix_c;
 pub mod chaos;
 pub mod check;
 pub mod delay_curves;
-pub mod engine;
+pub mod experiments;
 pub mod fairness_exp;
 pub mod faults;
 pub mod fig1;

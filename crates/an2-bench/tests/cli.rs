@@ -1,5 +1,6 @@
 //! End-to-end tests of the `an2-repro` command-line interface.
 
+use an2_bench::experiments::EXPERIMENTS;
 use std::process::Command;
 
 fn repro() -> Command {
@@ -11,34 +12,54 @@ fn help_lists_every_experiment() {
     let out = repro().arg("help").output().expect("binary runs");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
+    for e in EXPERIMENTS {
+        assert!(
+            text.lines().any(|l| l.trim_start().starts_with(e.name) && l.contains(e.about)),
+            "usage is missing {}",
+            e.name
+        );
+    }
     for name in [
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig67",
-        "fig9",
-        "karol",
-        "latency95",
-        "appendix-a",
-        "appendix-b",
-        "appendix-c",
-        "ablate-sched",
-        "ablate-rng",
-        "ablate-speedup",
-        "stat-fairness",
-        "subframes",
-        "bench-compare",
-        "batch1024",
-        "net1000",
+        "faults",
         "chaos",
+        "perf",
+        "bench-compare",
+        "replay",
         "--scenarios",
+        "--fail-below",
         "--threads",
         "--verify-serial",
     ] {
         assert!(text.contains(name), "usage is missing {name}");
     }
+}
+
+#[test]
+fn ignored_arguments_are_usage_errors() {
+    for args in [
+        &["table2", "--scenarios", "5"][..],
+        &["table2", "--fail-below", "0.3"],
+        &["table2", "bogus"],
+    ] {
+        let out = repro().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+}
+
+#[test]
+fn check_and_out_work_on_the_batch_row() {
+    let dir = std::env::temp_dir().join(format!("an2-repro-batch-{}", std::process::id()));
+    let out = repro()
+        .args(["batch1024", "--check", "--out", dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("invariants OK — 512 checks"), "{err}");
+    let written = std::fs::read(dir.join("batch1024.txt")).expect("file written");
+    assert_eq!(written, out.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

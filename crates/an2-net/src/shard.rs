@@ -61,7 +61,7 @@ use an2_sched::{with_port_width, PimN, RequestMatrixN, Scheduler};
 use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, SwitchFaults};
 use an2_sim::metrics::QuantileSketch;
 use an2_sim::slab::{QueueSlab, NO_QUEUE};
-use an2_task::{task_seed, Pool};
+use an2_task::{task_seed, Fnv, Pool};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -789,13 +789,7 @@ fn drive<const W: usize, const FAULTED: bool>(
     for part in &tallies {
         tally.merge(part);
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let fold = |d: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *d ^= b as u64;
-            *d = d.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
+    let mut digest = Fnv::report();
     for sw in &switches {
         injected += sw.injected;
         delivered += sw.delivered;
@@ -806,11 +800,11 @@ fn drive<const W: usize, const FAULTED: bool>(
         res_failures += sw.res_failures;
         recoveries += sw.recoveries;
         recovery_slots += sw.recovery_slots;
-        fold(&mut digest, sw.injected);
-        fold(&mut digest, sw.delivered);
-        fold(&mut digest, sw.in_flight());
+        digest.u64(sw.injected);
+        digest.u64(sw.delivered);
+        digest.u64(sw.in_flight());
         if FAULTED {
-            fold(&mut digest, sw.dropped);
+            digest.u64(sw.dropped);
         }
     }
     let report = ShardFaultReport {
@@ -832,7 +826,7 @@ fn drive<const W: usize, const FAULTED: bool>(
         },
         delay: tally.delay,
         windows: tally.windows,
-        digest,
+        digest: digest.finish(),
     };
     assert!(
         report.is_conserved(),

@@ -20,36 +20,19 @@ use an2_sched::{
     AcceptPolicy, CheckedScheduler, InputPort, IterationLimit, Matching, Pim, RequestMatrix,
     Scheduler,
 };
+use an2_task::Fnv;
 
 const SLOTS: usize = 128;
 const N: usize = 16;
 
-/// FNV-1a, the same shape the workspace's test RNG seeding uses.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn matching(&mut self, m: &Matching) {
-        for i in 0..m.n() {
-            let j = m
-                .output_of(InputPort::new(i))
-                .map_or(0xFF, |j| j.index() as u8);
-            self.byte(j);
-        }
+/// Folds a matching into `d`: each input's output index as one byte,
+/// 0xFF for an unmatched input.
+fn fold_matching(d: &mut Fnv, m: &Matching) {
+    for i in 0..m.n() {
+        let j = m
+            .output_of(InputPort::new(i))
+            .map_or(0xFF, |j| j.index() as u8);
+        d.bytes(&[j]);
     }
 }
 
@@ -65,13 +48,13 @@ fn request_sequence() -> Vec<RequestMatrix> {
 }
 
 fn matching_digest(mut sched: impl Scheduler) -> u64 {
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for reqs in &request_sequence() {
         let m = sched.schedule(reqs);
         assert!(m.respects(reqs));
-        d.matching(&m);
+        fold_matching(&mut d, &m);
     }
-    d.0
+    d.finish()
 }
 
 #[track_caller]
@@ -142,7 +125,7 @@ fn stat_with_pim_fill() {
 #[test]
 fn kgrant_pim_speedup2() {
     let mut s = KGrantPim::new(N, 2, 4, 42);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for reqs in &request_sequence() {
         let mm = s.schedule(reqs);
         assert!(mm.respects(reqs));
@@ -150,10 +133,10 @@ fn kgrant_pim_speedup2() {
             let j = mm
                 .output_of(InputPort::new(i))
                 .map_or(0xFF, |j| j.index() as u8);
-            d.byte(j);
+            d.bytes(&[j]);
         }
     }
-    assert_digest(d.0, 0xad737cbfd822d37f);
+    assert_digest(d.finish(), 0xad737cbfd822d37f);
 }
 
 /// Deterministic synthetic queue state for the queue-aware schedulers:
@@ -173,14 +156,14 @@ fn feed_observations<const W: usize>(
 }
 
 fn queue_aware_digest(mut sched: impl Scheduler) -> u64 {
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for (slot, reqs) in request_sequence().iter().enumerate() {
         feed_observations(&mut sched, reqs, slot);
         let m = sched.schedule(reqs);
         assert!(m.respects(reqs));
-        d.matching(&m);
+        fold_matching(&mut d, &m);
     }
-    d.0
+    d.finish()
 }
 
 #[test]
@@ -218,14 +201,14 @@ fn serenade_staged_digest_is_thread_count_invariant() {
     for threads in [1, 4] {
         let pool = Pool::new(threads);
         let mut sched = an2_sched::Serenade::new(N, 42);
-        let mut d = Digest::new();
+        let mut d = Fnv::report();
         for (slot, reqs) in request_sequence().iter().enumerate() {
             feed_observations(&mut sched, reqs, slot);
             let m = sched.schedule_staged(reqs, &pool);
             assert!(m.respects(reqs));
-            d.matching(&m);
+            fold_matching(&mut d, &m);
         }
-        assert_digest(d.0, serial);
+        assert_digest(d.finish(), serial);
     }
 }
 
@@ -244,7 +227,7 @@ fn wide_mwm_pinned() {
         .map(|s| WideRequestMatrix::random(WN, densities[s % densities.len()], &mut gen))
         .collect();
     let mut lqf = WideMwm::lqf(WN);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for (slot, reqs) in seq.iter().enumerate() {
         feed_observations(&mut lqf, reqs, slot);
         let m = lqf.schedule(reqs);
@@ -254,9 +237,9 @@ fn wide_mwm_pinned() {
             d.u64(i.index() as u64);
             d.u64(j.index() as u64);
         }
-        d.byte(0xFE);
+        d.bytes(&[0xFE]);
     }
-    assert_digest(d.0, 0xb358d259556333ea);
+    assert_digest(d.finish(), 0xb358d259556333ea);
 }
 
 /// The invariant checker must be a pure observer: wrapping a scheduler in
@@ -291,11 +274,11 @@ fn checked_wrapper_reproduces_pinned_digests() {
     ];
     for (make, expected) in &cases {
         let mut checked = CheckedScheduler::new(make());
-        let mut d = Digest::new();
+        let mut d = Fnv::report();
         for reqs in &request_sequence() {
-            d.matching(&checked.schedule(reqs));
+            fold_matching(&mut d, &checked.schedule(reqs));
         }
-        assert_digest(d.0, *expected);
+        assert_digest(d.finish(), *expected);
         assert_eq!(checked.violations(), &[], "checker flagged a correct PIM");
         if an2_sched::checking_enabled() {
             assert!(checked.checks_run() > 0, "checks must run in checked builds");
@@ -313,11 +296,11 @@ fn checked_wrapper_reproduces_pinned_digests() {
 fn checked_maximal_expectation_is_also_an_observer() {
     let inner = Pim::with_options(N, 42, IterationLimit::ToCompletion, AcceptPolicy::Random);
     let mut checked = CheckedScheduler::expecting_maximal(inner);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for reqs in &request_sequence() {
-        d.matching(&checked.schedule(reqs));
+        fold_matching(&mut d, &checked.schedule(reqs));
     }
-    assert_digest(d.0, 0x204f4cddd3762200);
+    assert_digest(d.finish(), 0x204f4cddd3762200);
     assert_eq!(checked.violations(), &[]);
 }
 
@@ -326,10 +309,10 @@ fn checked_maximal_expectation_is_also_an_observer() {
 #[test]
 fn pim_stats_trajectory() {
     let mut s = Pim::with_options(N, 42, IterationLimit::Fixed(4), AcceptPolicy::Random);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for reqs in &request_sequence() {
         let (m, stats) = s.schedule_with_stats(reqs);
-        d.matching(&m);
+        fold_matching(&mut d, &m);
         d.u64(stats.iterations_run as u64);
         d.u64(stats.completed as u64);
         for (&a, &b) in stats.matches_after.iter().zip(&stats.unresolved_after) {
@@ -337,7 +320,7 @@ fn pim_stats_trajectory() {
             d.u64(b as u64);
         }
     }
-    assert_digest(d.0, 0x5a1a8c75b9743518);
+    assert_digest(d.finish(), 0x5a1a8c75b9743518);
 }
 
 /// The traced path must keep exposing identical per-iteration request,
@@ -345,25 +328,25 @@ fn pim_stats_trajectory() {
 #[test]
 fn pim_trace_records() {
     let mut s = Pim::with_options(N, 42, IterationLimit::Fixed(4), AcceptPolicy::Random);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for reqs in &request_sequence() {
         let (m, _) = s.schedule_traced(reqs, &mut |rec| {
             d.u64(rec.iteration as u64);
             d.u64(rec.unresolved_after as u64);
             for set in rec.requests.iter().chain(rec.grants.iter()) {
                 for member in set.iter() {
-                    d.byte(member as u8);
+                    d.bytes(&[member as u8]);
                 }
-                d.byte(0xFE);
+                d.bytes(&[0xFE]);
             }
             for &(i, j) in &rec.accepts {
-                d.byte(i.index() as u8);
-                d.byte(j.index() as u8);
+                d.bytes(&[i.index() as u8]);
+                d.bytes(&[j.index() as u8]);
             }
         });
-        d.matching(&m);
+        fold_matching(&mut d, &m);
     }
-    assert_digest(d.0, 0x52c08599cb6f159c);
+    assert_digest(d.finish(), 0x52c08599cb6f159c);
 }
 
 /// The wide (1024-port) kernels, pinned at the full radix across the
@@ -387,7 +370,7 @@ fn wide_sparse_kernels_are_pinned() {
         seq: &[WideRequestMatrix],
         mut run: impl FnMut(&WideRequestMatrix) -> WideMatching,
     ) -> u64 {
-        let mut d = Digest::new();
+        let mut d = Fnv::report();
         for reqs in seq {
             let m = run(reqs);
             assert!(m.respects(reqs));
@@ -398,7 +381,7 @@ fn wide_sparse_kernels_are_pinned() {
                 );
             }
         }
-        d.0
+        d.finish()
     }
 
     let mut pim = WidePim::new(WN, 42);

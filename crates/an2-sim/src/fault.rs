@@ -16,6 +16,7 @@
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{PortMaskN, PortSetN};
+use an2_task::Fnv;
 
 /// Which side of a switch a [`FaultKind::PortFail`] affects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -636,7 +637,7 @@ impl FaultLog {
     /// the same seed and plan must produce the same digest — the fault
     /// analogue of PR 1's report digests.
     pub fn digest(&self) -> u64 {
-        let mut d = Fnv::new();
+        let mut d = Fnv::report();
         d.u64(self.applied.len() as u64);
         for e in &self.applied {
             d.u64(e.slot);
@@ -668,27 +669,6 @@ impl FaultLog {
             d.u64(f);
         }
         d.finish()
-    }
-}
-
-/// FNV-1a over little-endian `u64` words — the same folding the golden
-/// determinism tests use for switch reports.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

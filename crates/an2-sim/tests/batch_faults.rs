@@ -19,6 +19,7 @@ use an2_sim::batch::BatchCrossbar;
 use an2_sim::cell::Arrival;
 use an2_sim::fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, PortSide};
 use an2_sim::model::SwitchModel;
+use an2_task::Fnv;
 use proptest::prelude::*;
 
 /// Bernoulli(load) arrivals with uniform destinations — the pair-flow
@@ -40,13 +41,8 @@ fn arrivals_for(n: usize, load: f64, rng: &mut Xoshiro256) -> Vec<Arrival> {
 /// FNV-1a digest over everything observable about the engine.
 fn digest<S: Scheduler<16>>(engine: &BatchCrossbar<S, 16>) -> u64 {
     let r = engine.report();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
+    let mut h = Fnv::report();
+    let mut mix = |v: u64| h.u64(v);
     mix(r.slots);
     mix(r.arrivals);
     mix(r.departures);
@@ -61,7 +57,7 @@ fn digest<S: Scheduler<16>>(engine: &BatchCrossbar<S, 16>) -> u64 {
     mix(r.delay.percentile(0.5));
     mix(engine.offered());
     mix(engine.dropped());
-    h
+    h.finish()
 }
 
 fn wide_engine(n: usize, seed: u64) -> BatchCrossbar<WidePim, 16> {

@@ -15,43 +15,30 @@ use an2_sim::metrics::SwitchReport;
 use an2_sim::model::SwitchModel;
 use an2_sim::speedup_switch::SpeedupSwitch;
 use an2_sim::switch::CrossbarSwitch;
+use an2_task::Fnv;
 
 const N: usize = 8;
 const WARMUP: u64 = 64;
 const MEASURE: u64 = 512;
 
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+/// Folds every field of a report into `d`.
+fn fold_report(d: &mut Fnv, r: &SwitchReport) {
+    d.u64(r.slots);
+    d.u64(r.arrivals);
+    d.u64(r.departures);
+    d.u64(r.peak_occupancy as u64);
+    d.u64(r.final_occupancy as u64);
+    for &v in &r.departures_per_output {
+        d.u64(v);
     }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
-        }
+    for &(flow, count) in &r.departures_per_flow {
+        d.u64(flow);
+        d.u64(count);
     }
-
-    fn report(&mut self, r: &SwitchReport) {
-        self.u64(r.slots);
-        self.u64(r.arrivals);
-        self.u64(r.departures);
-        self.u64(r.peak_occupancy as u64);
-        self.u64(r.final_occupancy as u64);
-        for &d in &r.departures_per_output {
-            self.u64(d);
-        }
-        for &(flow, count) in &r.departures_per_flow {
-            self.u64(flow);
-            self.u64(count);
-        }
-        self.u64(r.delay.count());
-        self.u64(r.delay.max());
-        self.u64(r.delay.mean().to_bits());
-        self.u64(r.delay.percentile(0.5));
-    }
+    d.u64(r.delay.count());
+    d.u64(r.delay.max());
+    d.u64(r.delay.mean().to_bits());
+    d.u64(r.delay.percentile(0.5));
 }
 
 /// Bernoulli arrivals at 0.8 load, uniformly random destinations; at most
@@ -83,10 +70,10 @@ fn model_digest(model: &mut impl SwitchModel) -> u64 {
     for _ in 0..MEASURE {
         model.step(&arrivals_for_slot(&mut rng));
     }
-    let mut d = Digest::new();
-    d.report(&model.report());
+    let mut d = Fnv::report();
+    fold_report(&mut d, &model.report());
     d.u64(model.queued() as u64);
-    d.0
+    d.finish()
 }
 
 #[track_caller]
@@ -121,11 +108,11 @@ fn faulted_crossbar_with_empty_plan_is_bit_identical() {
     for _ in 0..MEASURE {
         sw.step_faulted(&arrivals_for_slot(&mut rng), &mut plan, &mut log);
     }
-    let mut d = Digest::new();
-    d.report(&sw.report());
+    let mut d = Fnv::report();
+    fold_report(&mut d, &sw.report());
     d.u64(sw.queued() as u64);
     // The pinned digest of the *unfaulted* pim4 run, not a new constant.
-    assert_digest(d.0, 0xa28e1aaf46392c78);
+    assert_digest(d.finish(), 0xa28e1aaf46392c78);
     assert_eq!(log.digest(), FaultLog::new().digest(), "log must stay empty");
 }
 
@@ -216,11 +203,11 @@ fn faulted_crossbar_digest_is_pinned() {
     }
     assert_eq!(plan.remaining(), 0, "every scripted event must have fired");
     assert_eq!(log.cells_dropped(), 2, "two scripted losses hit arrivals");
-    let mut d = Digest::new();
-    d.report(&sw.report());
+    let mut d = Fnv::report();
+    fold_report(&mut d, &sw.report());
     d.u64(sw.queued() as u64);
     d.u64(log.digest());
-    assert_digest(d.0, 0x874367ff6d918c36);
+    assert_digest(d.finish(), 0x874367ff6d918c36);
 }
 
 #[test]
@@ -242,7 +229,7 @@ fn hybrid_switch_cbr_plus_vbr() {
     fs.reserve(InputPort::new(3), OutputPort::new(0), 1).unwrap();
     let mut sw = HybridSwitch::new(fs, 42);
     let mut rng = Xoshiro256::seed_from(0xC0FFEE);
-    let mut d = Digest::new();
+    let mut d = Fnv::report();
     for slot in 0..(WARMUP + MEASURE) {
         if slot == WARMUP {
             sw.start_measurement();
@@ -265,12 +252,12 @@ fn hybrid_switch_cbr_plus_vbr() {
         }
         sw.step_classed(&batch);
     }
-    d.report(&sw.report());
+    fold_report(&mut d, &sw.report());
     let (cbr_dep, vbr_dep) = sw.departures_by_class();
     d.u64(cbr_dep);
     d.u64(vbr_dep);
     d.u64(sw.cbr_delay().count());
     d.u64(sw.cbr_delay().max());
     d.u64(sw.queued() as u64);
-    assert_digest(d.0, 0xcb56fddd23392187);
+    assert_digest(d.finish(), 0xcb56fddd23392187);
 }

@@ -22,16 +22,12 @@ use an2_sim::metrics::SwitchReport;
 use an2_sim::model::SwitchModel;
 use an2_sim::switch::CrossbarSwitch;
 use an2_sim::traffic::{BurstyTraffic, Traffic};
+use an2_task::Fnv;
 
 /// FNV-1a over the full report, matching `determinism.rs`'s field walk.
 fn digest_report(r: &SwitchReport, queued: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-    };
+    let mut h = Fnv::report();
+    let mut mix = |v: u64| h.u64(v);
     mix(r.slots);
     mix(r.arrivals);
     mix(r.departures);
@@ -49,7 +45,7 @@ fn digest_report(r: &SwitchReport, queued: usize) -> u64 {
     mix(r.delay.mean().to_bits());
     mix(r.delay.percentile(0.5));
     mix(queued as u64);
-    h
+    h.finish()
 }
 
 /// The grid's schedulers, by index.

@@ -60,12 +60,59 @@ pub fn task_seed(root_seed: u64, key: &str) -> u64 {
 /// used both by [`task_seed`] and by the determinism checks that compare
 /// serial and parallel experiment outputs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// Streaming FNV-1a over bytes and little-endian words: the workspace's
+/// one digest primitive.
+///
+/// [`Fnv::new`] is FNV-1a proper, the hash of [`fnv1a`] and
+/// [`task_seed`]. [`Fnv::report`] runs the same loop with the multiplier
+/// 2^48 + 0x1b3 in place of FNV's prime 2^40 + 0x1b3: every report
+/// digest in the workspace (switch, fault-log, chaos and ring reports,
+/// the scheduler golden tests) was pinned with it, and committed outputs
+/// print those digests, so they keep it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv {
+    state: u64,
+    prime: u64,
+}
+
+impl Fnv {
+    /// FNV-1a of the empty stream.
+    pub const fn new() -> Self {
+        Fnv { state: 0xcbf2_9ce4_8422_2325, prime: 0x0000_0100_0000_01b3 }
     }
-    h
+
+    /// The report digest of the empty stream.
+    pub const fn report() -> Self {
+        Fnv { state: 0xcbf2_9ce4_8422_2325, prime: 0x1_0000_0000_01b3 }
+    }
+
+    /// Feeds `bytes` in order.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state = (self.state ^ u64::from(b)).wrapping_mul(self.prime);
+        }
+    }
+
+    /// Feeds `v`'s eight little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The digest of everything fed so far.
+    pub const fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// A fixed-width worker pool that runs batches of independent tasks with
@@ -681,5 +728,25 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streaming_fnv_matches_the_one_shot_hash() {
+        let mut h = Fnv::new();
+        h.bytes(b"foo");
+        h.bytes(b"");
+        h.bytes(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+        let mut w = Fnv::default();
+        w.u64(0x0102_0304_0506_0708);
+        assert_eq!(w.finish(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
+
+    #[test]
+    fn report_digest_is_pinned() {
+        // Every recorded report digest depends on this multiplier.
+        let mut h = Fnv::report();
+        h.bytes(b"a");
+        assert_eq!(h.finish(), 0xb084_984c_8601_ec8c);
     }
 }
