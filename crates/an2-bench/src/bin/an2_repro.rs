@@ -23,6 +23,32 @@ use an2_task::{fnv1a, task_seed, Pool};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+/// Writes formatted text to stdout through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes `text` to stdout through one locked handle. A reader that
+/// closed the pipe early (`an2-repro replay FILE | head -1`) has taken
+/// all it wanted, so a broken pipe ends the run quietly with status 0;
+/// any other write error exits 1 saying why.
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 const OPTIONS: &str = "usage: an2-repro <experiment|all> [--full] [--seed N] [--threads N] [--out DIR] [--verify-serial] [--check]
        an2-repro replay <replay.json>
 options:
@@ -241,11 +267,11 @@ fn main() {
         create_dir(dir);
     }
     match command {
-        Command::Help => println!("{}", usage()),
+        Command::Help => outln!("{}", usage()),
         Command::All => {
             for experiment in EXPERIMENTS {
                 run_one(experiment, &options);
-                println!();
+                out!("\n");
             }
         }
         Command::Experiment(experiment) => run_one(experiment, &options),
@@ -301,7 +327,7 @@ fn run_perf(options: &Options) {
         task_seed(options.seed, "perf"),
         &options.pool(),
     );
-    print!("{}", report.render());
+    out!("{}", report.render());
     let path = options.dir_or(".").join("BENCH_sched.json");
     write_file(&path, &report.to_json());
     eprintln!(
@@ -318,7 +344,7 @@ fn run_perf(options: &Options) {
 fn run_faults(options: &Options) {
     let started = std::time::Instant::now();
     let report = faults::run(options.effort, task_seed(options.seed, "faults"));
-    print!("{}", report.render());
+    out!("{}", report.render());
     let dir = options.dir_or("results");
     create_dir(dir);
     let path = dir.join("FAULTS.json");
@@ -342,7 +368,7 @@ fn run_bench_compare(old_path: &str, new_path: &str, fail_below: Option<f64>) {
     };
     match perf::compare_with_geomean(&read(old_path), &read(new_path)) {
         Ok((table, geomean)) => {
-            print!("{table}");
+            out!("{table}");
             if let Some(floor) = fail_below {
                 if geomean < floor {
                     eprintln!(
@@ -372,7 +398,7 @@ fn run_chaos(options: &Options, scenarios: Option<usize>) {
     let started = std::time::Instant::now();
     let report = run(&pool);
     let out = report.render();
-    print!("{out}");
+    out!("{out}");
     if options.verify_serial && pool.threads() > 1 {
         if run(&Pool::serial()).render() != out {
             eprintln!(
@@ -413,7 +439,7 @@ fn run_one(experiment: &Experiment, options: &Options) {
     let started = std::time::Instant::now();
     let pool = options.pool();
     let out = experiment.render(options.effort, options.seed, &pool);
-    print!("{out}");
+    out!("{out}");
     if let Some(dir) = &options.out_dir {
         write_file(&dir.join(format!("{name}.txt")), &out);
     }
@@ -473,23 +499,23 @@ fn run_replay(path: &str) {
     let outcome = an2_verify::run_case(&case);
     match &outcome.violation {
         Some(v) => {
-            println!(
+            outln!(
                 "reproduced: {v} (after {} slots, {} checks, {} cells delivered)",
                 outcome.slots_run, outcome.checks, outcome.delivered
             );
             if let Some(expected) = case.failing_slot {
                 if expected != v.slot {
-                    println!("note: capture was annotated with slot {expected}");
+                    outln!("note: capture was annotated with slot {expected}");
                 }
             }
             let shrunk = an2_verify::shrink(&case).expect("failing case must shrink");
-            println!(
+            outln!(
                 "shrunk: {} slots, {} active ports (from {} slots, {} ports)",
                 shrunk.slots, shrunk.active_ports, case.slots, case.active_ports
             );
             let out_path = format!("{path}.shrunk.json");
             match std::fs::write(&out_path, shrunk.to_json()) {
-                Ok(()) => println!("wrote {out_path}"),
+                Ok(()) => outln!("wrote {out_path}"),
                 Err(e) => {
                     eprintln!("cannot write {out_path}: {e}");
                     std::process::exit(1);
@@ -498,7 +524,7 @@ fn run_replay(path: &str) {
             std::process::exit(1);
         }
         None => {
-            println!(
+            outln!(
                 "case ran clean: {} slots, {} checks, {} cells delivered, {} dropped",
                 outcome.slots_run, outcome.checks, outcome.delivered, outcome.dropped
             );

@@ -3,9 +3,11 @@
 //! Rendering an experiment exercises the optimised hot paths; `--check`
 //! follows it with an invariant-checked probe of the same machinery —
 //! an [`an2_verify::run_case`] probe configured to match the experiment's
-//! scheduler (policy, iteration budget, maximality expectation, buffer
-//! bounds), or a multi-switch network probe verified slot by slot via
-//! [`Network::verify_invariants`] for the experiments built on `an2-net`.
+//! scheduler (policy, iteration budget, maximality, buffer bounds), the
+//! queue-aware schedulers judged against their declared contracts by
+//! `an2_verify::contract`, or a multi-switch network probe verified slot
+//! by slot via [`Network::verify_invariants`] for the experiments built
+//! on `an2-net`.
 //!
 //! All reporting goes to stderr so the experiment's stdout render stays
 //! byte-identical with and without `--check` (the acceptance bar: checked
@@ -68,7 +70,8 @@ pub enum Probe {
     Pim4,
     /// A 3-switch chain with a CBR reservation, verified slot by slot.
     NetworkChain,
-    /// The queue-aware schedulers (MWM, SERENADE), verified from scratch.
+    /// The queue-aware schedulers (MWM, SERENADE), each judged against its
+    /// declared contract.
     Crossover,
 }
 
@@ -95,138 +98,76 @@ pub fn check_experiment(
 }
 
 /// The probe matched to the `crossover` experiment: the queue-aware
-/// schedulers it sweeps, re-verified from scratch.
+/// schedulers it sweeps, each judged against its own declared contract
+/// by `an2_verify::contract` on freshly seeded random instances.
 ///
-/// Three invariant families, each over freshly seeded random instances:
-///
-/// * **MWM optimality** — for both LQF and OCF weights, the matching must
-///   be a legal *maximal* matching whose total Q-matrix weight equals the
-///   brute-force max-weight optimum from `an2-verify`'s subset DP.
-/// * **Masked MWM** — with failed ports installed the matching must avoid
-///   them entirely and stay maximal over the healthy remainder.
-/// * **SERENADE merge** — both random proposals must be maximal, and the
-///   merged matching must be legal with weight ≥ both proposals.
+/// Per instance, four decisions: MWM under LQF and under OCF weights
+/// (maximal, maximum ⟨Q,M⟩ against the brute force, at least half the
+/// maximum), MWM with one input and one output failed (the same over the
+/// healthy ports, and no failed port matched), and SERENADE's merge
+/// (maximal proposals, merged weight ≥ both). One check is one decision.
 ///
 /// Violations are reported through the same [`Violation`] channel as the
 /// PIM probes; the emitted `replay.json` carries the default scheduler
 /// case annotated with the failure (the instances here are fully
 /// determined by the seed, so the annotation suffices to reproduce).
 fn crossover_probe(seed: u64) -> Result<CheckSummary, Box<CheckFailure>> {
-    use an2_sched::check::{matching_violations, Expectation};
     use an2_sched::rng::{SelectRng, Xoshiro256};
     use an2_sched::{Mwm, PortMask, RequestMatrix, Scheduler, Serenade, WeightPolicy};
-    use an2_verify::oracle::brute_force_max_weight_matching;
+    use an2_verify::contract::{contract_violations, Instance};
 
     let probe = "mwm+serenade n=16 (optimality, masked maximality, merge)".to_owned();
-    let mut rng = Xoshiro256::seed_from(seed);
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut checks = 0u64;
     let n = 16;
-    let fail = |violations: Vec<Violation>, probe: String| {
-        let violation = violations.into_iter().next().expect("non-empty");
-        let mut case = probe_case(Probe::Crossover, seed, 0);
-        case.annotate(&violation);
-        Err(Box::new(CheckFailure {
-            probe,
-            case,
-            violation,
-        }))
-    };
-
+    let mut rng = Xoshiro256::seed_from(seed);
+    let mut violations = Vec::new();
+    let mut checks = 0u64;
     for slot in 0..CROSSOVER_SLOTS {
         let density = rng.uniform_f64();
         let reqs = RequestMatrix::random(n, density, &mut rng);
         let weights: Vec<Vec<u32>> = (0..n)
             .map(|_| (0..n).map(|_| 1 + rng.index(64) as u32).collect())
             .collect();
-        let observe = |s: &mut dyn Scheduler<4>, policy: WeightPolicy| {
-            for (i, j) in reqs.pairs() {
-                let w = weights[i.index()][j.index()];
-                match policy {
-                    WeightPolicy::Lqf => s.observe_queue(i, j, w, 0),
-                    WeightPolicy::Ocf => s.observe_queue(i, j, 0, w - 1),
-                }
-            }
-        };
-
-        // MWM optimality, both weight policies.
-        for policy in [WeightPolicy::Lqf, WeightPolicy::Ocf] {
-            let mut mwm = Mwm::new(n, policy);
-            observe(&mut mwm, policy);
-            let m = mwm.schedule(&reqs);
-            matching_violations(slot, &reqs, &m, Expectation::Maximal, None, &mut violations);
-            let achieved: i64 = m
-                .pairs()
-                .map(|(i, j)| i64::from(weights[i.index()][j.index()]))
-                .sum();
-            let optimal = brute_force_max_weight_matching(&reqs, &|i, j| i64::from(weights[i][j]));
-            if achieved != optimal {
-                violations.push(Violation {
-                    slot,
-                    rule: "max-weight",
-                    detail: format!(
-                        "{}: matched weight {achieved}, brute-force optimum {optimal}",
-                        mwm.name()
-                    ),
-                });
-            }
-            checks += 2;
-            if !violations.is_empty() {
-                return fail(violations, probe);
-            }
-        }
-
-        // Masked MWM: failed ports must be avoided, maximality holds over
-        // the healthy remainder.
         let mut mask = PortMask::all(n);
         mask.fail_input(rng.index(n));
         mask.fail_output(rng.index(n));
-        let mut masked = Mwm::lqf(n);
-        observe(&mut masked, WeightPolicy::Lqf);
-        masked.set_port_mask(mask);
-        let m = masked.schedule(&reqs);
-        matching_violations(
-            slot,
-            &reqs,
-            &m,
-            Expectation::Maximal,
-            Some(&mask),
-            &mut violations,
-        );
-        for (i, j) in m.pairs() {
-            if !mask.input_active(i.index()) || !mask.output_active(j.index()) {
-                violations.push(Violation {
-                    slot,
-                    rule: "mask",
-                    detail: format!("pair ({i}, {j}) uses a failed port"),
-                });
+        let weight = |i: usize, j: usize| weights[i][j];
+        let plain = Instance {
+            requests: &reqs,
+            mask: None,
+            weight: &weight,
+        };
+        let masked = Instance {
+            mask: Some(&mask),
+            ..plain
+        };
+        let mwms = [
+            (Mwm::new(n, WeightPolicy::Lqf), &plain),
+            (Mwm::new(n, WeightPolicy::Ocf), &plain),
+            (Mwm::lqf(n), &masked),
+        ];
+        for (mut mwm, inst) in mwms {
+            inst.observe(&mut mwm);
+            if let Some(&mask) = inst.mask {
+                mwm.set_port_mask(mask);
             }
+            let m = mwm.schedule(&reqs);
+            contract_violations(slot, mwm.contract(), inst, &m, None, &mut violations);
         }
-        checks += 2;
-        if !violations.is_empty() {
-            return fail(violations, probe);
-        }
-
-        // SERENADE: maximal proposals, legal merge, weakly improving weight.
         let mut ser = Serenade::new(n, seed ^ slot);
-        observe(&mut ser, WeightPolicy::Lqf);
+        plain.observe(&mut ser);
         let (a, b, merged) = ser.schedule_with_proposals(&reqs);
-        for p in [&a, &b] {
-            matching_violations(slot, &reqs, p, Expectation::Maximal, None, &mut violations);
-        }
-        matching_violations(slot, &reqs, &merged, Expectation::Legal, None, &mut violations);
-        let (wa, wb, wm) = (ser.weight_of(&a), ser.weight_of(&b), ser.weight_of(&merged));
-        if wm < wa.max(wb) {
-            violations.push(Violation {
-                slot,
-                rule: "merge-weight",
-                detail: format!("merged weight {wm} below max of proposals ({wa}, {wb})"),
-            });
-        }
+        contract_violations(slot, ser.contract(), &plain, &merged, Some([&a, &b]), &mut violations);
         checks += 4;
-        if !violations.is_empty() {
-            return fail(violations, probe);
+        if let Some(violation) = violations.into_iter().next() {
+            let mut case = probe_case(Probe::Crossover, seed, 0);
+            case.annotate(&violation);
+            return Err(Box::new(CheckFailure {
+                probe,
+                case,
+                violation,
+            }));
         }
+        violations = Vec::new();
     }
     Ok(CheckSummary { probe, checks })
 }

@@ -217,3 +217,32 @@ fn out_dir_receives_experiment_files() {
     assert!(written.contains("Optoelectronics"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes the pipe before reading anything: every stdout
+/// path (usage, an experiment render, a replay report) ends quietly
+/// instead of panicking on the broken pipe.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let dir = std::env::temp_dir().join(format!("an2-repro-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let case = dir.join("replay.json");
+    std::fs::write(&case, an2_verify::ReplayCase::new(4, 1, 0.5, 8).to_json()).expect("case");
+    for args in [
+        &["help"][..],
+        &["table2"],
+        &["replay", case.to_str().unwrap()],
+    ] {
+        let mut child = repro()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

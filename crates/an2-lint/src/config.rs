@@ -93,10 +93,11 @@ impl Config {
                 "crates/an2-sched/src/stat.rs",
                 "crates/an2-sched/src/maximum.rs",
                 // …and the support modules their slot loops run through.
-                // `check.rs` is deliberately absent: the invariant-checking
-                // observer is allowed to allocate (it is compiled out of
-                // release builds and never sits on the simulator's per-slot
-                // path).
+                // `check.rs` is deliberately absent: its contract rules
+                // allocate (violation messages, k-grant's load table), and
+                // they run only where allocation is fine — the probe
+                // runner, the tests, and `CheckedScheduler`, whose checks
+                // are compiled out of plain release builds.
                 "crates/an2-sched/src/matching.rs",
                 "crates/an2-sched/src/port.rs",
                 "crates/an2-sched/src/requests.rs",

@@ -1,19 +1,38 @@
-//! Runtime invariant checking for schedulers — zero-cost when disabled.
+//! Scheduler contracts and the oracle-free rules that check them.
 //!
 //! The AN2 correctness argument leans on per-slot properties of every
-//! matching a scheduler emits: it must be a valid partial permutation, it
-//! must only connect pairs that actually requested, and (for schedulers
-//! that promise it) it must be maximal — no request left between two
-//! unmatched ports (§3.1). After three rounds of hot-path optimisation
-//! those properties are enforced here as a first-class layer rather than
-//! inferred from pinned digests.
+//! matching a scheduler emits. In the Q/M/⟨Q,M⟩ terms of the MWM→iSLIP
+//! tutorial (Q the queue matrix, M the matching, ⟨Q,M⟩ the queued weight
+//! M serves), each [`Scheduler`] states what it promises through
+//! [`Scheduler::contract`], a [`Contract`] value:
 //!
-//! [`CheckedScheduler`] wraps any [`Scheduler`] and re-derives the
-//! invariants from scratch after every `schedule()` call, *without ever
-//! touching the wrapped scheduler's random streams*: checking is pure
-//! reads over the returned matching and the request matrix, so a checked
-//! run is bit-identical to an unchecked one (pinned by
-//! `tests/determinism.rs`).
+//! * every M is **legal**: a partial permutation (each input once, each
+//!   output at most [`Contract::output_capacity`] times) of requested
+//!   pairs that touches no failed port — the default every scheduler
+//!   meets;
+//! * [`maximal`](Contract::maximal): no request joins an unmatched healthy
+//!   input to a healthy output with spare capacity (§3.1; §3.4 bounds a
+//!   maximal matching at half the maximum);
+//! * [`maximum_cardinality`](Contract::maximum_cardinality) and
+//!   [`maximum_weight`](Contract::maximum_weight): |M| or ⟨Q,M⟩ is the
+//!   largest any matching of the healthy requests reaches;
+//! * [`merges_proposals`](Contract::merges_proposals): M merges two
+//!   maximal proposals A and B with ⟨Q,M⟩ ≥ max(⟨Q,A⟩, ⟨Q,B⟩)
+//!   (SERENADE).
+//!
+//! This module checks the rules that need no oracle, over a plain pair
+//! list so that k-grant PIM's `MultiMatching` uses them too
+//! ([`pair_violations`]; [`matching_violations`] adds `MatchingN`'s own
+//! lookup tables). The rules that need an oracle (maximum cardinality,
+//! maximum weight, the merge bound and §3.4's half-maximum bound) live
+//! in `an2_verify::contract`, which calls these first.
+//!
+//! [`CheckedScheduler`] wraps any scheduler, reads its contract once, and
+//! re-derives the oracle-free rules after every `schedule()` call,
+//! *without ever touching the wrapped scheduler's random streams*:
+//! checking is pure reads over the returned matching and the request
+//! matrix, so a checked run is bit-identical to an unchecked one (pinned
+//! by `tests/determinism.rs`).
 //!
 //! Checking is compiled in when either `debug_assertions` is on (so every
 //! `cargo test` run checks by default) or the `check-invariants` cargo
@@ -22,7 +41,7 @@
 //! is a compile-time `false` and the entire verify body folds away.
 
 use crate::matching::MatchingN;
-use crate::port::PortSetN;
+use crate::port::{InputPort, OutputPort, PortSetN};
 use crate::requests::RequestMatrixN;
 use crate::scheduler::{PortMaskN, Scheduler};
 use std::fmt;
@@ -35,13 +54,48 @@ pub const fn checking_enabled() -> bool {
     cfg!(debug_assertions) || cfg!(feature = "check-invariants")
 }
 
+/// What a scheduler promises about every matching it returns; see the
+/// module docs for the rules in Q/M/⟨Q,M⟩ terms.
+///
+/// Every field beyond legality is a promise the scheduler makes on its
+/// own behalf; a port mask narrows each of them to the healthy ports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Contract {
+    /// No request joins an unmatched healthy input to a healthy output
+    /// with spare capacity.
+    pub maximal: bool,
+    /// |M| equals the maximum matching size of the healthy requests.
+    pub maximum_cardinality: bool,
+    /// ⟨Q,M⟩ equals the maximum weight of any matching of the healthy
+    /// requests, weighing each pair by its observed queue.
+    pub maximum_weight: bool,
+    /// M merges two maximal proposals and weighs at least as much as
+    /// either of them.
+    pub merges_proposals: bool,
+    /// Cells one output may receive per slot: 1 for a matching, `k` for
+    /// k-grant PIM on a `k`-fold replicated fabric.
+    pub output_capacity: usize,
+}
+
+impl Contract {
+    /// Legal matchings and nothing more: the promise every scheduler
+    /// makes, and [`Scheduler::contract`]'s default.
+    pub const LEGAL: Contract = Contract {
+        maximal: false,
+        maximum_cardinality: false,
+        maximum_weight: false,
+        merges_proposals: false,
+        output_capacity: 1,
+    };
+}
+
 /// One invariant failure observed by a [`CheckedScheduler`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Slot index (number of `schedule()` calls before the failing one).
     pub slot: u64,
     /// Stable identifier of the violated rule ("permutation", "respects",
-    /// "maximal").
+    /// "mask", "maximal", and the oracle rules of `an2_verify::contract`).
     pub rule: &'static str,
     /// Human-readable description of what went wrong.
     pub detail: String,
@@ -53,42 +107,97 @@ impl fmt::Display for Violation {
     }
 }
 
-/// What a wrapped scheduler promises about its matchings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Expectation {
-    /// The matching is a partial permutation that respects the requests.
-    /// This is the [`Scheduler`] contract every implementation must meet.
-    Legal,
-    /// Additionally, the matching is maximal: no request connects an
-    /// unmatched (healthy) input to an unmatched (healthy) output. True
-    /// for PIM run to completion and for maximum matching, but **not**
-    /// for PIM with a fixed iteration budget (§3.2's whole point is that
-    /// four iterations merely get close).
-    Maximal,
+/// Appends to `out` every oracle-free rule of `contract` that the
+/// assignment `pairs` breaks for `requests`:
+///
+/// * **permutation** — every pair lies inside the switch, no input
+///   appears twice, and no output more than `contract.output_capacity`
+///   times.
+/// * **respects** — every pair had a pending request.
+/// * **mask** — with a mask installed, no pair touches a failed port.
+/// * **maximal** (when declared) — no request joins an unassigned input
+///   to an output with spare capacity, both healthy under `mask`.
+///
+/// Pure reads: no RNG, and no allocation beyond `out` growth on failure
+/// and, above output capacity 1, one per-output load table.
+pub fn pair_violations<const W: usize>(
+    slot: u64,
+    requests: &RequestMatrixN<W>,
+    pairs: impl IntoIterator<Item = (InputPort, OutputPort)>,
+    contract: Contract,
+    mask: Option<&PortMaskN<W>>,
+    out: &mut Vec<Violation>,
+) {
+    let n = requests.n();
+    let k = contract.output_capacity;
+    let mut push = |rule, detail| out.push(Violation { slot, rule, detail });
+    let mut seen_inputs = PortSetN::<W>::new();
+    // Outputs at capacity; above capacity 1 the loads are counted.
+    let mut full_outputs = PortSetN::<W>::new();
+    let mut load = vec![0usize; if k > 1 { n } else { 0 }];
+    for (i, j) in pairs {
+        let (iu, ju) = (i.index(), j.index());
+        if iu >= n || ju >= n {
+            push("permutation", format!("pair ({iu}, {ju}) outside {n}-port switch"));
+            continue;
+        }
+        if !seen_inputs.insert(iu) {
+            push("permutation", format!("input {iu} matched twice"));
+        }
+        if full_outputs.contains(ju) {
+            let detail = if k > 1 {
+                format!("output {ju} receives more than {k} cells")
+            } else {
+                format!("output {ju} matched twice")
+            };
+            push("permutation", detail);
+        } else if k <= 1 {
+            full_outputs.insert(ju);
+        } else {
+            load[ju] += 1;
+            if load[ju] == k {
+                full_outputs.insert(ju);
+            }
+        }
+        if !requests.has(i, j) {
+            push(
+                "respects",
+                format!("pair ({iu}, {ju}) was matched without a pending request"),
+            );
+        }
+        if let Some(mask) = mask {
+            if !mask.active_inputs().contains(iu) || !mask.active_outputs().contains(ju) {
+                push("mask", format!("pair ({iu}, {ju}) uses a failed port"));
+            }
+        }
+    }
+    if contract.maximal {
+        let all = PortSetN::<W>::all(n);
+        let mut open_inputs = all.difference(&seen_inputs);
+        let mut open_outputs = all.difference(&full_outputs);
+        if let Some(mask) = mask {
+            open_inputs = open_inputs.intersection(mask.active_inputs());
+            open_outputs = open_outputs.intersection(mask.active_outputs());
+        }
+        for i in open_inputs.iter() {
+            if let Some(j) = requests.row(InputPort::new(i)).intersection(&open_outputs).first() {
+                push(
+                    "maximal",
+                    format!("unmatched input {i} still has a request for unmatched output {j}"),
+                );
+            }
+        }
+    }
 }
 
-/// Appends to `out` every invariant violated by `matching` for `requests`.
-///
-/// The checks are re-derived from scratch — nothing is trusted from the
-/// scheduler beyond the returned matching itself:
-///
-/// * **permutation** — every pair lies inside the switch, no input or
-///   output appears twice, and the forward/reverse lookup tables agree.
-/// * **respects** — every matched pair had a pending request.
-/// * **maximal** (only with [`Expectation::Maximal`]) — no request left
-///   between an unmatched input and an unmatched output, restricted to
-///   `mask`'s healthy ports when a mask is installed.
-///
-/// Pure reads only: no RNG, no allocation beyond `out` growth on failure.
-///
-/// Generic over the bitset width `W` so the same derivation covers the
-/// narrow (`W = 4`, up to 256 ports) and wide (`W = 16`, up to 1024
-/// ports) scheduler kernels; width is inferred from the arguments.
+/// [`pair_violations`] for a [`MatchingN`], plus its own bookkeeping:
+/// the matching's size is the request matrix's, its forward and reverse
+/// lookup tables agree, and `len()` counts its pairs.
 pub fn matching_violations<const W: usize>(
     slot: u64,
     requests: &RequestMatrixN<W>,
     matching: &MatchingN<W>,
-    expect: Expectation,
+    contract: Contract,
     mask: Option<&PortMaskN<W>>,
     out: &mut Vec<Violation>,
 ) {
@@ -104,53 +213,15 @@ pub fn matching_violations<const W: usize>(
         });
         return;
     }
-
-    // -- permutation: re-derive both directions from the pair list ------
-    let mut seen_inputs = PortSetN::<W>::new();
-    let mut seen_outputs = PortSetN::<W>::new();
     let mut pair_count = 0usize;
     for (i, j) in matching.pairs() {
         pair_count += 1;
-        if i.index() >= n || j.index() >= n {
-            out.push(Violation {
-                slot,
-                rule: "permutation",
-                detail: format!("pair ({}, {}) outside {n}-port switch", i.index(), j.index()),
-            });
-            continue;
-        }
-        if !seen_inputs.insert(i.index()) {
-            out.push(Violation {
-                slot,
-                rule: "permutation",
-                detail: format!("input {} matched twice", i.index()),
-            });
-        }
-        if !seen_outputs.insert(j.index()) {
-            out.push(Violation {
-                slot,
-                rule: "permutation",
-                detail: format!("output {} matched twice", j.index()),
-            });
-        }
-        if matching.output_of(i) != Some(j) || matching.input_of(j) != Some(i) {
+        if j.index() < n && matching.input_of(j) != Some(i) {
             out.push(Violation {
                 slot,
                 rule: "permutation",
                 detail: format!(
                     "lookup tables disagree for pair ({}, {})",
-                    i.index(),
-                    j.index()
-                ),
-            });
-        }
-        // -- respects: the pair must have been requested ----------------
-        if !requests.has(i, j) {
-            out.push(Violation {
-                slot,
-                rule: "respects",
-                detail: format!(
-                    "pair ({}, {}) was matched without a pending request",
                     i.index(),
                     j.index()
                 ),
@@ -167,39 +238,19 @@ pub fn matching_violations<const W: usize>(
             ),
         });
     }
-
-    // -- maximal: no augmenting edge among unmatched healthy ports ------
-    if expect == Expectation::Maximal {
-        let mut open_outputs = matching.unmatched_outputs();
-        let mut open_inputs = matching.unmatched_inputs();
-        if let Some(mask) = mask {
-            open_outputs = open_outputs.intersection(mask.active_outputs());
-            open_inputs = open_inputs.intersection(mask.active_inputs());
-        }
-        for i in open_inputs.iter() {
-            let missed = requests
-                .row(crate::InputPort::new(i))
-                .intersection(&open_outputs);
-            if let Some(j) = missed.first() {
-                out.push(Violation {
-                    slot,
-                    rule: "maximal",
-                    detail: format!(
-                        "unmatched input {i} still has a request for unmatched output {j}"
-                    ),
-                });
-            }
-        }
-    }
+    pair_violations(slot, requests, matching.pairs(), contract, mask, out);
 }
 
-/// A [`Scheduler`] wrapper that validates every matching it forwards.
+/// A [`Scheduler`] wrapper that validates every matching it forwards
+/// against the wrapped scheduler's own [`Contract`].
 ///
 /// When checking is compiled out ([`checking_enabled`] is `false`) the
 /// wrapper is a transparent pass-through; when compiled in, each
-/// `schedule()` call re-verifies the returned matching and records any
-/// [`Violation`]s instead of panicking, so a replay harness can observe
-/// the exact failing slot and keep going.
+/// `schedule()` call re-verifies the returned matching with
+/// [`matching_violations`] under the contract read at construction and
+/// the last installed port mask, and records any [`Violation`]s instead
+/// of panicking, so a replay harness can observe the exact failing slot
+/// and keep going.
 ///
 /// The wrapper never draws randomness and never mutates the wrapped
 /// scheduler beyond forwarding calls, so checked and unchecked runs are
@@ -224,7 +275,7 @@ pub fn matching_violations<const W: usize>(
 #[derive(Debug)]
 pub struct CheckedScheduler<S, const W: usize = 4> {
     inner: S,
-    expect: Expectation,
+    contract: Contract,
     mask: Option<PortMaskN<W>>,
     slot: u64,
     checks_run: u64,
@@ -232,24 +283,11 @@ pub struct CheckedScheduler<S, const W: usize = 4> {
 }
 
 impl<const W: usize, S: Scheduler<W>> CheckedScheduler<S, W> {
-    /// Wraps `inner`, expecting legal (but not necessarily maximal)
-    /// matchings — the right setting for any fixed-iteration scheduler.
+    /// Wraps `inner`, checking every matching against `inner.contract()`.
     pub fn new(inner: S) -> Self {
-        Self::with_expectation(inner, Expectation::Legal)
-    }
-
-    /// Wraps `inner`, additionally requiring every matching to be maximal.
-    /// Use for PIM run to completion, Hopcroft–Karp, and other schedulers
-    /// that promise no augmenting edge remains.
-    pub fn expecting_maximal(inner: S) -> Self {
-        Self::with_expectation(inner, Expectation::Maximal)
-    }
-
-    /// Wraps `inner` with an explicit [`Expectation`].
-    pub fn with_expectation(inner: S, expect: Expectation) -> Self {
         Self {
+            contract: inner.contract(),
             inner,
-            expect,
             mask: None,
             slot: 0,
             checks_run: 0,
@@ -305,7 +343,7 @@ impl<const W: usize, S: Scheduler<W>> Scheduler<W> for CheckedScheduler<S, W> {
                 self.slot,
                 requests,
                 &matching,
-                self.expect,
+                self.contract,
                 self.mask.as_ref(),
                 &mut self.violations,
             );
@@ -317,6 +355,10 @@ impl<const W: usize, S: Scheduler<W>> Scheduler<W> for CheckedScheduler<S, W> {
     fn name(&self) -> &'static str {
         // Transparent: reports and digests must not notice the wrapper.
         self.inner.name()
+    }
+
+    fn contract(&self) -> Contract {
+        self.inner.contract()
     }
 
     fn set_port_mask(&mut self, mask: PortMaskN<W>) {
@@ -338,13 +380,7 @@ impl<const W: usize, S: Scheduler<W>> Scheduler<W> for CheckedScheduler<S, W> {
         self.inner.wants_queue_observations()
     }
 
-    fn observe_queue(
-        &mut self,
-        i: crate::port::InputPort,
-        j: crate::port::OutputPort,
-        depth: u32,
-        age: u32,
-    ) {
+    fn observe_queue(&mut self, i: InputPort, j: OutputPort, depth: u32, age: u32) {
         // Transparent pass-through: observations carry no invariants of
         // their own (they only shape the inner scheduler's weights).
         self.inner.observe_queue(i, j, depth, age);
@@ -354,39 +390,8 @@ impl<const W: usize, S: Scheduler<W>> Scheduler<W> for CheckedScheduler<S, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pim::{AcceptPolicy, IterationLimit, Pim};
     use crate::rng::Xoshiro256;
-    use crate::{Matching, PortMask, RequestMatrix};
-
-    #[test]
-    fn clean_scheduler_records_nothing() {
-        let mut s = CheckedScheduler::new(Pim::new(8, 0xC0FFEE));
-        let mut rng = Xoshiro256::seed_from(9);
-        for _ in 0..64 {
-            let reqs = RequestMatrix::random(8, 0.6, &mut rng);
-            let m = s.schedule(&reqs);
-            assert!(m.respects(&reqs));
-        }
-        assert!(s.violations().is_empty(), "{:?}", s.violations());
-        assert_eq!(s.slots_scheduled(), 64);
-    }
-
-    #[test]
-    fn to_completion_pim_is_maximal() {
-        let pim = Pim::with_options(
-            8,
-            3,
-            IterationLimit::ToCompletion,
-            AcceptPolicy::Random,
-        );
-        let mut s = CheckedScheduler::expecting_maximal(pim);
-        let mut rng = Xoshiro256::seed_from(11);
-        for _ in 0..64 {
-            let reqs = RequestMatrix::random(8, 0.5, &mut rng);
-            let _ = s.schedule(&reqs);
-        }
-        assert!(s.violations().is_empty(), "{:?}", s.violations());
-    }
+    use crate::{Matching, Pim, PortMask, RequestMatrix};
 
     /// The four-word `Pim` runs its loop on one word at n = 8 and 16 and on
     /// all four at n = 100; the seeded bug is caught on both paths.
@@ -417,48 +422,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn missed_augmenting_edge_is_caught() {
-        // An empty matching against a non-empty request matrix violates
-        // maximality but is perfectly legal.
-        struct Lazy;
-        impl Scheduler for Lazy {
-            fn schedule(&mut self, requests: &RequestMatrix) -> Matching {
-                Matching::new(requests.n())
-            }
-            fn name(&self) -> &'static str {
-                "lazy"
-            }
+    /// A scheduler that declares maximality but never matches anything:
+    /// its own declaration, read by `CheckedScheduler::new`, convicts it.
+    struct MisDeclared;
+
+    impl Scheduler for MisDeclared {
+        fn schedule(&mut self, requests: &RequestMatrix) -> Matching {
+            Matching::new(requests.n())
         }
-        let reqs = RequestMatrix::from_pairs(4, [(0, 1), (2, 3)]);
-
-        let mut legal = CheckedScheduler::new(Lazy);
-        let _ = legal.schedule(&reqs);
-        assert!(legal.violations().is_empty());
-
-        let mut maximal = CheckedScheduler::expecting_maximal(Lazy);
-        let _ = maximal.schedule(&reqs);
-        if checking_enabled() {
-            assert_eq!(maximal.violations().len(), 2);
-            assert!(maximal.violations().iter().all(|v| v.rule == "maximal"));
+        fn name(&self) -> &'static str {
+            "mis-declared"
+        }
+        fn contract(&self) -> Contract {
+            Contract {
+                maximal: true,
+                ..Contract::LEGAL
+            }
         }
     }
 
     #[test]
-    fn masked_maximality_ignores_failed_ports() {
-        struct Lazy;
-        impl Scheduler for Lazy {
-            fn schedule(&mut self, requests: &RequestMatrix) -> Matching {
-                Matching::new(requests.n())
-            }
-            fn name(&self) -> &'static str {
-                "lazy"
-            }
+    fn a_mis_declared_contract_fails_through_contract_alone() {
+        let reqs = RequestMatrix::from_pairs(4, [(0, 1), (2, 3)]);
+        let mut s = CheckedScheduler::new(MisDeclared);
+        let _ = s.schedule(&reqs);
+        if checking_enabled() {
+            assert_eq!(s.violations().len(), 2, "{:?}", s.violations());
+            assert!(s.violations().iter().all(|v| v.rule == "maximal"));
         }
+
         // The only request touches output 1, which is failed: an empty
         // matching is maximal on the healthy subgraph.
         let reqs = RequestMatrix::from_pairs(4, [(0, 1)]);
-        let mut s = CheckedScheduler::expecting_maximal(Lazy);
+        let mut s = CheckedScheduler::new(MisDeclared);
         let mut mask = PortMask::all(4);
         mask.fail_output(1);
         s.set_port_mask(mask);

@@ -69,7 +69,7 @@ pub mod serenade;
 pub mod stat;
 pub mod subframe;
 
-pub use check::{checking_enabled, CheckedScheduler, Violation};
+pub use check::{checking_enabled, CheckedScheduler, Contract, Violation};
 pub use frame::{FrameSchedule, ReservationError};
 pub use matching::{Matching, MatchingN, PairConflict, WideMatching};
 pub use mwm::{Mwm, MwmN, WeightPolicy, WideMwm};

@@ -17,6 +17,7 @@
 //! phase. Everything runs on stack bitsets plus the reusable scratch arrays,
 //! preserving the zero-allocation hot path.
 
+use crate::check::Contract;
 use crate::matching::MatchingN;
 use crate::port::{InputPort, OutputPort, PortSetN};
 use crate::requests::RequestMatrixN;
@@ -281,6 +282,15 @@ impl<const W: usize> Scheduler<W> for MaximumMatchingN<W> {
         "maximum"
     }
 
+    fn contract(&self) -> Contract {
+        // A maximum matching is maximal: an augmenting edge would grow it.
+        Contract {
+            maximal: true,
+            maximum_cardinality: true,
+            ..Contract::LEGAL
+        }
+    }
+
     fn idle_slot_is_noop(&self) -> bool {
         // Hopcroft–Karp is a pure function of the request matrix (the
         // scratch is content-free between calls); an empty matrix yields
@@ -296,7 +306,6 @@ impl<const W: usize> Scheduler<W> for MaximumMatchingN<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pim::{AcceptPolicy, IterationLimit, Pim};
     use crate::requests::RequestMatrix;
     use crate::rng::Xoshiro256;
     use crate::scheduler::PortMask;
@@ -356,36 +365,6 @@ mod tests {
         let m = hopcroft_karp(&reqs);
         assert_eq!(m.len(), n);
         assert!(m.respects(&reqs));
-    }
-
-    #[test]
-    fn maximum_at_least_as_large_as_pim() {
-        let mut root = Xoshiro256::seed_from(21);
-        for t in 0..100 {
-            let reqs = RequestMatrix::random(16, 0.4, &mut root);
-            let max = hopcroft_karp(&reqs);
-            let mut pim = Pim::with_options(
-                16,
-                t,
-                IterationLimit::ToCompletion,
-                AcceptPolicy::Random,
-            );
-            let (m, _) = pim.schedule_with_stats(&reqs);
-            assert!(max.len() >= m.len(), "trial {t}");
-            // A maximal matching is at least half the maximum (§3.4).
-            assert!(2 * m.len() >= max.len(), "trial {t}");
-            assert!(max.respects(&reqs));
-        }
-    }
-
-    #[test]
-    fn maximum_matching_is_maximal_too() {
-        let mut root = Xoshiro256::seed_from(5);
-        for _ in 0..50 {
-            let reqs = RequestMatrix::random(12, 0.3, &mut root);
-            let m = hopcroft_karp(&reqs);
-            assert!(m.is_maximal(&reqs));
-        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! paper-scale experiment uses; `Scheduler<16>` is the wide 1024-port
 //! variant behind the scaling benches.
 
+use crate::check::Contract;
 use crate::matching::MatchingN;
 use crate::port::PortSetN;
 use crate::requests::RequestMatrixN;
@@ -187,11 +188,17 @@ impl<const W: usize> fmt::Debug for PortMaskN<W> {
 ///
 /// # Contract
 ///
-/// The returned matching must satisfy
-/// [`MatchingN::respects`]`(requests)`: a scheduler must never connect an
-/// input–output pair that has no queued cell. The simulator debug-asserts
-/// this every slot, and property tests enforce it for every implementation
-/// in this crate.
+/// Every returned matching must be legal: a partial permutation of
+/// requested pairs ([`MatchingN::respects`]`(requests)`) that touches no
+/// port failed by [`set_port_mask`](Scheduler::set_port_mask) — a
+/// scheduler must never connect a pair that has no queued cell.
+/// Anything more a scheduler promises (maximality, maximum cardinality,
+/// maximum ⟨Q,M⟩ weight, SERENADE's merge bound) it declares itself
+/// through [`contract`](Scheduler::contract). One checker enforces the
+/// declaration everywhere: [`crate::check::CheckedScheduler`] re-derives
+/// the oracle-free rules every slot in checked builds, and
+/// `an2-verify`'s contract property runs every scheduler in this crate
+/// against the oracle rules too.
 pub trait Scheduler<const W: usize = 4> {
     /// Computes the matching that configures the crossbar for the next time
     /// slot, given the current queued-cell requests.
@@ -199,6 +206,16 @@ pub trait Scheduler<const W: usize = 4> {
 
     /// A short stable identifier for reports ("pim", "islip", ...).
     fn name(&self) -> &'static str;
+
+    /// What this scheduler promises about every matching it returns
+    /// (see [`Contract`]). The default promises legality only; a
+    /// scheduler that guarantees more declares it here, and the checkers
+    /// hold it to the declaration.
+    ///
+    /// Read once per checker, never per slot.
+    fn contract(&self) -> Contract {
+        Contract::LEGAL
+    }
 
     /// Installs a port health mask: failed ports are excluded from every
     /// subsequent [`schedule`](Scheduler::schedule) call until the mask is
@@ -276,6 +293,10 @@ impl<const W: usize, S: Scheduler<W> + ?Sized> Scheduler<W> for Box<S> {
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn contract(&self) -> Contract {
+        (**self).contract()
     }
 
     fn set_port_mask(&mut self, mask: PortMaskN<W>) {

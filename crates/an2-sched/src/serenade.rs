@@ -27,6 +27,7 @@
 //! draws nothing. Failed ports therefore never consume a draw and
 //! healthy ports keep their streams aligned under any mask history.
 
+use crate::check::Contract;
 use crate::matching::MatchingN;
 use crate::mwm::{QMatrix, WeightPolicy};
 use crate::port::{InputPort, OutputPort, PortSetN};
@@ -128,8 +129,9 @@ impl<const W: usize> SerenadeN<W> {
 
     /// Like [`Scheduler::schedule`] but also returns the two random
     /// proposals the slot's matching was merged from, `(a, b, merged)`.
-    /// Consumes the same random draws as `schedule`; proptests use it to
-    /// verify the merge guarantee `w(merged) >= max(w(a), w(b))`.
+    /// Consumes the same random draws as `schedule`; the contract checker
+    /// uses it to verify the merge guarantee `w(merged) >= max(w(a), w(b))`
+    /// that [`Scheduler::contract`] declares.
     pub fn schedule_with_proposals(
         &mut self,
         requests: &RequestMatrixN<W>,
@@ -335,6 +337,15 @@ impl<const W: usize> Scheduler<W> for SerenadeN<W> {
         "serenade"
     }
 
+    fn contract(&self) -> Contract {
+        // The proposals `schedule_with_proposals` returns are maximal; the
+        // merge keeps the heavier side of every component.
+        Contract {
+            merges_proposals: true,
+            ..Contract::LEGAL
+        }
+    }
+
     fn set_port_mask(&mut self, mask: PortMaskN<W>) {
         self.mask = Some(mask);
     }
@@ -361,43 +372,6 @@ mod tests {
     use super::*;
     use crate::requests::RequestMatrix;
     use crate::scheduler::PortMask;
-
-    #[test]
-    fn proposals_are_valid_and_maximal() {
-        let mut rng = Xoshiro256::seed_from(0x5E7E);
-        for trial in 0..100u64 {
-            let n = 2 + rng.index(14);
-            let density = rng.uniform_f64();
-            let reqs = RequestMatrix::random(n, density, &mut rng);
-            let mut s = Serenade::new(n, trial);
-            let (a, b, merged) = s.schedule_with_proposals(&reqs);
-            for m in [&a, &b] {
-                assert!(m.respects(&reqs), "trial {trial}");
-                assert!(m.is_maximal(&reqs), "trial {trial}");
-            }
-            assert!(merged.respects(&reqs), "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn merge_weakly_improves_on_both_proposals() {
-        let mut rng = Xoshiro256::seed_from(0xC0DE);
-        for trial in 0..200u64 {
-            let n = 2 + rng.index(14);
-            let density = rng.uniform_f64();
-            let reqs = RequestMatrix::random(n, density, &mut rng);
-            let mut s = Serenade::new(n, 1000 + trial);
-            for (i, j) in reqs.pairs() {
-                s.observe_queue(i, j, 1 + rng.index(16) as u32, 0);
-            }
-            let (a, b, merged) = s.schedule_with_proposals(&reqs);
-            let (wa, wb, wm) = (s.weight_of(&a), s.weight_of(&b), s.weight_of(&merged));
-            assert!(
-                wm >= wa.max(wb),
-                "trial {trial}: merged {wm} < max({wa}, {wb})"
-            );
-        }
-    }
 
     #[test]
     fn staged_equals_serial_at_any_thread_count() {

@@ -23,6 +23,7 @@
 //! `(1 − 1/e)(1 + 1/e²) ≈ 0.72` of each link. Slots left unmatched are
 //! meant to be filled by ordinary PIM ([`StatisticalMatcher::into_scheduler`]).
 
+use crate::check::Contract;
 use crate::matching::Matching;
 use crate::pim::Pim;
 use crate::port::{InputPort, OutputPort};
@@ -590,6 +591,12 @@ impl<R: SelectRng> Scheduler for StatWithPimFill<R> {
 
     fn name(&self) -> &'static str {
         "stat+pim"
+    }
+
+    fn contract(&self) -> Contract {
+        // PIM fills around the reserved pairs it is handed, so the result
+        // keeps whatever PIM promises on its own.
+        self.pim.contract()
     }
 
     // an2-lint: allow(panic-freedom) a mis-sized mask is a harness bug, not degraded traffic; the Scheduler trait documents the panic

@@ -245,40 +245,29 @@ fn wide_mwm_pinned() {
 /// The invariant checker must be a pure observer: wrapping a scheduler in
 /// [`CheckedScheduler`] (checks enabled or not) must reproduce the exact
 /// pinned digests — the checker draws no randomness and alters no
-/// decision, so digests stay bit-identical with checking on and off.
+/// decision, so digests stay bit-identical with checking on and off. The
+/// checker reads what PIM declares, so the run-to-completion row is also
+/// checked for maximality, the strictest mode it has.
 #[test]
 fn checked_wrapper_reproduces_pinned_digests() {
-    let cases: [(Box<dyn Fn() -> Pim>, u64); 4] = [
-        (
-            Box::new(|| Pim::with_options(N, 42, IterationLimit::Fixed(4), AcceptPolicy::Random)),
-            0xbd1c7ae0bbea76c9,
-        ),
-        (
-            Box::new(|| {
-                Pim::with_options(N, 42, IterationLimit::ToCompletion, AcceptPolicy::Random)
-            }),
-            0x204f4cddd3762200,
-        ),
-        (
-            Box::new(|| {
-                Pim::with_options(N, 42, IterationLimit::Fixed(4), AcceptPolicy::RoundRobin)
-            }),
-            0x015195618db34220,
-        ),
-        (
-            Box::new(|| {
-                Pim::with_options(N, 42, IterationLimit::Fixed(4), AcceptPolicy::LowestIndex)
-            }),
-            0x93c54e9f10936bc1,
-        ),
+    let cases = [
+        (IterationLimit::Fixed(4), AcceptPolicy::Random, 0xbd1c7ae0bbea76c9),
+        (IterationLimit::ToCompletion, AcceptPolicy::Random, 0x204f4cddd3762200),
+        (IterationLimit::Fixed(4), AcceptPolicy::RoundRobin, 0x015195618db34220),
+        (IterationLimit::Fixed(4), AcceptPolicy::LowestIndex, 0x93c54e9f10936bc1),
     ];
-    for (make, expected) in &cases {
-        let mut checked = CheckedScheduler::new(make());
+    for (limit, policy, expected) in cases {
+        let mut checked = CheckedScheduler::new(Pim::with_options(N, 42, limit, policy));
+        assert_eq!(
+            checked.contract().maximal,
+            limit == IterationLimit::ToCompletion,
+            "{limit:?}"
+        );
         let mut d = Fnv::report();
         for reqs in &request_sequence() {
             fold_matching(&mut d, &checked.schedule(reqs));
         }
-        assert_digest(d.finish(), *expected);
+        assert_digest(d.finish(), expected);
         assert_eq!(checked.violations(), &[], "checker flagged a correct PIM");
         if an2_sched::checking_enabled() {
             assert!(checked.checks_run() > 0, "checks must run in checked builds");
@@ -286,22 +275,8 @@ fn checked_wrapper_reproduces_pinned_digests() {
             assert_eq!(checked.checks_run(), 0, "checks must vanish in plain release");
         }
         // name() forwards, so reports and digests keyed by name also agree.
-        assert_eq!(checked.name(), make().name());
+        assert_eq!(checked.name(), "pim");
     }
-}
-
-/// Same bit-identity bar for the ToCompletion + maximality expectation —
-/// the strictest checking mode must still be a pure observer.
-#[test]
-fn checked_maximal_expectation_is_also_an_observer() {
-    let inner = Pim::with_options(N, 42, IterationLimit::ToCompletion, AcceptPolicy::Random);
-    let mut checked = CheckedScheduler::expecting_maximal(inner);
-    let mut d = Fnv::report();
-    for reqs in &request_sequence() {
-        fold_matching(&mut d, &checked.schedule(reqs));
-    }
-    assert_digest(d.finish(), 0x204f4cddd3762200);
-    assert_eq!(checked.violations(), &[]);
 }
 
 /// The stats path must keep reporting the same per-iteration trajectory

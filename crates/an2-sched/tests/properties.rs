@@ -2,14 +2,16 @@
 //!
 //! These verify the structural invariants the paper relies on, over
 //! randomized switch sizes, request densities, seeds and configurations.
+//! What each scheduler promises about its matchings (legality, masks,
+//! maximality, maximum cardinality and weight, the SERENADE merge) is
+//! one table-driven property over every scheduler, `an2-verify`'s
+//! `tests/contracts.rs`.
 
 use an2_sched::fifo::{FifoArbiter, FifoPriority};
-use an2_sched::islip::RoundRobinMatching;
-use an2_sched::maximum::hopcroft_karp;
 use an2_sched::rng::Xoshiro256;
 use an2_sched::stat::{ReservationTable, StatisticalMatcher};
 use an2_sched::{
-    AcceptPolicy, FrameSchedule, InputPort, IterationLimit, OutputPort, Pim, PortMask, PortSet,
+    AcceptPolicy, FrameSchedule, InputPort, IterationLimit, OutputPort, Pim, PortSet,
     PortSetN, RequestMatrix, RequestMatrixN, Scheduler,
 };
 use proptest::prelude::*;
@@ -69,48 +71,29 @@ proptest! {
         prop_assert_eq!(sa.is_disjoint(&sb), a.is_disjoint(&b));
     }
 
+    /// PIM's statistics keep to its iteration limit: a fixed budget is
+    /// never overrun, and a run to completion reports completion with no
+    /// request left unresolved. (What every matching promises is
+    /// `an2-verify`'s contract property.)
     #[test]
-    fn pim_output_is_always_a_legal_sub_matching(
+    fn pim_stats_keep_to_the_iteration_limit(
         reqs in request_matrix(32),
         seed in any::<u64>(),
-        iters in 1usize..6,
+        iters in 0usize..6,
         policy in accept_policy(),
     ) {
-        let mut pim = Pim::with_options(reqs.n(), seed, IterationLimit::Fixed(iters), policy);
+        let limit = match iters {
+            0 => IterationLimit::ToCompletion,
+            k => IterationLimit::Fixed(k),
+        };
+        let mut pim = Pim::with_options(reqs.n(), seed, limit, policy);
         let (m, stats) = pim.schedule_with_stats(&reqs);
-        prop_assert!(m.respects(&reqs));
-        prop_assert!(stats.iterations_run <= iters);
-        // A matching never exceeds the number of requested outputs/inputs.
-        prop_assert!(m.len() <= reqs.len());
-    }
-
-    #[test]
-    fn pim_to_completion_is_maximal(
-        reqs in request_matrix(32),
-        seed in any::<u64>(),
-        policy in accept_policy(),
-    ) {
-        let mut pim = Pim::with_options(reqs.n(), seed, IterationLimit::ToCompletion, policy);
-        let (m, stats) = pim.schedule_with_stats(&reqs);
-        prop_assert!(stats.completed);
-        prop_assert!(m.is_maximal(&reqs));
-        prop_assert_eq!(m.unresolved_requests(&reqs), 0);
-    }
-
-    #[test]
-    fn maximum_matching_dominates_maximal(
-        reqs in request_matrix(32),
-        seed in any::<u64>(),
-    ) {
-        let max = hopcroft_karp(&reqs);
-        prop_assert!(max.respects(&reqs));
-        prop_assert!(max.is_maximal(&reqs));
-        let mut pim = Pim::with_options(
-            reqs.n(), seed, IterationLimit::ToCompletion, AcceptPolicy::Random);
-        let m = pim.schedule(&reqs);
-        // maximal <= maximum <= 2 * maximal (Section 3.4).
-        prop_assert!(m.len() <= max.len());
-        prop_assert!(max.len() <= 2 * m.len());
+        if iters == 0 {
+            prop_assert!(stats.completed);
+            prop_assert_eq!(m.unresolved_requests(&reqs), 0);
+        } else {
+            prop_assert!(stats.iterations_run <= iters);
+        }
     }
 
     #[test]
@@ -133,19 +116,6 @@ proptest! {
             prop_assert_eq!(m.output_of(i), Some(j));
         }
         prop_assert!(m.is_maximal(&reqs));
-    }
-
-    #[test]
-    fn islip_and_rrm_outputs_are_legal(
-        reqs in request_matrix(32),
-        iters in 1usize..6,
-    ) {
-        let mut islip = RoundRobinMatching::islip(reqs.n(), iters);
-        let mut rrm = RoundRobinMatching::rrm(reqs.n(), iters);
-        for s in [&mut islip, &mut rrm] {
-            let m = s.schedule(&reqs);
-            prop_assert!(m.respects(&reqs));
-        }
     }
 
     #[test]
@@ -320,96 +290,6 @@ proptest! {
         }
     }
 
-    /// Degraded scheduling at the wide radices (W = 16, N up to 1024):
-    /// the masked wide PIM kernel must never match a failed port, must
-    /// stay legal, and must remain maximal over the unmasked sub-switch —
-    /// the same contract the narrow kernel pins below, proven on the
-    /// chaos engine's operating sizes.
-    #[test]
-    fn masked_wide_pim_is_maximal_over_unmasked_ports(
-        n in prop_oneof![Just(64usize), Just(256), Just(1024)],
-        edges in proptest::collection::vec((0usize..1024, 0usize..1024), 1..160),
-        seed in any::<u64>(),
-        fails in proptest::collection::btree_set((0usize..1024, proptest::bool::ANY), 0..12),
-    ) {
-        use an2_sched::{WidePim, WidePortMask, WideRequestMatrix};
-        let mut reqs = WideRequestMatrix::new(n);
-        for &(i, j) in edges.iter().filter(|&&(i, j)| i < n && j < n) {
-            reqs.set(InputPort::new(i), OutputPort::new(j));
-        }
-        let mut mask = WidePortMask::all(n);
-        let mut fail_in = BTreeSet::new();
-        let mut fail_out = BTreeSet::new();
-        for &(p, input_side) in fails.iter().filter(|&&(p, _)| p < n) {
-            if input_side {
-                mask.fail_input(p);
-                fail_in.insert(p);
-            } else {
-                mask.fail_output(p);
-                fail_out.insert(p);
-            }
-        }
-        let mut pim =
-            WidePim::with_options(n, seed, IterationLimit::ToCompletion, AcceptPolicy::Random);
-        pim.set_port_mask(mask);
-        let m = pim.schedule(&reqs);
-        prop_assert!(m.respects(&reqs));
-        for (i, j) in m.pairs() {
-            prop_assert!(!fail_in.contains(&i.index()), "matched failed wide input {i}");
-            prop_assert!(!fail_out.contains(&j.index()), "matched failed wide output {j}");
-        }
-        // The healthy sub-switch: requests between active ports only.
-        let mut healthy = WideRequestMatrix::new(n);
-        for &(i, j) in edges.iter().filter(|&&(i, j)| i < n && j < n) {
-            if !fail_in.contains(&i) && !fail_out.contains(&j) {
-                healthy.set(InputPort::new(i), OutputPort::new(j));
-            }
-        }
-        prop_assert!(m.is_maximal(&healthy));
-        let max = hopcroft_karp(&healthy);
-        prop_assert!(2 * m.len() >= max.len(),
-            "masked wide maximal {} fell below half the maximum {}", m.len(), max.len());
-    }
-
-    /// Degraded scheduling: with ports masked out, PIM must never match a
-    /// failed port, must stay legal, and must still find a maximal matching
-    /// of the healthy sub-switch — hence at least half the maximum (§3.4's
-    /// bound survives degradation).
-    #[test]
-    fn masked_pim_never_matches_failed_ports(
-        reqs in request_matrix(32),
-        seed in any::<u64>(),
-        fail_in in proptest::collection::btree_set(0usize..32, 0..8),
-        fail_out in proptest::collection::btree_set(0usize..32, 0..8),
-    ) {
-        let n = reqs.n();
-        let mut mask = PortMask::all(n);
-        for &i in fail_in.iter().filter(|&&i| i < n) {
-            mask.fail_input(i);
-        }
-        for &j in fail_out.iter().filter(|&&j| j < n) {
-            mask.fail_output(j);
-        }
-        let mut pim = Pim::with_options(n, seed, IterationLimit::ToCompletion, AcceptPolicy::Random);
-        pim.set_port_mask(mask);
-        let m = pim.schedule(&reqs);
-        prop_assert!(m.respects(&reqs));
-        for (i, j) in m.pairs() {
-            prop_assert!(!fail_in.contains(&i.index()), "matched failed input {i}");
-            prop_assert!(!fail_out.contains(&j.index()), "matched failed output {j}");
-        }
-        // The healthy sub-switch: requests between active ports only.
-        let healthy = RequestMatrix::from_fn(n, |i, j| {
-            reqs.has(InputPort::new(i), OutputPort::new(j))
-                && !fail_in.contains(&i)
-                && !fail_out.contains(&j)
-        });
-        prop_assert!(m.is_maximal(&healthy));
-        let max = hopcroft_karp(&healthy);
-        prop_assert!(2 * m.len() >= max.len(),
-            "masked maximal {} fell below half the maximum {}", m.len(), max.len());
-    }
-
     #[test]
     fn statistical_matching_stays_within_reservations(
         n in 1usize..8,
@@ -558,31 +438,8 @@ fn select_nth_word_boundaries() {
 }
 
 // ---------------------------------------------------------------------------
-// Queue-aware schedulers: MWM (LQF/OCF) and the SERENADE merge.
+// Queue-aware schedulers: MWM's tie-breaks.
 // ---------------------------------------------------------------------------
-
-/// Reference optimum by skip-or-match recursion over rows — exponential,
-/// fine for the `n <= 8` radii these properties run at.
-fn brute_force_weight(reqs: &RequestMatrix, weights: &[Vec<u32>]) -> i64 {
-    fn go(reqs: &RequestMatrix, weights: &[Vec<u32>], row: usize, used: &mut Vec<bool>) -> i64 {
-        if row == reqs.n() {
-            return 0;
-        }
-        // Skip this input entirely...
-        let mut best = go(reqs, weights, row + 1, used);
-        // ...or match it to any free requested output.
-        for j in 0..reqs.n() {
-            if !used[j] && reqs.has(InputPort::new(row), OutputPort::new(j)) {
-                used[j] = true;
-                let w = i64::from(weights[row][j]) + go(reqs, weights, row + 1, used);
-                used[j] = false;
-                best = best.max(w);
-            }
-        }
-        best
-    }
-    go(reqs, weights, 0, &mut vec![false; reqs.n()])
-}
 
 /// Weights pinned to what the scheduler's Q-matrix derives from an
 /// observation stream: every weight >= 1, LQF weighs depth, OCF age + 1.
@@ -610,29 +467,6 @@ fn observe_all(
 }
 
 proptest! {
-    /// MWM achieves *exactly* the brute-force max-weight optimum on every
-    /// instance up to n = 8, under both weight policies, and its matching
-    /// is maximal over the requests.
-    #[test]
-    fn mwm_achieves_the_brute_force_optimum(
-        reqs in request_matrix(8),
-        seed in any::<u64>(),
-        lqf in proptest::bool::ANY,
-    ) {
-        let n = reqs.n();
-        let policy = if lqf { an2_sched::WeightPolicy::Lqf } else { an2_sched::WeightPolicy::Ocf };
-        let weights = observed_weights(n, seed);
-        let mut sched = an2_sched::Mwm::new(n, policy);
-        observe_all(&mut sched, &reqs, &weights, policy);
-        let m = sched.schedule(&reqs);
-        prop_assert!(m.respects(&reqs));
-        prop_assert!(m.is_maximal(&reqs));
-        let achieved: i64 = m.pairs()
-            .map(|(i, j)| i64::from(weights[i.index()][j.index()]))
-            .sum();
-        prop_assert_eq!(achieved, brute_force_weight(&reqs, &weights));
-    }
-
     /// MWM is a pure function of the *final* queue state: replaying the
     /// same observations in any shuffled order — including stale values
     /// later overwritten — yields the identical matching. This is the
@@ -680,124 +514,5 @@ proptest! {
                 "matching depends on observation insertion order"
             );
         }
-    }
-
-    /// SERENADE: both proposals are valid maximal matchings, the merge is
-    /// a valid matching, and the merged weight weakly improves on both
-    /// proposals.
-    #[test]
-    fn serenade_merge_is_valid_and_weakly_improving(
-        reqs in request_matrix(32),
-        seed in any::<u64>(),
-    ) {
-        let n = reqs.n();
-        let weights = observed_weights(n, seed);
-        let mut sched = an2_sched::Serenade::new(n, seed);
-        observe_all(&mut sched, &reqs, &weights, an2_sched::WeightPolicy::Lqf);
-        let (a, b, merged) = sched.schedule_with_proposals(&reqs);
-        prop_assert!(a.respects(&reqs) && a.is_maximal(&reqs));
-        prop_assert!(b.respects(&reqs) && b.is_maximal(&reqs));
-        prop_assert!(merged.respects(&reqs));
-        let (wa, wb, wm) = (sched.weight_of(&a), sched.weight_of(&b), sched.weight_of(&merged));
-        prop_assert!(wm >= wa.max(wb), "merged {} < max({}, {})", wm, wa, wb);
-    }
-
-    /// The chaos engine's degraded-mask contract, extended to the
-    /// queue-aware family: masked MWM must never touch a failed port and
-    /// must stay *maximal* over the healthy sub-switch; masked SERENADE
-    /// must never touch a failed port and both its proposals must stay
-    /// maximal over the healthy sub-switch.
-    #[test]
-    fn masked_queue_aware_schedulers_respect_the_mask(
-        reqs in request_matrix(32),
-        seed in any::<u64>(),
-        fail_in in proptest::collection::btree_set(0usize..32, 0..8),
-        fail_out in proptest::collection::btree_set(0usize..32, 0..8),
-        lqf in proptest::bool::ANY,
-    ) {
-        let n = reqs.n();
-        let policy = if lqf { an2_sched::WeightPolicy::Lqf } else { an2_sched::WeightPolicy::Ocf };
-        let weights = observed_weights(n, seed);
-        let mut mask = PortMask::all(n);
-        for &i in fail_in.iter().filter(|&&i| i < n) {
-            mask.fail_input(i);
-        }
-        for &j in fail_out.iter().filter(|&&j| j < n) {
-            mask.fail_output(j);
-        }
-        let healthy = RequestMatrix::from_fn(n, |i, j| {
-            reqs.has(InputPort::new(i), OutputPort::new(j))
-                && mask.input_active(i)
-                && mask.output_active(j)
-        });
-
-        let mut mwm = an2_sched::Mwm::new(n, policy);
-        observe_all(&mut mwm, &reqs, &weights, policy);
-        mwm.set_port_mask(mask);
-        let m = mwm.schedule(&reqs);
-        prop_assert!(m.respects(&reqs));
-        for (i, j) in m.pairs() {
-            prop_assert!(mask.input_active(i.index()), "mwm matched failed input {}", i);
-            prop_assert!(mask.output_active(j.index()), "mwm matched failed output {}", j);
-        }
-        prop_assert!(m.is_maximal(&healthy), "masked mwm left an augmenting healthy pair");
-
-        let mut ser = an2_sched::Serenade::new(n, seed);
-        observe_all(&mut ser, &reqs, &weights, an2_sched::WeightPolicy::Lqf);
-        ser.set_port_mask(mask);
-        let (a, b, merged) = ser.schedule_with_proposals(&reqs);
-        for p in [&a, &b] {
-            prop_assert!(p.respects(&reqs));
-            prop_assert!(p.is_maximal(&healthy), "masked serenade proposal not maximal");
-        }
-        prop_assert!(merged.respects(&reqs));
-        for (i, j) in merged.pairs() {
-            prop_assert!(mask.input_active(i.index()), "serenade matched failed input {}", i);
-            prop_assert!(mask.output_active(j.index()), "serenade matched failed output {}", j);
-        }
-    }
-
-    /// The same degraded-mask bar at the wide radices the chaos engine
-    /// schedules (N up to 1024, sparse edges).
-    #[test]
-    fn masked_wide_mwm_is_maximal_over_unmasked_ports(
-        n in prop_oneof![Just(64usize), Just(256), Just(1024)],
-        edges in proptest::collection::vec((0usize..1024, 0usize..1024), 1..160),
-        seed in any::<u64>(),
-        fails in proptest::collection::btree_set((0usize..1024, proptest::bool::ANY), 0..12),
-    ) {
-        use an2_sched::rng::SelectRng;
-        use an2_sched::{WideMwm, WidePortMask, WideRequestMatrix};
-        let mut reqs = WideRequestMatrix::new(n);
-        for &(i, j) in edges.iter().filter(|&&(i, j)| i < n && j < n) {
-            reqs.set(InputPort::new(i), OutputPort::new(j));
-        }
-        let mut mask = WidePortMask::all(n);
-        for &(p, input_side) in fails.iter().filter(|&&(p, _)| p < n) {
-            if input_side {
-                mask.fail_input(p);
-            } else {
-                mask.fail_output(p);
-            }
-        }
-        let mut rng = Xoshiro256::seed_from(seed);
-        let mut mwm = WideMwm::lqf(n);
-        for (i, j) in reqs.pairs() {
-            mwm.observe_queue(i, j, 1 + rng.index(31) as u32, 0);
-        }
-        mwm.set_port_mask(mask);
-        let m = mwm.schedule(&reqs);
-        prop_assert!(m.respects(&reqs));
-        for (i, j) in m.pairs() {
-            prop_assert!(mask.input_active(i.index()), "wide mwm matched failed input {}", i);
-            prop_assert!(mask.output_active(j.index()), "wide mwm matched failed output {}", j);
-        }
-        let mut healthy = WideRequestMatrix::new(n);
-        for (i, j) in reqs.pairs() {
-            if mask.input_active(i.index()) && mask.output_active(j.index()) {
-                healthy.set(i, j);
-            }
-        }
-        prop_assert!(m.is_maximal(&healthy), "masked wide mwm left an augmenting healthy pair");
     }
 }

@@ -16,6 +16,13 @@
 //!   frame-schedule feasibility search for the Slepian–Duguid
 //!   construction, and confidence-bound helpers for the analytic M/D/1
 //!   and Karol cross-checks.
+//! * [`contract`] — the **oracle rules of a scheduler's declared
+//!   contract** (`an2_sched::Scheduler::contract`): maximum cardinality
+//!   against Kuhn, maximum ⟨Q,M⟩ against the brute-force DP, SERENADE's
+//!   merge bound and §3.4's half-maximum bound on every maximal
+//!   matching, after the oracle-free rules of `an2_sched::check`. The
+//!   table-driven property `tests/contracts.rs` runs every scheduler
+//!   through it.
 //! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
 //!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
 //!   oracle for the network simulator's per-flow buffers
@@ -23,8 +30,8 @@
 //!   the single-switch engine's queues and queue observations.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
 //!   scheduler over per-pair FIFOs slot by slot, re-verifying after every
-//!   slot that the matching is a legal (optionally maximal) permutation
-//!   submatrix of the requests, that no pair queue exceeds its capacity,
+//!   slot that the matching meets the scheduler's contract (maximal too
+//!   when the case asks for it), that no pair queue exceeds its capacity,
 //!   and that cells are conserved. Unlike `an2_sched::CheckedScheduler`
 //!   (which compiles its checks away in plain release builds) the runner
 //!   always checks — it exists to be asked.
@@ -43,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod contract;
 pub mod oracle;
 pub mod reference_voq;
 pub mod replay;

@@ -11,7 +11,7 @@
 use an2_sched::islip::PointerUpdate;
 use an2_sched::pim::{AcceptPolicy, IterationLimit};
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{PortMaskN, RequestMatrix};
+use an2_sched::{PortMaskN, RequestMatrixN};
 
 /// Rejection draws a wide grant makes before its exact fallback; mirrors
 /// the scheduler's private cap.
@@ -372,21 +372,18 @@ impl ReferenceRoundRobin {
 /// The reference oracle for the optimised bitset Hopcroft–Karp: both must
 /// report the same size on every instance (the matchings themselves may
 /// legitimately differ).
-pub fn kuhn_maximum_matching_size(requests: &RequestMatrix) -> usize {
+pub fn kuhn_maximum_matching_size<const W: usize>(requests: &RequestMatrixN<W>) -> usize {
     const NIL: usize = usize::MAX;
     let n = requests.n();
 
-    fn try_augment(
+    fn try_augment<const W: usize>(
         i: usize,
-        requests: &RequestMatrix,
+        requests: &RequestMatrixN<W>,
         seen: &mut [bool],
         match_out: &mut [usize],
     ) -> bool {
-        let n = requests.n();
-        for j in 0..n {
-            if !requests.has(an2_sched::InputPort::new(i), an2_sched::OutputPort::new(j))
-                || seen[j]
-            {
+        for j in requests.row(an2_sched::InputPort::new(i)).iter() {
+            if seen[j] {
                 continue;
             }
             seen[j] = true;
@@ -554,6 +551,7 @@ pub fn within_confidence(measured: f64, predicted: f64, rel_tol: f64, abs_tol: f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use an2_sched::RequestMatrix;
 
     #[test]
     fn kuhn_on_a_known_instance() {

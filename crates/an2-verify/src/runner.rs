@@ -9,8 +9,8 @@
 //! `check-invariants` feature still gets real verification.
 //!
 //! Checked per slot:
-//! * the matching is a legal partial permutation of requested pairs
-//!   (and maximal, when the case demands it);
+//! * the matching meets PIM's declared contract (`Scheduler::contract`),
+//!   and is maximal as well when the case demands it;
 //! * every matched pair yields a queued cell;
 //! * no pair queue holds more than the configured capacity, which the
 //!   queues enforce as a depth bound on enqueue;
@@ -18,7 +18,7 @@
 //!   and rejected cells accounted separately.
 
 use crate::replay::ReplayCase;
-use an2_sched::check::{matching_violations, Expectation, Violation};
+use an2_sched::check::{matching_violations, Violation};
 use an2_sched::pim::IterationLimit;
 use an2_sched::{InputPort, OutputPort, Pim, Scheduler};
 use an2_sim::cell::Arrival;
@@ -59,11 +59,10 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
         pim.debug_set_accept_skew(case.accept_skew);
     }
     let mut queues = PairFifos::new(n, case.pair_capacity);
-    let expect = if case.expect_maximal {
-        Expectation::Maximal
-    } else {
-        Expectation::Legal
-    };
+    // A case may demand maximality of a budget short of completion (a
+    // replay file from outside the program can say anything).
+    let mut contract = pim.contract();
+    contract.maximal |= case.expect_maximal;
 
     let root = Xoshiro256::seed_from(case.seed);
     let mut traffic: Vec<Xoshiro256> = (0..m)
@@ -99,7 +98,7 @@ pub fn run_case(case: &ReplayCase) -> RunOutcome {
         //    a broken matching must be reported, not acted on.
         let matching = pim.schedule(queues.requests());
         checks += 1;
-        matching_violations(slot, queues.requests(), &matching, expect, None, &mut violations);
+        matching_violations(slot, queues.requests(), &matching, contract, None, &mut violations);
 
         // 3. Matched pairs transmit.
         if violations.is_empty() {

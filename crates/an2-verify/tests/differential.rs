@@ -1,6 +1,8 @@
 //! Differential oracles: every optimised implementation re-checked
 //! against a naive reference on random instances, and simulated delays
-//! cross-checked against the paper's analytic formulas.
+//! cross-checked against the paper's analytic formulas. What every
+//! scheduler promises per matching (MWM's brute-force optimum, SERENADE's
+//! merge, maximality) is checked by `tests/contracts.rs`.
 
 use an2_sched::islip::{RoundRobinMatchingN, WideRoundRobinMatching};
 use an2_sched::maximum::{hopcroft_karp, MaximumMatchingN};
@@ -16,9 +18,9 @@ use an2_sim::fifo_switch::FifoSwitch;
 use an2_sim::output_queued::OutputQueuedSwitch;
 use an2_sim::sim::{simulate, SimConfig};
 use an2_sim::traffic::RateMatrixTraffic;
-use an2_sched::{Mwm, MwmN, Serenade, SerenadeN, WeightPolicy};
+use an2_sched::{MwmN, SerenadeN};
 use an2_verify::oracle::{
-    brute_force_max_weight_matching, frame_demand_feasible, kuhn_maximum_matching_size,
+    frame_demand_feasible, kuhn_maximum_matching_size,
     within_confidence, ReferencePim, ReferencePimN, ReferenceRoundRobin, WideReferencePim,
 };
 use proptest::prelude::*;
@@ -144,142 +146,6 @@ fn frame_schedule_matches_brute_force_feasibility() {
         if admitted_all {
             assert!(fs.verify(), "trial {trial}: admitted schedule inconsistent");
         }
-    }
-}
-
-/// Builds an MWM scheduler whose effective Q-matrix weight for each
-/// requested pair is exactly `weights[i][j]` (≥ 1), by feeding the
-/// policy-appropriate observation: LQF weighs the depth, OCF weighs
-/// `age + 1`.
-fn weighted_mwm(n: usize, policy: WeightPolicy, reqs: &RequestMatrix, weights: &[Vec<u32>]) -> Mwm {
-    let mut s = Mwm::new(n, policy);
-    for (i, j) in reqs.pairs() {
-        let w = weights[i.index()][j.index()];
-        match policy {
-            WeightPolicy::Lqf => s.observe_queue(i, j, w, 0),
-            WeightPolicy::Ocf => s.observe_queue(i, j, 0, w - 1),
-        }
-    }
-    s
-}
-
-/// Runs one MWM-vs-brute-force differential: the solver's matching must
-/// be legal, maximal over the requests, and achieve **exactly** the
-/// DP-optimal total weight.
-fn assert_mwm_optimal(
-    n: usize,
-    policy: WeightPolicy,
-    reqs: &RequestMatrix,
-    weights: &[Vec<u32>],
-    label: &str,
-) {
-    let mut s = weighted_mwm(n, policy, reqs, weights);
-    let m = s.schedule(reqs);
-    assert!(m.respects(reqs), "{label}: illegal matching");
-    assert!(m.is_maximal(reqs), "{label}: non-maximal matching");
-    let achieved: i64 = m
-        .pairs()
-        .map(|(i, j)| i64::from(weights[i.index()][j.index()]))
-        .sum();
-    let optimal = brute_force_max_weight_matching(reqs, &|i, j| i64::from(weights[i][j]));
-    assert_eq!(achieved, optimal, "{label}: achieved {achieved} vs optimal {optimal}");
-}
-
-/// The MWM differential, exhaustive regime: **every** request matrix on
-/// switches up to 3×3 (2^9 patterns), under the all-ones weighting and a
-/// deterministic non-uniform weighting, for both LQF and OCF. Beyond
-/// N=3 exhaustion is astronomically infeasible (2^(N²) patterns); the
-/// random tests below cover the larger radii.
-#[test]
-fn mwm_matches_brute_force_on_every_tiny_request_matrix() {
-    for n in 1usize..=3 {
-        let cells = n * n;
-        for pattern in 0u32..(1 << cells) {
-            let reqs = RequestMatrix::from_fn(n, |i, j| pattern & (1 << (i * n + j)) != 0);
-            let flat: Vec<Vec<u32>> = (0..n)
-                .map(|i| (0..n).map(|j| ((i * 7 + j * 13) % 9 + 1) as u32).collect())
-                .collect();
-            let ones = vec![vec![1u32; n]; n];
-            for weights in [&ones, &flat] {
-                for policy in [WeightPolicy::Lqf, WeightPolicy::Ocf] {
-                    let label = format!("n={n} pattern={pattern:#b} policy={policy:?}");
-                    assert_mwm_optimal(n, policy, &reqs, weights, &label);
-                }
-            }
-        }
-    }
-}
-
-/// The MWM differential, dense-random regime: ≥ 1000 random (pattern,
-/// weight) instances across N = 4..=8 — per policy — spanning densities
-/// from near-empty to full.
-#[test]
-fn mwm_matches_brute_force_on_random_small_switches() {
-    let mut rng = Xoshiro256::seed_from(0x3A11_1992);
-    for policy in [WeightPolicy::Lqf, WeightPolicy::Ocf] {
-        for n in 4usize..=8 {
-            for trial in 0..250u64 {
-                let density = rng.uniform_f64();
-                let reqs = RequestMatrix::random(n, density, &mut rng);
-                let weights: Vec<Vec<u32>> = (0..n)
-                    .map(|_| (0..n).map(|_| 1 + rng.index(16) as u32).collect())
-                    .collect();
-                let label = format!("n={n} trial={trial} policy={policy:?}");
-                assert_mwm_optimal(n, policy, &reqs, &weights, &label);
-            }
-        }
-    }
-}
-
-/// The MWM differential, sparse-wide regime: ≥ 1000 random instances at
-/// radii up to N=32. The oracle's DP is exponential in the number of
-/// *distinct requested columns*, so instances bound that footprint (≤ 10
-/// columns) while rows, weights, and the column choice stay random —
-/// exactly the sparse shape the wide engine schedules.
-#[test]
-fn mwm_matches_brute_force_on_sparse_wide_switches() {
-    let mut rng = Xoshiro256::seed_from(0x3A11_0032);
-    for trial in 0..1000u64 {
-        let policy = if trial % 2 == 0 { WeightPolicy::Lqf } else { WeightPolicy::Ocf };
-        let n = 9 + rng.index(24); // 9..=32
-        let footprint = 1 + rng.index(10);
-        let cols: Vec<usize> = (0..footprint).map(|_| rng.index(n)).collect();
-        let reqs = RequestMatrix::from_fn(n, |_, j| {
-            cols.contains(&j) && rng.bernoulli(0.35)
-        });
-        let weights: Vec<Vec<u32>> = (0..n)
-            .map(|_| (0..n).map(|_| 1 + rng.index(100) as u32).collect())
-            .collect();
-        let label = format!("n={n} trial={trial} policy={policy:?}");
-        assert_mwm_optimal(n, policy, &reqs, &weights, &label);
-    }
-}
-
-/// SERENADE's merge contract on every case: both random proposals are
-/// valid maximal matchings, the merged result is a valid matching, and
-/// its Q-matrix weight weakly improves on **both** inputs.
-#[test]
-fn serenade_merge_is_valid_and_weakly_improving() {
-    let mut rng = Xoshiro256::seed_from(0x5E3E_1992);
-    for trial in 0..500u64 {
-        let n = 2 + rng.index(31); // 2..=32
-        let density = rng.uniform_f64();
-        let reqs = RequestMatrix::random(n, density, &mut rng);
-        let mut s = Serenade::new(n, trial);
-        for (i, j) in reqs.pairs() {
-            s.observe_queue(i, j, 1 + rng.index(32) as u32, 0);
-        }
-        let (a, b, merged) = s.schedule_with_proposals(&reqs);
-        for (m, which) in [(&a, "A"), (&b, "B")] {
-            assert!(m.respects(&reqs), "trial {trial}: proposal {which} illegal");
-            assert!(m.is_maximal(&reqs), "trial {trial}: proposal {which} not maximal");
-        }
-        assert!(merged.respects(&reqs), "trial {trial}: merge illegal");
-        let (wa, wb, wm) = (s.weight_of(&a), s.weight_of(&b), s.weight_of(&merged));
-        assert!(
-            wm >= wa.max(wb),
-            "trial {trial}: merged weight {wm} < max({wa}, {wb})"
-        );
     }
 }
 
