@@ -18,7 +18,9 @@
 //! cells at the tail. Flows are not pinned to an output: the caller takes
 //! each cell's output from its routing table and moves or discards queued
 //! cells when a route changes ([`FlowQueues::redirect_flow`],
-//! [`FlowQueues::drop_flow`]).
+//! [`FlowQueues::drop_flow`]). A caller that already looks the flow up in
+//! its routing table can keep a [`FlowHint`] in the route entry, so an
+//! arriving cell costs that one lookup ([`FlowQueues::push_hinted`]).
 
 use an2_sched::det::DetHashMap;
 use an2_sched::{InputPort, OutputPort, RequestMatrix};
@@ -55,6 +57,24 @@ pub enum PushOutcome {
 /// empty list's head and tail.
 const NIL: u32 = u32::MAX;
 
+/// [`Flow::pair`] of a record [`FlowQueues::drop_flow`] released: no pair
+/// index reaches it, so a [`FlowHint`] to a released record fails its
+/// check.
+const RELEASED: u32 = u32::MAX;
+
+/// A caller's cached index of one flow's record in a [`FlowQueues`], for
+/// [`FlowQueues::push_hinted`]. It starts unset and is checked on every
+/// use, so a stale hint (the flow was dropped, or the hint came from
+/// another switch) costs only the lookup it would have saved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlowHint(u32);
+
+impl Default for FlowHint {
+    fn default() -> Self {
+        Self(NIL)
+    }
+}
+
 /// One flow the switch has seen.
 #[derive(Clone, Copy, Debug)]
 struct Flow {
@@ -63,7 +83,7 @@ struct Flow {
     /// `[push sequence, arrival slot]` pair, or [`NO_QUEUE`].
     queue: u32,
     /// Row-major index of the pair the queued cells wait on (meaningful
-    /// while the flow holds cells).
+    /// while the flow holds cells), or [`RELEASED`].
     pair: u32,
     /// The next flow in that pair's eligible list, or [`NIL`].
     next: u32,
@@ -212,13 +232,28 @@ impl FlowQueues {
     /// # Panics
     ///
     /// Panics if a port of the cell is outside the switch.
-    // an2-lint: allow(panic-freedom) pair() checked both ports, so p < n * n = pairs.len(); k comes from the index or intern(), so k < flows.len()
     pub fn push(&mut self, cell: Cell) -> PushOutcome {
+        self.push_hinted(cell, &mut FlowHint::default())
+    }
+
+    /// [`FlowQueues::push`] with the flow's record index cached in `hint`:
+    /// a hint that names the flow's record saves the flow-index lookup,
+    /// any other is replaced by the looked-up index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port of the cell is outside the switch.
+    // an2-lint: allow(panic-freedom) pair() checked both ports, so p < n * n = pairs.len(); k is a checked hint or comes from the index or intern(), so k < flows.len()
+    pub fn push_hinted(&mut self, cell: Cell, hint: &mut FlowHint) -> PushOutcome {
         let mut p = self.pair(cell.input, cell.output);
-        let k = match self.index.get(&cell.flow) {
-            Some(&k) => k,
-            None => self.intern(cell.flow),
-        };
+        let named = |f: &Flow| f.id == cell.flow && f.pair != RELEASED;
+        if !self.flows.get(hint.0 as usize).is_some_and(named) {
+            hint.0 = match self.index.get(&cell.flow) {
+                Some(&k) => k,
+                None => self.intern(cell.flow),
+            };
+        }
+        let k = hint.0;
         let flow = &mut self.flows[k as usize];
         if flow.queue != NO_QUEUE {
             p = flow.pair as usize;
@@ -324,7 +359,9 @@ impl FlowQueues {
             return 0;
         };
         let count = self.detach(k);
-        self.slab.truncate(&mut self.flows[k as usize].queue, 0);
+        let f = &mut self.flows[k as usize];
+        self.slab.truncate(&mut f.queue, 0);
+        f.pair = RELEASED;
         self.free.push(k);
         self.queued -= count;
         count
@@ -669,6 +706,44 @@ mod tests {
         assert_eq!(q.flows.len(), 9);
         assert_eq!(q.index.len(), 8);
         assert_eq!(q.len(), 8);
+    }
+
+    #[test]
+    fn a_hint_is_checked_before_it_is_trusted() {
+        let mut q = round_robin(4);
+        let mut hint = FlowHint::default();
+        // The first push looks the flow up and caches its record.
+        assert_eq!(
+            q.push_hinted(cell(7, 0, 1, 0), &mut hint),
+            PushOutcome::Admitted
+        );
+        assert_eq!(hint, FlowHint(q.index[&FlowId(7)]));
+        assert_eq!(
+            q.push_hinted(cell(7, 0, 1, 1), &mut hint),
+            PushOutcome::Admitted
+        );
+        // A hint for another flow's record is replaced, not followed.
+        let mut other = hint;
+        push_ok(&mut q, cell(8, 0, 1, 2));
+        assert_eq!(
+            q.push_hinted(cell(8, 0, 1, 3), &mut other),
+            PushOutcome::Admitted
+        );
+        assert_eq!(other, FlowHint(q.index[&FlowId(8)]));
+        assert_eq!(pop_flows(&mut q, 0, 1, 4), [7, 8, 7, 8]);
+        // A released record fails the check although it still names the
+        // flow: the dropped flow comes back in a record of its own.
+        push_ok(&mut q, cell(7, 0, 2, 4));
+        assert_eq!(q.drop_flow(FlowId(7)), 1);
+        let stale = hint;
+        assert_eq!(
+            q.push_hinted(cell(7, 0, 2, 5), &mut hint),
+            PushOutcome::Admitted
+        );
+        assert_eq!(hint, FlowHint(q.index[&FlowId(7)]));
+        assert_eq!(stale, hint, "the released record is the one reused");
+        assert_eq!(q.len(), 1);
+        assert_eq!(pop_flows(&mut q, 0, 2, 1), [7]);
     }
 
     #[test]

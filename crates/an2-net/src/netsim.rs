@@ -25,7 +25,7 @@
 //! that happens is recorded in a [`FaultLog`] — drops never panic. An empty
 //! plan leaves the simulation bit-identical to one without a fault layer.
 
-use crate::flows::{FlowQueues, PushOutcome, ServiceDiscipline};
+use crate::flows::{FlowHint, FlowQueues, PushOutcome, ServiceDiscipline};
 use an2_sched::rng::SelectRng as _;
 use an2_sched::{FrameSchedule, InputPort, OutputPort, Pim, PortMask, Scheduler};
 use an2_sim::cell::{Cell, FlowId};
@@ -189,8 +189,9 @@ enum PortTarget {
 struct SwitchNode {
     buffers: FlowQueues,
     scheduler: Box<dyn Scheduler>,
-    /// Flow → output port at this switch.
-    routes: DetHashMap<FlowId, OutputPort>,
+    /// Flow → output port at this switch, with the flow's record in
+    /// `buffers` cached beside it.
+    routes: DetHashMap<FlowId, (OutputPort, FlowHint)>,
     /// Wiring of output ports; unwired ports are sinks.
     targets: Vec<PortTarget>,
     /// Ports currently in service; mirrors what the scheduler was told.
@@ -445,12 +446,12 @@ impl Network {
     ) -> Result<(), TopologyError> {
         self.check_port(sw, out.index())?;
         let node = &mut self.switches[sw.0];
-        if let Some(&prev) = node.routes.get(&flow) {
+        if let Some(&(prev, _)) = node.routes.get(&flow) {
             if prev != out {
                 return Err(TopologyError::ConflictingRoute { flow, switch: sw });
             }
         }
-        node.routes.insert(flow, out);
+        node.routes.insert(flow, (out, FlowHint::default()));
         Ok(())
     }
 
@@ -929,7 +930,7 @@ impl Network {
         let affected: Vec<FlowId> = self.switches[switch]
             .routes
             .iter()
-            .filter(|(_, out)| out.index() == output)
+            .filter(|(_, (out, _))| out.index() == output)
             .map(|(&flow, _)| flow)
             .filter(|flow| self.flows.contains_key(flow))
             .collect();
@@ -994,7 +995,7 @@ impl Network {
                 return None;
             }
             let node = self.switches.get(here.0)?;
-            let &out = node.routes.get(&flow)?;
+            let &(out, _) = node.routes.get(&flow)?;
             hops.push((here, inp, out));
             match node.targets[out.index()] {
                 PortTarget::Link { to, port, .. } => {
@@ -1045,7 +1046,7 @@ impl Network {
                 // Redirect queued cells at surviving hops, drop the rest.
                 for &(sw, inp, old_out) in &old {
                     let node = &mut self.switches[sw.0];
-                    let (lost, cause) = match node.routes.get(&flow).copied() {
+                    let (lost, cause) = match node.routes.get(&flow).map(|&(out, _)| out) {
                         Some(new_out) if new_out != old_out => (
                             node.buffers.redirect_flow(flow, new_out),
                             DropCause::BufferFull,
@@ -1261,7 +1262,7 @@ impl Network {
                 .switches
                 .get(here.0)
                 .ok_or(TopologyError::UnknownSwitch { switch: here })?;
-            let out = *node
+            let &(out, _) = node
                 .routes
                 .get(&flow)
                 .ok_or(TopologyError::MissingRoute { flow, switch: here })?;
@@ -1308,18 +1309,19 @@ impl Network {
             return;
         }
         let node = &mut self.switches[sw.0];
-        let Some(&out) = node.routes.get(&flow) else {
+        let Some((out, hint)) = node.routes.get_mut(&flow) else {
             self.log
                 .record_drop(now, sw.0, port.index(), flow.0, DropCause::NoRoute);
             return;
         };
-        // an2-lint: allow(alloc-in-hot-path) FlowQueues::push grows its slab and flow table only when the queued cells or flows reach a new peak
-        let outcome = node.buffers.push(Cell {
+        let cell = Cell {
             flow,
             input: port,
-            output: out,
+            output: *out,
             arrival_slot: injected_at,
-        });
+        };
+        // an2-lint: allow(alloc-in-hot-path) FlowQueues::push_hinted grows its slab and flow table only when the queued cells or flows reach a new peak
+        let outcome = node.buffers.push_hinted(cell, hint);
         if outcome == PushOutcome::Dropped {
             self.log
                 .record_drop(now, sw.0, port.index(), flow.0, DropCause::BufferFull);

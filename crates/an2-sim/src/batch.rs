@@ -17,8 +17,8 @@
 //! several flows share a pair run on the network simulator's per-flow
 //! buffers (`an2_net::flows`), on the same [`QueueSlab`]. The request
 //! matrix is maintained incrementally (set on a pair's first cell, clear
-//! on drain). Storage follows traffic rather than N: a dense 16-byte
-//! ledger per pair, and queue records only for the pairs that hold cells.
+//! on drain). Storage follows traffic rather than N: one dense 8-byte
+//! entry per pair, and queue records only for the pairs that hold cells.
 //!
 //! `tests/engine_golden.rs` pins the engine's report digests, recorded
 //! from the retired per-flow scalar loop, across schedulers, sizes and
@@ -29,9 +29,12 @@
 //! Layout at N=1024 (width `W = 16`):
 //!
 //! ```text
-//! ledger:    [PairLedger; n*n] row-major, ledger[i*n+j] = 16 bytes:
-//!                              window departure count, fault drops,
-//!                              queue handle (0 = no queued cell)
+//! pairs:     [[u32; 2]; n*n]   row-major, pairs[i*n+j] = 8 bytes:
+//!                              [queue handle (0 = no queued cell),
+//!                              window departure count]; 8 MB, zeroed
+//!                              by the allocator, not written at build
+//! drops:     [u32; n*n]        lifetime fault drops per pair; empty
+//!                              until the first drop allocates it
 //! slab:      QueueSlab<u32>    one 64-byte record per pair holding cells:
 //!                              7 inline u32 slots + depth + ring head
 //!                              (+ spill ring pointer for deep queues);
@@ -46,11 +49,13 @@
 //! queued cells share across outputs (§2.4), and at light load the queue
 //! matrix is almost all zeros: at N=1024 and load 0.05 only one or two of
 //! the 2^20 pairs hold a cell between slots. A 64-byte record for every
-//! pair would make a 64 MB table that is nearly all empty; the ledger is
-//! 16 MB (four pairs per cache line), and the slab stays as small as the
-//! peak number of active pairs, so it is cache-resident when traffic is
-//! light. Arrivals still address random pairs, so each touch costs one
-//! ledger miss, over a quarter of the memory a record per pair would take.
+//! pair would make a 64 MB table that is nearly all empty; the pair table
+//! is 8 MB (eight pairs per cache line), and the slab stays as small as
+//! the peak number of active pairs, so it is cache-resident when traffic
+//! is light. Arrivals still address random pairs, so each touch costs one
+//! pair-table miss, over an eighth of the memory a record per pair would
+//! take. A 32-bit count that wraps (a window departure count or a pair's
+//! drops) carries into a side table that stays empty in practice.
 //!
 //! Cells are stamped with the slot's low 32 bits. A delay, and a queue
 //! age reported to the scheduler, is the wrapping difference of two
@@ -69,23 +74,6 @@ use crate::model::SwitchModel;
 use crate::slab::{QueueSlab, NO_QUEUE};
 use an2_sched::{InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
 use std::collections::BTreeMap;
-
-/// One input–output pair's dense state: everything the engine keeps for
-/// a pair whether or not it holds cells, in 16 bytes (four pairs per
-/// cache line).
-#[derive(Clone, Copy, Debug, Default)]
-struct PairLedger {
-    /// Departures from this pair in the measurement window.
-    count: u64,
-    /// Low 32 bits of this pair's lifetime fault drops (never reset: the
-    /// drop ledger spans measurement windows). Each wrap past 2^32 is
-    /// carried into [`BatchCrossbar::drop_carries`].
-    dropped: u32,
-    /// This pair's [`QueueSlab`] handle, or [`NO_QUEUE`].
-    queue: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<PairLedger>() == 16);
 
 /// Structure-of-arrays crossbar simulator for the one-flow-per-pair
 /// regime, generic over the scheduler bitset width `W`.
@@ -111,11 +99,19 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     n: usize,
     scheduler: S,
     requests: RequestMatrixN<W>,
-    /// One [`PairLedger`] per pair, row-major: the only dense per-pair
-    /// state.
-    ledger: Vec<PairLedger>,
+    /// One `[queue, count]` entry per pair, row-major: the pair's
+    /// [`QueueSlab`] handle (or [`NO_QUEUE`]) and the low 32 bits of its
+    /// departures in the measurement window. The only dense per-pair
+    /// state a fault-free run keeps.
+    pairs: Vec<[u32; 2]>,
     /// Queue records of the pairs that hold cells.
     slab: QueueSlab<u32>,
+    /// Wraps of a pair's 32-bit window count past 2^32, by pair index;
+    /// cleared with the counts when a measurement window opens.
+    count_carries: BTreeMap<usize, u64>,
+    /// Low 32 bits of each pair's lifetime fault drops (never reset: the
+    /// drop ledger spans measurement windows); empty until the first drop.
+    drops: Vec<u32>,
     /// Wraps of a pair's 32-bit drop count past 2^32, by pair index;
     /// empty until some pair loses its 2^32-th cell.
     drop_carries: BTreeMap<usize, u64>,
@@ -144,11 +140,13 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
 impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Creates an `n`-port batch engine driven by `scheduler`.
     ///
-    /// Allocates the `n*n` pair ledger up front (16 bytes per pair, 16 MB
-    /// at N=1024) and room for `4n` queue records. The slot loop itself
-    /// allocates only at high-water marks: when more pairs hold cells than
-    /// ever before, or more queues run deep at once than the slab has
-    /// rings for.
+    /// Allocates the `n*n` pair table up front (8 bytes per pair, 8 MB at
+    /// N=1024, zeroed by the allocator rather than written) and room for
+    /// `4n` queue records. The per-pair drop table (4 bytes per pair) waits
+    /// for the first fault drop, so a fault-free run never holds it. The
+    /// slot loop itself allocates only at high-water marks: when more
+    /// pairs hold cells than ever before, or more queues run deep at once
+    /// than the slab has rings for, and once on the first drop.
     ///
     /// # Panics
     ///
@@ -169,8 +167,10 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             n,
             scheduler,
             requests: RequestMatrixN::new(n),
-            ledger: vec![PairLedger::default(); n * n],
+            pairs: vec![[0; 2]; n * n],
             slab: QueueSlab::with_capacity((4 * n).min(n * n)),
+            count_carries: BTreeMap::new(),
+            drops: Vec::new(),
             drop_carries: BTreeMap::new(),
             queued: 0,
             slot: 0,
@@ -233,7 +233,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         assert!(i < self.n && j < self.n, "pair ({i},{j}) out of range");
         let p = i * self.n + j;
         let carries = self.drop_carries.get(&p).map_or(0, |&c| c << 32);
-        carries | u64::from(self.ledger[p].dropped)
+        carries | self.drops.get(p).map_or(0, |&d| u64::from(d))
     }
 
     /// The O(1) conservation ledger: every cell ever offered to the switch
@@ -263,7 +263,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Returns a description of the imbalance when a per-pair counter and
     /// the total disagree.
     pub fn verify_drop_ledger(&self) -> Result<(), String> {
-        let low: u64 = self.ledger.iter().map(|l| u64::from(l.dropped)).sum();
+        let low: u64 = self.drops.iter().map(|&d| u64::from(d)).sum();
         let per_pair = self
             .drop_carries
             .values()
@@ -307,7 +307,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             i.index() < self.n && j.index() < self.n,
             "pair ({i},{j}) out of range"
         );
-        let h = self.ledger[i.index() * self.n + j.index()].queue;
+        let [h, _] = self.pairs[i.index() * self.n + j.index()];
         self.slab.peek(h).map_or(0, |(depth, _)| depth as usize)
     }
 
@@ -327,7 +327,8 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             if i >= self.n || j >= self.n || a.flow != FlowId::for_pair(self.n, a.input, a.output) {
                 malformed_arrival(a, self.n, true);
             }
-            if self.slab.admit(&mut self.ledger[i * self.n + j].queue, stamp) {
+            let [queue, _] = &mut self.pairs[i * self.n + j];
+            if self.slab.admit(queue, stamp) {
                 self.requests.set(a.input, a.output);
             }
             self.queued += 1;
@@ -396,9 +397,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         // the wrapping difference of stamps, so runs may pass 2^32 slots.
         let stamp = slot as u32;
         let n = self.n;
-        debug_assert_eq!(self.ledger.len(), n * n);
+        debug_assert_eq!(self.pairs.len(), n * n);
         // Warming sweep: the slot's arrivals address random pairs, and the
-        // update loop below chains dependent loads into each pair's ledger
+        // update loop below chains dependent loads into each pair's table
         // line. Reading the lines first issues the misses as independent
         // loads the core overlaps, so the updates hit L1. (A prefetch
         // intrinsic would need unsafe; a black-boxed read is the safe
@@ -406,7 +407,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let mut warm = 0u32;
         for a in arrivals {
             let p = a.input.index().wrapping_mul(n) + a.output.index();
-            warm = warm.wrapping_add(self.ledger.get(p).map_or(0, |l| l.queue));
+            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |&[queue, _]| queue));
         }
         std::hint::black_box(warm);
         let mut seen = PortSetN::<W>::new();
@@ -417,25 +418,19 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
                 malformed_arrival(a, n, fresh);
             }
             let p = i * n + j;
-            // an2-lint: allow(panic-freedom) p = i*n + j < n*n = ledger.len(): i, j < n checked above
-            let l = &mut self.ledger[p];
             // A scripted fault consumes the arrival on the wire: charged to
             // the drop ledger instead of the pair FIFO. Failed ports still
             // buffer (the mask only gates scheduling).
             if let Some(cause) = lost.cause(i) {
-                let wrapped;
-                (l.dropped, wrapped) = l.dropped.overflowing_add(1);
-                if wrapped {
-                    self.carry_drop(p);
-                }
-                // an2-lint: allow(overflow-discipline) monotone u64 total, at most one per offered cell
-                self.dropped += 1;
+                self.charge_drop(p);
                 if let Some(log) = log.as_deref_mut() {
                     log.record_drop(slot, 0, i, a.flow.0, cause);
                 }
                 continue;
             }
-            if self.slab.admit(&mut l.queue, stamp) {
+            // an2-lint: allow(panic-freedom) p = i*n + j < n*n = pairs.len(): i, j < n checked above
+            let [queue, _] = &mut self.pairs[p];
+            if self.slab.admit(queue, stamp) {
                 self.requests.set(a.input, a.output);
             }
             // an2-lint: allow(overflow-discipline) queued counts cells held in memory, so it fits usize
@@ -484,7 +479,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let mut warm = 0u32;
         for (i, j) in matching.pairs() {
             let p = i.index().wrapping_mul(n) + j.index();
-            warm = warm.wrapping_add(self.ledger.get(p).map_or(0, |l| l.queue));
+            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |&[queue, _]| queue));
         }
         std::hint::black_box(warm);
         for (i, j) in matching.pairs() {
@@ -492,14 +487,18 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
                 i.index() < n && j.index() < n,
                 "scheduler matched outside the switch"
             );
-            // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i, j < n and the pair index < ledger.len()
-            let l = &mut self.ledger[i.index() * n + j.index()];
-            if l.queue == NO_QUEUE {
+            let p = i.index() * n + j.index();
+            // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i, j < n and p < pairs.len()
+            let [queue, count] = &mut self.pairs[p];
+            if *queue == NO_QUEUE {
                 unqueued_match(self.scheduler.name(), i, j);
             }
-            // an2-lint: allow(overflow-discipline) monotone u64 window count, at most one per slot
-            l.count += 1;
-            let (arrived, drained) = self.slab.serve(&mut l.queue);
+            let wrapped;
+            (*count, wrapped) = count.overflowing_add(1);
+            if wrapped {
+                carry(&mut self.count_carries, p);
+            }
+            let (arrived, drained) = self.slab.serve(queue);
             if drained {
                 self.requests.clear(i, j);
             }
@@ -527,7 +526,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let n = self.n;
         for (i, j) in self.requests.pairs() {
             let p = i.index().wrapping_mul(n).wrapping_add(j.index());
-            let queue = self.ledger.get(p).map_or(NO_QUEUE, |l| l.queue);
+            let queue = self.pairs.get(p).map_or(NO_QUEUE, |&[queue, _]| queue);
             debug_assert!(queue != NO_QUEUE, "a requested pair holds a cell");
             if let Some((depth, front)) = self.slab.peek(queue) {
                 let age = stamp.wrapping_sub(front);
@@ -536,13 +535,37 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         }
     }
 
-    /// Carries pair `p`'s drop count past its 2^32-th drop into the side
-    /// table.
+    /// Charges one fault drop to pair `p`. Only injected faults drop
+    /// cells, so this is off the slot loop's common path.
     // an2-lint: cold
     #[cold]
-    fn carry_drop(&mut self, p: usize) {
-        *self.drop_carries.entry(p).or_insert(0) += 1;
+    fn charge_drop(&mut self, p: usize) {
+        let low = &mut self.drop_table()[p];
+        let wrapped;
+        (*low, wrapped) = low.overflowing_add(1);
+        if wrapped {
+            carry(&mut self.drop_carries, p);
+        }
+        self.dropped += 1;
     }
+
+    /// The per-pair drop table, allocated on its first use: a fault-free
+    /// run never holds it.
+    // an2-lint: cold
+    #[cold]
+    fn drop_table(&mut self) -> &mut [u32] {
+        if self.drops.is_empty() {
+            self.drops = vec![0; self.pairs.len()];
+        }
+        &mut self.drops
+    }
+}
+
+/// Carries pair `p`'s 32-bit count past its 2^32-th step into `carries`.
+// an2-lint: cold
+#[cold]
+fn carry(carries: &mut BTreeMap<usize, u64>, p: usize) {
+    *carries.entry(p).or_insert(0) += 1;
 }
 
 /// Panics for an arrival [`BatchCrossbar::step_slot`] documents as
@@ -596,11 +619,30 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             0,
             "only an undropped pair can be preset"
         );
-        self.ledger[p].dropped = drops as u32; // the low 32 bits
+        self.drop_table()[p] = drops as u32; // the low 32 bits
         if drops >> 32 > 0 {
             self.drop_carries.insert(p, drops >> 32);
         }
         self.dropped += drops;
+    }
+
+    /// Credits pair `(i, j)` with `count` departures in the current
+    /// window, as if that many of its cells had crossed the switch, so
+    /// tests can cross the 32-bit window count without sending four
+    /// billion cells.
+    fn preset_pair_departures(&mut self, i: usize, j: usize, count: u64) {
+        let p = i * self.n + j;
+        assert!(
+            self.pairs[p][1] == 0 && !self.count_carries.contains_key(&p),
+            "only a pair with no departures in the window can be preset"
+        );
+        self.pairs[p][1] = count as u32; // the low 32 bits
+        if count >> 32 > 0 {
+            self.count_carries.insert(p, count >> 32);
+        }
+        self.admitted_total += count;
+        self.departed_total += count;
+        self.per_output[j] += count;
     }
 }
 
@@ -626,21 +668,26 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
         self.window_admitted = self.admitted_total;
         self.window_departed = self.departed_total;
         self.per_output.fill(0);
-        for l in &mut self.ledger {
-            l.count = 0;
+        for [_, count] in &mut self.pairs {
+            *count = 0;
         }
+        self.count_carries.clear();
         self.delay = DelayStats::new();
         self.sketch = QuantileSketch::new();
         self.peak_occupancy = 0;
     }
 
     fn report(&self) -> SwitchReport {
-        let mut per_flow = Vec::new();
-        for (p, l) in self.ledger.iter().enumerate() {
-            if l.count > 0 {
-                per_flow.push((p as u64, l.count));
-            }
-        }
+        // At N=1024 nearly every pair departs in a long window; sizing the
+        // list once, by an exact count, keeps a doubling Vec from holding
+        // twice the list (plus the copy) at its peak.
+        let departed = |(p, &[_, low]): (usize, &[u32; 2])| {
+            let high = self.count_carries.get(&p).map_or(0, |&c| c << 32);
+            Some((p as u64, high | u64::from(low))).filter(|&(_, count)| count > 0)
+        };
+        let flows = self.pairs.iter().enumerate().filter_map(departed).count();
+        let mut per_flow = Vec::with_capacity(flows);
+        per_flow.extend(self.pairs.iter().enumerate().filter_map(departed));
         SwitchReport {
             delay: self.delay.clone(),
             slots: self.slot - self.measure_start,
@@ -715,7 +762,7 @@ mod tests {
         let r = engine.report();
         assert_eq!((r.departures, r.delay.count()), (24, 24));
         assert_eq!((r.delay.max(), r.delay.mean()), (12, 12.0));
-        let (a, c) = (engine.ledger[0].queue, engine.ledger[5].queue);
+        let (a, c) = (engine.pairs[0][0], engine.pairs[5][0]);
         assert_eq!((a, c, engine.active_pairs()), (NO_QUEUE, NO_QUEUE, 0));
         let records = engine.slab.records();
         assert_eq!(records, 3, "two records and the sentinel");
@@ -730,10 +777,7 @@ mod tests {
             36,
         );
         drive_pairs(&mut engine, &mut plan, &[(2, 3), (3, 2)], 36..40, 40);
-        let (b, d) = (
-            engine.ledger[2 * 4 + 3].queue,
-            engine.ledger[3 * 4 + 2].queue,
-        );
+        let (b, d) = (engine.pairs[2 * 4 + 3][0], engine.pairs[3 * 4 + 2][0]);
         let mut taken = [b, d];
         taken.sort_unstable();
         assert_eq!(taken, [1, 2], "B and D must take the drained records");
@@ -741,7 +785,7 @@ mod tests {
             let (ring, head) = engine.slab.ring(h);
             assert!(ring > 0 && head > 0, "a kept ring at a moved head");
         }
-        assert_ne!(engine.ledger[0].queue, NO_QUEUE, "A is active again");
+        assert_ne!(engine.pairs[0][0], NO_QUEUE, "A is active again");
         drive_pairs(&mut engine, &mut plan, &[], 40..60, 0);
         let r = engine.report();
         // B and D: 10 cells each, each waits 10 slots. A: one cell at slot
@@ -765,7 +809,7 @@ mod tests {
     #[test]
     fn pair_drops_stay_exact_past_the_32_bit_count() {
         // A pair preset three drops short of 2^32 loses six more cells:
-        // its count crosses the 32-bit ledger field, and both the per-pair
+        // its count crosses the 32-bit drop table entry, and both the per-pair
         // figure and the drop ledger must stay exact.
         let mut engine = BatchCrossbar::new(4, Pim::new(4, 5));
         let start = (1u64 << 32) - 3;
@@ -790,6 +834,82 @@ mod tests {
         // A second pair past the limit is carried separately.
         engine.preset_pair_drops(3, 3, 5 << 32);
         assert_eq!(engine.pair_drops(3, 3), 5 << 32);
+        assert_eq!(engine.verify_drop_ledger(), Ok(()));
+    }
+
+    #[test]
+    fn window_counts_stay_exact_past_the_32_bit_count() {
+        // A pair credited three departures short of 2^32 sends eight more
+        // cells: its window count crosses the 32-bit entry, and the report
+        // must show the exact u64 count.
+        let mut engine = BatchCrossbar::new(4, Pim::new(4, 5));
+        let start = (1u64 << 32) - 3;
+        engine.preset_pair_departures(2, 1, start);
+        let mut plan = FaultPlan::new();
+        drive_pairs(&mut engine, &mut plan, &[(2, 1), (0, 3)], 0..10, 8);
+        let r = engine.report();
+        assert_eq!(r.departures_per_flow, vec![(3, 8), (2 * 4 + 1, start + 8)]);
+        assert_eq!(r.departures, start + 16);
+        assert_eq!(r.departures_per_output, vec![0, start + 8, 0, 8]);
+        // A new window counts from zero: a carry kept from the last one
+        // would show as 2^32 departures too many.
+        engine.start_measurement();
+        drive_pairs(&mut engine, &mut plan, &[(2, 1)], 10..15, 13);
+        assert_eq!(engine.report().departures_per_flow, vec![(2 * 4 + 1, 3)]);
+        // And it carries again when it crosses 2^32 once more.
+        engine.start_measurement();
+        engine.preset_pair_departures(2, 1, (3 << 32) - 1);
+        drive_pairs(&mut engine, &mut plan, &[(2, 1)], 15..20, 17);
+        let r = engine.report();
+        assert_eq!(r.departures_per_flow, vec![(2 * 4 + 1, (3 << 32) + 1)]);
+        assert_eq!(engine.verify_conservation(), Ok(()));
+    }
+
+    #[test]
+    fn the_drop_table_waits_for_the_first_drop() {
+        // A fault-free run at N=1024 never allocates the drop table; the
+        // first cell drop allocates it, once.
+        use an2_sched::WidePim;
+        let n = 1024;
+        let mut engine: BatchCrossbar<_, 16> = BatchCrossbar::new(n, WidePim::new(n, 3));
+        let mut traffic = RateMatrixTraffic::uniform(n, 0.05, 4);
+        let mut plan = FaultPlan::from_events(
+            (40..50)
+                .map(|slot| FaultEvent {
+                    slot,
+                    kind: FaultKind::CellDrop {
+                        switch: 0,
+                        input: 2,
+                    },
+                })
+                .collect(),
+        );
+        let mut log = FaultLog::new();
+        let mut buf = Vec::new();
+        let mut table = None;
+        for slot in 0..60 {
+            buf.clear();
+            crate::traffic::Traffic::arrivals(&mut traffic, slot, &mut buf);
+            buf.retain(|a| a.input.index() != 2);
+            buf.push(Arrival::pair(
+                n,
+                an2_sched::InputPort::new(2),
+                an2_sched::OutputPort::new(9),
+            ));
+            engine.step_faulted(&buf, &mut plan, &mut log);
+            if slot < 40 {
+                assert_eq!(engine.drops.capacity(), 0, "slot {slot}: no drop yet");
+                assert_eq!(engine.pair_drops(2, 9), 0);
+                assert_eq!(engine.verify_drop_ledger(), Ok(()));
+            } else {
+                let at = (engine.drops.as_ptr(), engine.drops.len());
+                assert_eq!(*table.get_or_insert(at), at, "slot {slot}: one table");
+                assert_eq!(at.1, n * n);
+            }
+        }
+        assert!(engine.admitted() > 1000);
+        assert_eq!(engine.pair_drops(2, 9), 10);
+        assert_eq!(engine.dropped(), 10);
         assert_eq!(engine.verify_drop_ledger(), Ok(()));
     }
 

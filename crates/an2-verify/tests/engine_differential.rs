@@ -6,7 +6,7 @@
 //! and head-cell age (from [`ReferenceVoq::pair_occupancy`] and
 //! [`ReferenceVoq::pair_head_arrival`]), schedule, and pop one cell from
 //! every matched pair. The engine — `CrossbarSwitch` over the
-//! `BatchCrossbar` core, with its pair ledger, queue slab, incremental
+//! `BatchCrossbar` core, with its pair table, queue slab, incremental
 //! request matrix and idle-slot skip — drives an identically seeded
 //! scheduler over the same arrivals. The two must agree on the queued
 //! cell count and the departures after every slot, and on the whole
