@@ -1418,21 +1418,6 @@ mod tests {
     }
 
     #[test]
-    fn conservation_holds_under_overload_and_no_route() {
-        let mut net = Network::new(9);
-        let s = net.add_switch(2);
-        let (f1, f2) = (FlowId(1), FlowId(2));
-        net.add_route(s, f1, OutputPort::new(0)).unwrap();
-        // f2 has no route: every injection becomes a NoRoute drop.
-        net.add_source(s, InputPort::new(0), vec![f1], 1.0).unwrap();
-        net.add_source(s, InputPort::new(1), vec![f2], 1.0).unwrap();
-        net.run(50);
-        net.verify_invariants().unwrap();
-        assert_eq!(net.injected_cells(), 100);
-        assert_eq!(net.fault_log().cells_dropped(), 50);
-    }
-
-    #[test]
     fn missing_route_counts_drops_instead_of_panicking() {
         let mut net = Network::new(0);
         let s = net.add_switch(2);

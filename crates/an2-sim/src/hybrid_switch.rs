@@ -67,7 +67,7 @@ pub struct HybridSwitch {
     pim: Pim,
     cbr: PairFifos,
     vbr: PairFifos,
-    pub(crate) metrics: ModelMetrics,
+    metrics: ModelMetrics,
     cbr_delay: DelayStats,
     cbr_departures: u64,
     vbr_departures: u64,
@@ -209,6 +209,10 @@ impl SwitchModel for HybridSwitch {
         self.cbr_delay = DelayStats::new();
         self.cbr_departures = 0;
         self.vbr_departures = 0;
+    }
+
+    fn start_at_slot(&mut self, slot: u64) {
+        self.metrics.start_at_slot(slot);
     }
 
     fn report(&self) -> SwitchReport {

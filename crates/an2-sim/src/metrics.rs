@@ -364,14 +364,6 @@ impl SwitchReport {
     pub fn is_conserved(&self) -> bool {
         self.arrivals == self.departures + self.final_occupancy as u64
     }
-
-    /// Per-flow throughput in cells per slot, keyed by flow id.
-    pub fn flow_throughput(&self) -> Vec<(u64, f64)> {
-        self.departures_per_flow
-            .iter()
-            .map(|&(f, c)| (f, c as f64 / self.slots.max(1) as f64))
-            .collect()
-    }
 }
 
 /// Jain's fairness index over a set of per-entity throughputs: 1.0 is

@@ -36,6 +36,17 @@ pub trait SwitchModel {
     /// discarded, queues are kept (warmup truncation).
     fn start_measurement(&mut self);
 
+    /// Moves a fresh model's clock to `slot`, as if that many empty slots
+    /// had passed, and opens the measurement window there: a run can then
+    /// cross the `u32` stamp wrap, or end just below 2^64, without
+    /// simulating that many slots. The clock is a `u64` that never wraps,
+    /// so a run from `slot` must stay shorter than `u64::MAX - slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has already stepped.
+    fn start_at_slot(&mut self, slot: u64);
+
     /// The statistics collected since [`start_measurement`](SwitchModel::start_measurement)
     /// (or construction, if never called).
     fn report(&self) -> SwitchReport;
@@ -48,7 +59,7 @@ pub trait SwitchModel {
 /// queued at warmup's end carry transient state). Per-flow departure
 /// counts are kept in a map keyed by flow id.
 #[derive(Clone, Debug)]
-pub(crate) struct ModelMetrics {
+pub struct ModelMetrics {
     n: usize,
     slot: u64,
     measure_start: u64,
@@ -61,7 +72,8 @@ pub(crate) struct ModelMetrics {
 }
 
 impl ModelMetrics {
-    pub(crate) fn new(n: usize) -> Self {
+    /// Empty bookkeeping for an `n`-port switch at slot 0.
+    pub fn new(n: usize) -> Self {
         Self {
             n,
             slot: 0,
@@ -76,21 +88,20 @@ impl ModelMetrics {
     }
 
     /// The current slot number (slots completed so far).
-    pub(crate) fn slot(&self) -> u64 {
+    pub fn slot(&self) -> u64 {
         self.slot
     }
 
-    /// Moves a fresh model's clock to `slot`, as if that many empty slots
-    /// had passed, so tests can cross the `u32` stamp wrap of the pair
-    /// queues without simulating four billion slots.
-    #[cfg(test)]
-    pub(crate) fn start_at_slot(&mut self, slot: u64) {
+    /// Moves a fresh model's clock to `slot`; see
+    /// [`SwitchModel::start_at_slot`].
+    pub fn start_at_slot(&mut self, slot: u64) {
         assert_eq!(self.slot, 0, "only a fresh model can be moved");
         self.slot = slot;
         self.measure_start = slot;
     }
 
-    pub(crate) fn restart(&mut self) {
+    /// Opens the measurement window at the current slot.
+    pub fn restart(&mut self) {
         self.measure_start = self.slot;
         self.arrivals = 0;
         self.departures = 0;
@@ -100,12 +111,13 @@ impl ModelMetrics {
         self.peak_occupancy = 0;
     }
 
-    pub(crate) fn on_arrival(&mut self) {
+    /// Records an admitted arrival.
+    pub fn on_arrival(&mut self) {
         self.arrivals += 1;
     }
 
     /// Records a departure.
-    pub(crate) fn on_departure(&mut self, cell: &Cell) {
+    pub fn on_departure(&mut self, cell: &Cell) {
         self.departures += 1;
         self.per_output[cell.output.index()] += 1;
         *self.per_flow.entry(cell.flow.0).or_insert(0) += 1;
@@ -115,14 +127,14 @@ impl ModelMetrics {
     }
 
     /// Called once per slot after departures, with the post-slot occupancy.
-    pub(crate) fn end_slot(&mut self, occupancy: usize) {
+    pub fn end_slot(&mut self, occupancy: usize) {
         self.peak_occupancy = self.peak_occupancy.max(occupancy);
         self.slot += 1;
     }
 
     /// The statistics since the last [`ModelMetrics::restart`], with
     /// per-flow departures sorted by flow id.
-    pub(crate) fn report(&self, final_occupancy: usize) -> SwitchReport {
+    pub fn report(&self, final_occupancy: usize) -> SwitchReport {
         let mut per_flow: Vec<(u64, u64)> =
             self.per_flow.iter().map(|(&f, &c)| (f, c)).collect();
         per_flow.sort_unstable();
@@ -164,110 +176,7 @@ pub(crate) fn validate_arrivals<'a>(n: usize, arrivals: impl IntoIterator<Item =
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo_switch::FifoSwitch;
-    use crate::hybrid_switch::{ClassedArrival, HybridSwitch, ServiceClass};
-    use crate::output_queued::OutputQueuedSwitch;
-    use crate::speedup_switch::SpeedupSwitch;
-    use crate::traffic::{RateMatrixTraffic, Traffic};
-    use an2_sched::fifo::FifoPriority;
-    use an2_sched::{FrameSchedule, InputPort, OutputPort};
-
-    /// A start just below 2^32 (and a multiple of the hybrid's frame), so
-    /// queued cells, the warmup and the window all straddle the wrap of
-    /// 32-bit arrival stamps.
-    const SHIFTED: u64 = (1 << 32) - 128;
-
-    /// Runs `model` for 400 slots of load-0.95 traffic, opening the
-    /// measurement window at slot 60, with `step` feeding each slot's
-    /// arrivals (and the slot count from 0) to the model.
-    fn run<M: SwitchModel>(
-        mut model: M,
-        mut step: impl FnMut(&mut M, u64, &[Arrival]),
-    ) -> (M, SwitchReport) {
-        let mut traffic = RateMatrixTraffic::uniform(model.n(), 0.95, 7);
-        let mut buf = Vec::new();
-        for s in 0..400 {
-            if s == 60 {
-                model.start_measurement();
-            }
-            buf.clear();
-            traffic.arrivals(s, &mut buf);
-            step(&mut model, s, &buf);
-        }
-        let report = model.report();
-        (model, report)
-    }
-
-    fn same_reports(a: &SwitchReport, b: &SwitchReport) {
-        assert!(
-            a.delay.count() > 1000 && a.delay.max() > 2,
-            "too little traffic"
-        );
-        assert_eq!(a.slots, b.slots);
-        assert_eq!(a.arrivals, b.arrivals);
-        assert_eq!(a.departures, b.departures);
-        assert_eq!(a.departures_per_output, b.departures_per_output);
-        assert_eq!(a.departures_per_flow, b.departures_per_flow);
-        assert_eq!(a.peak_occupancy, b.peak_occupancy);
-        assert_eq!(a.final_occupancy, b.final_occupancy);
-        assert_eq!(a.delay, b.delay);
-    }
-
-    #[test]
-    fn models_report_the_same_past_the_u32_stamp_wrap() {
-        let fifo = |start| {
-            let mut m = FifoSwitch::new(8, FifoPriority::Random, 3);
-            m.metrics.start_at_slot(start);
-            run(m, |m, _, a| m.step(a)).1
-        };
-        same_reports(&fifo(0), &fifo(SHIFTED));
-        let output_queued = |start| {
-            let mut m = OutputQueuedSwitch::new(8);
-            m.metrics.start_at_slot(start);
-            run(m, |m, _, a| m.step(a)).1
-        };
-        same_reports(&output_queued(0), &output_queued(SHIFTED));
-        let speedup = |start| {
-            let mut m = SpeedupSwitch::new(8, 2, 4, 5);
-            m.metrics.start_at_slot(start);
-            run(m, |m, _, a| m.step(a)).1
-        };
-        same_reports(&speedup(0), &speedup(SHIFTED));
-    }
-
-    #[test]
-    fn hybrid_reports_the_same_past_the_u32_stamp_wrap() {
-        // Input 0 paces a CBR cell to output 1 every other slot; the other
-        // inputs' arrivals are VBR.
-        let hybrid = |start| {
-            let mut fs = FrameSchedule::new(8, 4);
-            fs.reserve(InputPort::new(0), OutputPort::new(1), 2).unwrap();
-            let mut m = HybridSwitch::new(fs, 9);
-            m.metrics.start_at_slot(start);
-            let mut classed = Vec::new();
-            let (m, report) = run(m, |m, s, arrivals| {
-                classed.clear();
-                if s % 2 == 0 {
-                    classed.push(ClassedArrival {
-                        arrival: Arrival::pair(8, InputPort::new(0), OutputPort::new(1)),
-                        class: ServiceClass::Cbr,
-                    });
-                }
-                let vbr = arrivals.iter().filter(|a| a.input.index() != 0);
-                classed.extend(vbr.map(|&arrival| ClassedArrival {
-                    arrival,
-                    class: ServiceClass::Vbr,
-                }));
-                m.step_classed(&classed);
-            });
-            (report, m.cbr_delay().clone(), m.departures_by_class())
-        };
-        let (plain, wrapped) = (hybrid(0), hybrid(SHIFTED));
-        same_reports(&plain.0, &wrapped.0);
-        assert!(plain.1.count() > 100 && plain.2 .0 > 100);
-        assert_eq!(plain.1, wrapped.1);
-        assert_eq!(plain.2, wrapped.2);
-    }
+    use an2_sched::{InputPort, OutputPort};
 
     #[test]
     fn metrics_window_truncates_warmup_cells() {
@@ -305,6 +214,14 @@ mod tests {
         m.end_slot(0);
         let r = m.report(0);
         assert_eq!(r.departures_per_flow, vec![(1, 2), (12, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a fresh model")]
+    fn a_stepped_model_cannot_be_moved() {
+        let mut sw = crate::output_queued::OutputQueuedSwitch::new(2);
+        sw.step(&[]);
+        sw.start_at_slot(1 << 32);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct OutputQueuedSwitch {
     queues: Vec<VecDeque<Cell>>,
-    pub(crate) metrics: ModelMetrics,
+    metrics: ModelMetrics,
 }
 
 impl OutputQueuedSwitch {
@@ -86,6 +86,10 @@ impl SwitchModel for OutputQueuedSwitch {
         self.metrics.restart();
     }
 
+    fn start_at_slot(&mut self, slot: u64) {
+        self.metrics.start_at_slot(slot);
+    }
+
     fn report(&self) -> SwitchReport {
         self.metrics.report(self.queued())
     }
@@ -128,19 +132,5 @@ mod tests {
         }
         let util = sw.report().mean_output_utilization();
         assert!(util > 0.97, "output queueing saturation utilization {util}");
-    }
-
-    #[test]
-    fn conservation_holds() {
-        let mut sw = OutputQueuedSwitch::new(8);
-        let mut t = RateMatrixTraffic::uniform(8, 0.9, 4);
-        let mut buf = Vec::new();
-        for s in 0..5000 {
-            buf.clear();
-            t.arrivals(s, &mut buf);
-            sw.step(&buf);
-        }
-        let r = sw.report();
-        assert_eq!(r.arrivals, r.departures + r.final_occupancy as u64);
     }
 }

@@ -6,9 +6,10 @@
 //!   bit-identical to `step_slot` at every wide radix the chaos grammar
 //!   samples (N ∈ {64, 256, 1024}); fault handling must cost nothing in
 //!   behaviour when no fault strikes.
-//! * **ledger** — injected/corrupted drops are charged to the engine
-//!   total *and* the per-pair counters, and the O(1) conservation ledger
-//!   (`offered == departed + queued + dropped`) holds after every slot.
+//! * **ledger** — the O(1) conservation ledger holds after every slot of
+//!   the degraded runs below. How injected and corrupted drops are
+//!   charged (engine total, per-pair counters, fault log) is judged by
+//!   `an2-verify`'s engine table (`tests/engines.rs`) under chaos plans.
 //! * **degraded scheduling** — a failed output stops departing but its
 //!   arrivals still buffer (the mask gates scheduling only); clock drift
 //!   suspends scheduling entirely until the excursion ends.
@@ -92,45 +93,6 @@ proptest! {
             faulted.verify_conservation().unwrap();
             faulted.verify_drop_ledger().unwrap();
         }
-    }
-
-    /// Injected drops are charged to the engine total, the per-pair
-    /// counters, and the fault log, with conservation intact throughout.
-    #[test]
-    fn cell_drops_balance_the_conservation_ledger(
-        seed in any::<u64>(),
-        load in 0.2f64..0.8,
-        drop_input in 0usize..64,
-    ) {
-        let n = 64;
-        let mut engine = wide_engine(n, seed);
-        let mut events = Vec::new();
-        for slot in 8..40 {
-            events.push(FaultEvent {
-                slot,
-                kind: FaultKind::CellDrop { switch: 0, input: drop_input },
-            });
-            events.push(FaultEvent {
-                slot,
-                kind: FaultKind::CellCorrupt { switch: 0, input: (drop_input + 1) % n },
-            });
-        }
-        let mut plan = FaultPlan::from_events(events);
-        let mut log = FaultLog::new();
-        let mut rng = Xoshiro256::seed_from(seed ^ 0xD0);
-        for _ in 0..96 {
-            engine.step_faulted(&arrivals_for(n, load, &mut rng), &mut plan, &mut log);
-            engine.verify_conservation().unwrap();
-        }
-        engine.verify_drop_ledger().unwrap();
-        prop_assert!(engine.dropped() > 0, "32 drop slots at >=20% load must strike");
-        prop_assert_eq!(engine.dropped(), log.drops().len() as u64);
-        let pair_total: u64 = (0..n)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .map(|(i, j)| engine.pair_drops(i, j))
-            .sum();
-        prop_assert_eq!(pair_total, engine.dropped());
-        prop_assert_eq!(engine.offered(), engine.admitted() + engine.dropped());
     }
 }
 

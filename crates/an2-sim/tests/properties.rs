@@ -1,32 +1,15 @@
 //! Property-based tests for the simulator substrate.
+//!
+//! The engines' own rules (conservation, line rate, losslessness, time
+//! shift, reference agreement) are one table in `an2-verify`'s
+//! `tests/engines.rs`.
 
-use an2_sched::fifo::FifoPriority;
-use an2_sched::Pim;
 use an2_sim::cell::Arrival;
-use an2_sim::fifo_switch::FifoSwitch;
-use an2_sim::hybrid_switch::HybridSwitch;
 use an2_sim::metrics::DelayStats;
-use an2_sim::model::SwitchModel;
-use an2_sim::output_queued::OutputQueuedSwitch;
-use an2_sim::speedup_switch::SpeedupSwitch;
-use an2_sim::switch::CrossbarSwitch;
 use an2_sim::traffic::{
     BurstyTraffic, PeriodicTraffic, RateMatrixTraffic, Traffic,
 };
 use proptest::prelude::*;
-
-/// Drives a model with a traffic source and returns (arrivals, departures,
-/// final occupancy).
-fn drive(model: &mut dyn SwitchModel, traffic: &mut dyn Traffic, slots: u64) -> (u64, u64, u64) {
-    let mut buf = Vec::new();
-    for s in 0..slots {
-        buf.clear();
-        traffic.arrivals(s, &mut buf);
-        model.step(&buf);
-    }
-    let r = model.report();
-    (r.arrivals, r.departures, r.final_occupancy as u64)
-}
 
 fn any_traffic(n: usize, seed: u64, which: u8, load: f64) -> Box<dyn Traffic> {
     match which % 3 {
@@ -43,58 +26,6 @@ fn any_traffic(n: usize, seed: u64, which: u8, load: f64) -> Box<dyn Traffic> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every switch model conserves cells: arrivals = departures + queued.
-    #[test]
-    fn all_models_conserve_cells(
-        n in 2usize..12,
-        seed in any::<u64>(),
-        which_traffic in any::<u8>(),
-        load in 0.05f64..1.0,
-        model_kind in 0u8..5,
-    ) {
-        let mut model: Box<dyn SwitchModel> = match model_kind {
-            0 => Box::new(CrossbarSwitch::new(Pim::new(n, seed))),
-            1 => Box::new(FifoSwitch::new(n, FifoPriority::Random, seed)),
-            2 => Box::new(OutputQueuedSwitch::new(n)),
-            3 => Box::new(SpeedupSwitch::new(n, 1 + (seed as usize % 3), 4, seed)),
-            _ => {
-                let fs = an2_sched::FrameSchedule::new(n, 4);
-                Box::new(HybridSwitch::new(fs, seed))
-            }
-        };
-        let mut traffic = any_traffic(n, seed ^ 1, which_traffic, load);
-        let (arr, dep, occ) = drive(model.as_mut(), traffic.as_mut(), 500);
-        prop_assert_eq!(arr, dep + occ, "model {}", model.name());
-    }
-
-    /// No model invents departures: departures per output never exceed one
-    /// per slot (checked via the report's per-output totals).
-    #[test]
-    fn output_links_respect_line_rate(
-        n in 2usize..10,
-        seed in any::<u64>(),
-        model_kind in 0u8..4,
-    ) {
-        let slots = 400u64;
-        let mut model: Box<dyn SwitchModel> = match model_kind {
-            0 => Box::new(CrossbarSwitch::new(Pim::new(n, seed))),
-            1 => Box::new(FifoSwitch::new(n, FifoPriority::Rotating, seed)),
-            2 => Box::new(OutputQueuedSwitch::new(n)),
-            _ => Box::new(SpeedupSwitch::new(n, 2, 4, seed)),
-        };
-        let mut traffic = RateMatrixTraffic::uniform(n, 1.0, seed ^ 2);
-        let mut buf = Vec::new();
-        for s in 0..slots {
-            buf.clear();
-            traffic.arrivals(s, &mut buf);
-            model.step(&buf);
-        }
-        let r = model.report();
-        for (j, &d) in r.departures_per_output.iter().enumerate() {
-            prop_assert!(d <= slots, "output {j} sent {d} cells in {slots} slots");
-        }
-    }
 
     /// Traffic sources respect the physical constraints: at most one
     /// arrival per input per slot, ports in range, and long-run input rate

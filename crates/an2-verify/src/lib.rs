@@ -23,10 +23,17 @@
 //!   matching, after the oracle-free rules of `an2_sched::check`. The
 //!   table-driven property `tests/contracts.rs` runs every scheduler
 //!   through it.
+//! * [`engine`] — the **rules of an engine's declared
+//!   [`EngineContract`](engine::EngineContract)**: conservation (drops by
+//!   cause included), line rate, losslessness, time-shift invariance and
+//!   agreement with [`ReferenceSwitch`](engine::ReferenceSwitch), a plain
+//!   slot loop over [`ReferenceVoq`]. The
+//!   table-driven test `tests/engines.rs` runs every switch model, the
+//!   batch engine, the sharded ring and a netsim chain through it.
 //! * [`reference_voq`] — a [`ReferenceVoq`]: the §3.3 input buffer as
 //!   plain hash maps of per-flow FIFOs and nested per-pair lists, the
 //!   oracle for the network simulator's per-flow buffers
-//!   (`an2_net::flows::FlowQueues`) and, driven by a plain slot loop, for
+//!   (`an2_net::flows::FlowQueues`) and, under `ReferenceSwitch`, for
 //!   the single-switch engine's queues and queue observations.
 //! * [`runner`] — an **invariant-checked probe runner** that drives a
 //!   scheduler over per-pair FIFOs slot by slot, re-verifying after every
@@ -43,14 +50,17 @@
 //!
 //! The runtime hooks these build on live with the code they check:
 //! `an2_sched::check` (per-matching invariants), `PairFifos::within_bound`,
-//! `FlowQueues::within_capacity`, `SwitchReport::is_conserved`, and
-//! `Network::verify_invariants`.
+//! `FlowQueues::within_capacity`, `SwitchReport::is_conserved` and
+//! `Network::verify_invariants` (for the probe runner, the chaos campaign
+//! and `an2-repro --check`), and `SwitchModel::start_at_slot` (for the
+//! time-shift rule).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod contract;
+pub mod engine;
 pub mod oracle;
 pub mod reference_voq;
 pub mod replay;

@@ -11,7 +11,7 @@
 //! the same random operation sequences and fails on the first divergence
 //! in popped cells, push outcomes, drop counts, pair occupancies or
 //! request matrices. It is also the queue
-//! oracle of `tests/engine_differential.rs`: a plain slot loop over it,
+//! of [`crate::engine::ReferenceSwitch`]: a plain slot loop over it,
 //! with [`ReferenceVoq::pair_head_arrival`] giving each pair's head-cell
 //! age, checks the single-switch engine's queue observations.
 
