@@ -189,7 +189,7 @@ fn slots_for(effort: Effort, n: usize) -> u64 {
 /// Timed window of a scaling-curve run. The kernel grid's `1/n` window
 /// shrink (scheduler cost grows with `n`) is wrong for the full engine at
 /// light load, whose per-slot work is O(arrivals) — a 1562-slot window at
-/// N=1024 would be dominated by first-touch faults on the 8 MB pair
+/// N=1024 would be dominated by first-touch faults on the 4 MB pair
 /// table and cold caches. A floor keeps the measured region in steady
 /// state at every size.
 fn scaling_slots_for(effort: Effort, n: usize) -> u64 {

@@ -1104,4 +1104,36 @@ mod tests {
         assert_eq!(r.faults_applied, 3);
     }
 
+    #[test]
+    fn cells_sent_on_a_dead_ring_link_are_dropped_at_the_sender() {
+        // Switch 7's ring link dies at slot 100 and stays down; at slot
+        // 110 a port recovery unmasks its ring output anyway, so the
+        // scheduler sends ring cells onto the dead link. Each such cell
+        // is lost at the sender and must be counted as dropped, or the
+        // run breaks conservation.
+        let cfg = small();
+        let down = FaultEvent {
+            slot: 100,
+            kind: FaultKind::LinkDown { switch: 7, output: 0 },
+        };
+        let unmask = FaultEvent {
+            slot: 110,
+            kind: FaultKind::PortRecover {
+                switch: 7,
+                side: PortSide::Output,
+                port: 0,
+            },
+        };
+        let run =
+            |events| run_shard_net_faulted(&cfg, &FaultPlan::from_events(events), &Pool::serial());
+        let (masked, r) = (run(vec![down]), run(vec![down, unmask]));
+        assert!(masked.is_conserved() && r.is_conserved(), "{r}");
+        assert_eq!(r.recoveries, 0, "the link never comes back");
+        assert!(
+            r.dropped > masked.dropped + 10,
+            "cells sent after the unmask must be dropped: {} vs {} with the output masked",
+            r.dropped,
+            masked.dropped
+        );
+    }
 }

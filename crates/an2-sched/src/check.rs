@@ -315,11 +315,6 @@ impl<const W: usize, S: Scheduler<W>> CheckedScheduler<S, W> {
         &self.violations
     }
 
-    /// Drains and returns the recorded violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
     /// Number of matchings verified (0 when checking is compiled out).
     pub fn checks_run(&self) -> u64 {
         self.checks_run

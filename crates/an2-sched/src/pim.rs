@@ -344,11 +344,6 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         self.n
     }
 
-    /// The iteration limit in force.
-    pub fn iteration_limit(&self) -> IterationLimit {
-        self.limit
-    }
-
     /// The accept policy in force.
     pub fn accept_policy(&self) -> AcceptPolicy {
         self.accept

@@ -561,12 +561,6 @@ impl<R: SelectRng> StatWithPimFill<R> {
     pub fn stat(&self) -> &StatisticalMatcher<R> {
         &self.stat
     }
-
-    /// Mutable access to the underlying statistical matcher (e.g. to adjust
-    /// allocations between slots).
-    pub fn stat_mut(&mut self) -> &mut StatisticalMatcher<R> {
-        &mut self.stat
-    }
 }
 
 impl<R: SelectRng> Scheduler for StatWithPimFill<R> {

@@ -17,7 +17,7 @@
 //! several flows share a pair run on the network simulator's per-flow
 //! buffers (`an2_net::flows`), on the same [`QueueSlab`]. The request
 //! matrix is maintained incrementally (set on a pair's first cell, clear
-//! on drain). Storage follows traffic rather than N: one dense 8-byte
+//! on drain). Storage follows traffic rather than N: one dense 4-byte
 //! entry per pair, and queue records only for the pairs that hold cells.
 //!
 //! `tests/engine_golden.rs` pins the engine's report digests, recorded
@@ -29,10 +29,12 @@
 //! Layout at N=1024 (width `W = 16`):
 //!
 //! ```text
-//! pairs:     [[u32; 2]; n*n]   row-major, pairs[i*n+j] = 8 bytes:
-//!                              [queue handle (0 = no queued cell),
-//!                              window departure count]; 8 MB, zeroed
-//!                              by the allocator, not written at build
+//! pairs:     [u32; n*n]        row-major, pairs[i*n+j] = one packed word:
+//!                              low 21 bits the queue handle (0 = no
+//!                              queued cell), high 11 bits the low bits
+//!                              of the window departure count; 4 MB,
+//!                              zeroed by the allocator, not written at
+//!                              build
 //! drops:     [u32; n*n]        lifetime fault drops per pair; empty
 //!                              until the first drop allocates it
 //! slab:      QueueSlab<u32>    one 64-byte record per pair holding cells:
@@ -50,12 +52,20 @@
 //! matrix is almost all zeros: at N=1024 and load 0.05 only one or two of
 //! the 2^20 pairs hold a cell between slots. A 64-byte record for every
 //! pair would make a 64 MB table that is nearly all empty; the pair table
-//! is 8 MB (eight pairs per cache line), and the slab stays as small as
+//! is 4 MB (sixteen pairs per cache line), and the slab stays as small as
 //! the peak number of active pairs, so it is cache-resident when traffic
 //! is light. Arrivals still address random pairs, so each touch costs one
-//! pair-table miss, over an eighth of the memory a record per pair would
-//! take. A 32-bit count that wraps (a window departure count or a pair's
-//! drops) carries into a side table that stays empty in practice.
+//! pair-table miss, over a sixteenth of the memory a record per pair
+//! would take.
+//!
+//! A pair entry packs two fields into one `u32`, split by N: the low
+//! `hb` bits hold the queue handle, where `hb` is the number of bits
+//! `n*n` needs (no handle exceeds `n*n`: record 0 is the sentinel and at
+//! most `n*n` pairs hold cells), and the high `32 - hb` bits the low bits
+//! of the pair's window departure count (11 bits at N=1024, 23 at N=16).
+//! A count that wraps its field, or a pair's 32-bit drop count, carries
+//! into a side table that stays nearly empty in practice; `report()`
+//! rebuilds the exact counts from both.
 //!
 //! Cells are stamped with the slot's low 32 bits. A delay, and a queue
 //! age reported to the scheduler, is the wrapping difference of two
@@ -99,15 +109,18 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     n: usize,
     scheduler: S,
     requests: RequestMatrixN<W>,
-    /// One `[queue, count]` entry per pair, row-major: the pair's
-    /// [`QueueSlab`] handle (or [`NO_QUEUE`]) and the low 32 bits of its
-    /// departures in the measurement window. The only dense per-pair
+    /// One packed entry per pair, row-major (see [`PairPacking`]): the
+    /// pair's [`QueueSlab`] handle (or [`NO_QUEUE`]) and the low bits of
+    /// its departures in the measurement window. The only dense per-pair
     /// state a fault-free run keeps.
-    pairs: Vec<[u32; 2]>,
+    pairs: Vec<u32>,
+    /// How `pairs` splits each entry, fixed by `n`.
+    packing: PairPacking,
     /// Queue records of the pairs that hold cells.
     slab: QueueSlab<u32>,
-    /// Wraps of a pair's 32-bit window count past 2^32, by pair index;
-    /// cleared with the counts when a measurement window opens.
+    /// Wraps of a pair's window count field, by pair index, in units of
+    /// [`PairPacking::count_unit_bits`]; cleared with the counts when a
+    /// measurement window opens.
     count_carries: BTreeMap<usize, u64>,
     /// Low 32 bits of each pair's lifetime fault drops (never reset: the
     /// drop ledger spans measurement windows); empty until the first drop.
@@ -140,18 +153,20 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
 impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// Creates an `n`-port batch engine driven by `scheduler`.
     ///
-    /// Allocates the `n*n` pair table up front (8 bytes per pair, 8 MB at
-    /// N=1024, zeroed by the allocator rather than written) and room for
-    /// `4n` queue records. The per-pair drop table (4 bytes per pair) waits
-    /// for the first fault drop, so a fault-free run never holds it. The
-    /// slot loop itself allocates only at high-water marks: when more
-    /// pairs hold cells than ever before, or more queues run deep at once
-    /// than the slab has rings for, and once on the first drop.
+    /// Allocates the `n*n` pair table up front (one packed 4-byte entry
+    /// per pair, 4 MB at N=1024, zeroed by the allocator rather than
+    /// written) and room for `4n` queue records. The per-pair drop table
+    /// (4 bytes per pair) waits for the first fault drop, so a fault-free
+    /// run never holds it. The slot loop itself allocates only at
+    /// high-water marks: when more pairs hold cells than ever before, or
+    /// more queues run deep at once than the slab has rings for, and once
+    /// on the first drop.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, `n` exceeds the width's capacity (`W * 64`), or
-    /// the switch has more than `u32::MAX` pairs.
+    /// the switch has 2^31 pairs or more (a packed entry needs a bit for
+    /// its count).
     pub fn new(n: usize, scheduler: S) -> Self {
         assert!(n > 0, "switch must have at least one port");
         assert!(
@@ -159,15 +174,14 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             "switch size {n} exceeds width capacity {}",
             PortSetN::<W>::CAPACITY
         );
-        assert!(
-            u32::try_from(n * n).is_ok(),
-            "switch size {n} has more pairs than u32 queue handles"
-        );
+        let packing = PairPacking::for_ports(n)
+            .unwrap_or_else(|| panic!("switch size {n} has more pairs than a packed entry holds"));
         Self {
             n,
             scheduler,
             requests: RequestMatrixN::new(n),
-            pairs: vec![[0; 2]; n * n],
+            pairs: vec![0; n * n],
+            packing,
             slab: QueueSlab::with_capacity((4 * n).min(n * n)),
             count_carries: BTreeMap::new(),
             drops: Vec::new(),
@@ -307,7 +321,9 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             i.index() < self.n && j.index() < self.n,
             "pair ({i},{j}) out of range"
         );
-        let [h, _] = self.pairs[i.index() * self.n + j.index()];
+        let h = self
+            .packing
+            .handle(self.pairs[i.index() * self.n + j.index()]);
         self.slab.peek(h).map_or(0, |(depth, _)| depth as usize)
     }
 
@@ -327,8 +343,10 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             if i >= self.n || j >= self.n || a.flow != FlowId::for_pair(self.n, a.input, a.output) {
                 malformed_arrival(a, self.n, true);
             }
-            let [queue, _] = &mut self.pairs[i * self.n + j];
-            if self.slab.admit(queue, stamp) {
+            let entry = &mut self.pairs[i * self.n + j];
+            let mut queue = self.packing.handle(*entry);
+            if self.slab.admit(&mut queue, stamp) {
+                *entry = self.packing.with_handle(*entry, queue);
                 self.requests.set(a.input, a.output);
             }
             self.queued += 1;
@@ -396,7 +414,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         // Pair queues stamp cells with the slot's low 32 bits; a delay is
         // the wrapping difference of stamps, so runs may pass 2^32 slots.
         let stamp = slot as u32;
-        let n = self.n;
+        let (n, packing) = (self.n, self.packing);
         debug_assert_eq!(self.pairs.len(), n * n);
         // Warming sweep: the slot's arrivals address random pairs, and the
         // update loop below chains dependent loads into each pair's table
@@ -407,7 +425,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let mut warm = 0u32;
         for a in arrivals {
             let p = a.input.index().wrapping_mul(n) + a.output.index();
-            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |&[queue, _]| queue));
+            warm = warm.wrapping_add(self.pairs.get(p).copied().unwrap_or(0));
         }
         std::hint::black_box(warm);
         let mut seen = PortSetN::<W>::new();
@@ -429,8 +447,11 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
                 continue;
             }
             // an2-lint: allow(panic-freedom) p = i*n + j < n*n = pairs.len(): i, j < n checked above
-            let [queue, _] = &mut self.pairs[p];
-            if self.slab.admit(queue, stamp) {
+            let entry = &mut self.pairs[p];
+            let mut queue = packing.handle(*entry);
+            // The slab hands out a handle only to a pair that was empty.
+            if self.slab.admit(&mut queue, stamp) {
+                *entry = packing.with_handle(*entry, queue);
                 self.requests.set(a.input, a.output);
             }
             // an2-lint: allow(overflow-discipline) queued counts cells held in memory, so it fits usize
@@ -451,7 +472,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// matched pair's head-of-queue cell, stamped `stamp` on arrival.
     // an2-lint: hot
     fn transmit(&mut self, stamp: u32) {
-        let n = self.n;
+        let (n, packing) = (self.n, self.packing);
         if self.scheduler.wants_queue_observations() {
             self.observe_queues(stamp);
         }
@@ -479,7 +500,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let mut warm = 0u32;
         for (i, j) in matching.pairs() {
             let p = i.index().wrapping_mul(n) + j.index();
-            warm = warm.wrapping_add(self.pairs.get(p).map_or(0, |&[queue, _]| queue));
+            warm = warm.wrapping_add(self.pairs.get(p).copied().unwrap_or(0));
         }
         std::hint::black_box(warm);
         for (i, j) in matching.pairs() {
@@ -489,17 +510,22 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             );
             let p = i.index() * n + j.index();
             // an2-lint: allow(panic-freedom) matched pairs come from the scheduler, so i, j < n and p < pairs.len()
-            let [queue, count] = &mut self.pairs[p];
-            if *queue == NO_QUEUE {
+            let entry = &mut self.pairs[p];
+            let mut queue = packing.handle(*entry);
+            if queue == NO_QUEUE {
                 unqueued_match(self.scheduler.name(), i, j);
             }
+            // The count sits above the handle, so a step that wraps it
+            // leaves the handle bits alone.
             let wrapped;
-            (*count, wrapped) = count.overflowing_add(1);
+            (*entry, wrapped) = entry.overflowing_add(packing.one_departure());
             if wrapped {
                 carry(&mut self.count_carries, p);
             }
-            let (arrived, drained) = self.slab.serve(queue);
+            // The slab clears the handle only when the pair drains.
+            let (arrived, drained) = self.slab.serve(&mut queue);
             if drained {
+                *entry = packing.with_handle(*entry, queue);
                 self.requests.clear(i, j);
             }
             let d = u64::from(stamp.wrapping_sub(arrived));
@@ -526,7 +552,10 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let n = self.n;
         for (i, j) in self.requests.pairs() {
             let p = i.index().wrapping_mul(n).wrapping_add(j.index());
-            let queue = self.pairs.get(p).map_or(NO_QUEUE, |&[queue, _]| queue);
+            let queue = self
+                .pairs
+                .get(p)
+                .map_or(NO_QUEUE, |&e| self.packing.handle(e));
             debug_assert!(queue != NO_QUEUE, "a requested pair holds a cell");
             if let Some((depth, front)) = self.slab.peek(queue) {
                 let age = stamp.wrapping_sub(front);
@@ -561,11 +590,81 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     }
 }
 
-/// Carries pair `p`'s 32-bit count past its 2^32-th step into `carries`.
+/// Records one wrap of pair `p`'s count field in `carries`.
 // an2-lint: cold
 #[cold]
 fn carry(carries: &mut BTreeMap<usize, u64>, p: usize) {
     *carries.entry(p).or_insert(0) += 1;
+}
+
+/// How a pair entry packs the pair's [`QueueSlab`] handle and its window
+/// departure count into one `u32`, fixed by the switch size: the low
+/// `handle_bits` bits hold the handle, the high `32 - handle_bits` bits
+/// the low bits of the count.
+#[derive(Clone, Copy, Debug)]
+struct PairPacking {
+    /// The number of bits `n*n` needs: no handle exceeds `n*n`, because
+    /// record 0 is the sentinel and at most `n*n` pairs hold cells.
+    handle_bits: u32,
+}
+
+impl PairPacking {
+    /// The split for an `n`-port switch, or `None` when `n*n` leaves no
+    /// bit of the entry for the count.
+    fn for_ports(n: usize) -> Option<Self> {
+        let pairs = u32::try_from(n.checked_mul(n)?).ok()?;
+        let handle_bits = u32::BITS - pairs.leading_zeros();
+        (handle_bits < u32::BITS).then_some(Self { handle_bits })
+    }
+
+    /// The handle bits of an entry.
+    #[inline]
+    fn handle_mask(self) -> u32 {
+        (1 << self.handle_bits) - 1
+    }
+
+    /// The queue handle held in `entry`.
+    #[inline]
+    fn handle(self, entry: u32) -> u32 {
+        entry & self.handle_mask()
+    }
+
+    /// `entry` with its handle replaced by `handle`, its count kept.
+    #[inline]
+    fn with_handle(self, entry: u32, handle: u32) -> u32 {
+        debug_assert!(
+            handle <= self.handle_mask(),
+            "handle {handle} outgrows its field"
+        );
+        entry & !self.handle_mask() | handle
+    }
+
+    /// The amount one departure adds to an entry: one in the count field.
+    #[inline]
+    fn one_departure(self) -> u32 {
+        1 << self.handle_bits
+    }
+
+    /// The width of the count field: one carry stands for
+    /// `2^count_unit_bits` departures.
+    fn count_unit_bits(self) -> u32 {
+        u32::BITS - self.handle_bits
+    }
+
+    /// The exact window count of an entry whose count field wrapped
+    /// `carries` times.
+    fn count(self, entry: u32, carries: u64) -> u64 {
+        carries << self.count_unit_bits() | u64::from(entry >> self.handle_bits)
+    }
+
+    /// `entry` with its count field set to the low bits of `count`, and
+    /// the carries that make up the rest.
+    #[cfg(test)]
+    fn with_count(self, entry: u32, count: u64) -> (u32, u64) {
+        let unit = self.count_unit_bits();
+        let low = u32::try_from(count & ((1 << unit) - 1)).expect("masked to the count field");
+        (self.handle(entry) | low << self.handle_bits, count >> unit)
+    }
 }
 
 /// Panics for an arrival [`BatchCrossbar::step_slot`] documents as
@@ -623,13 +722,15 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     /// billion cells.
     fn preset_pair_departures(&mut self, i: usize, j: usize, count: u64) {
         let p = i * self.n + j;
+        let carries = self.count_carries.get(&p).copied().unwrap_or(0);
         assert!(
-            self.pairs[p][1] == 0 && !self.count_carries.contains_key(&p),
+            self.packing.count(self.pairs[p], carries) == 0,
             "only a pair with no departures in the window can be preset"
         );
-        self.pairs[p][1] = count as u32; // the low 32 bits
-        if count >> 32 > 0 {
-            self.count_carries.insert(p, count >> 32);
+        let (entry, carries) = self.packing.with_count(self.pairs[p], count);
+        self.pairs[p] = entry;
+        if carries > 0 {
+            self.count_carries.insert(p, carries);
         }
         self.admitted_total += count;
         self.departed_total += count;
@@ -659,8 +760,9 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
         self.window_admitted = self.admitted_total;
         self.window_departed = self.departed_total;
         self.per_output.fill(0);
-        for [_, count] in &mut self.pairs {
-            *count = 0;
+        let packing = self.packing;
+        for entry in &mut self.pairs {
+            *entry = packing.handle(*entry);
         }
         self.count_carries.clear();
         self.delay = DelayStats::new();
@@ -678,9 +780,9 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
         // At N=1024 nearly every pair departs in a long window; sizing the
         // list once, by an exact count, keeps a doubling Vec from holding
         // twice the list (plus the copy) at its peak.
-        let departed = |(p, &[_, low]): (usize, &[u32; 2])| {
-            let high = self.count_carries.get(&p).map_or(0, |&c| c << 32);
-            Some((p as u64, high | u64::from(low))).filter(|&(_, count)| count > 0)
+        let departed = |(p, &entry): (usize, &u32)| {
+            let carries = self.count_carries.get(&p).copied().unwrap_or(0);
+            Some((p as u64, self.packing.count(entry, carries))).filter(|&(_, count)| count > 0)
         };
         let flows = self.pairs.iter().enumerate().filter_map(departed).count();
         let mut per_flow = Vec::with_capacity(flows);
@@ -759,7 +861,8 @@ mod tests {
         let r = engine.report();
         assert_eq!((r.departures, r.delay.count()), (24, 24));
         assert_eq!((r.delay.max(), r.delay.mean()), (12, 12.0));
-        let (a, c) = (engine.pairs[0][0], engine.pairs[5][0]);
+        let handle = |p: usize| engine.packing.handle(engine.pairs[p]);
+        let (a, c) = (handle(0), handle(5));
         assert_eq!((a, c, engine.active_pairs()), (NO_QUEUE, NO_QUEUE, 0));
         let records = engine.slab.records();
         assert_eq!(records, 3, "two records and the sentinel");
@@ -774,7 +877,8 @@ mod tests {
             36,
         );
         drive_pairs(&mut engine, &mut plan, &[(2, 3), (3, 2)], 36..40, 40);
-        let (b, d) = (engine.pairs[2 * 4 + 3][0], engine.pairs[3 * 4 + 2][0]);
+        let handle = |p: usize| engine.packing.handle(engine.pairs[p]);
+        let (b, d) = (handle(2 * 4 + 3), handle(3 * 4 + 2));
         let mut taken = [b, d];
         taken.sort_unstable();
         assert_eq!(taken, [1, 2], "B and D must take the drained records");
@@ -782,7 +886,7 @@ mod tests {
             let (ring, head) = engine.slab.ring(h);
             assert!(ring > 0 && head > 0, "a kept ring at a moved head");
         }
-        assert_ne!(engine.pairs[0][0], NO_QUEUE, "A is active again");
+        assert_ne!(handle(0), NO_QUEUE, "A is active again");
         drive_pairs(&mut engine, &mut plan, &[], 40..60, 0);
         let r = engine.report();
         // B and D: 10 cells each, each waits 10 slots. A: one cell at slot
@@ -837,8 +941,9 @@ mod tests {
     #[test]
     fn window_counts_stay_exact_past_the_32_bit_count() {
         // A pair credited three departures short of 2^32 sends eight more
-        // cells: its window count crosses the 32-bit entry, and the report
-        // must show the exact u64 count.
+        // cells: its window count crosses 2^32, a multiple of the packed
+        // count field's 2^27 at N=4, so the field wraps there too, and the
+        // report must show the exact u64 count.
         let mut engine = BatchCrossbar::new(4, Pim::new(4, 5));
         let start = (1u64 << 32) - 3;
         engine.preset_pair_departures(2, 1, start);
@@ -859,6 +964,116 @@ mod tests {
         drive_pairs(&mut engine, &mut plan, &[(2, 1)], 15..20, 17);
         let r = engine.report();
         assert_eq!(r.departures_per_flow, vec![(2 * 4 + 1, (3 << 32) + 1)]);
+        assert_eq!(engine.verify_conservation(), Ok(()));
+    }
+
+    #[test]
+    fn window_counts_carry_out_of_the_packed_field_at_n_1024() {
+        // At N=1024 a pair entry keeps 11 count bits above its 21-bit
+        // handle. Two pairs into output 7 each send a cell every slot for
+        // 2^11 + 5 slots, so their queues grow while their count fields
+        // wrap, and then drain: each report count must be exact.
+        use an2_sched::WidePim;
+        let n = 1024;
+        let mut engine: BatchCrossbar<_, 16> = BatchCrossbar::new(n, WidePim::new(n, 3));
+        assert_eq!(engine.packing.count_unit_bits(), 11);
+        let to_seven = |i| {
+            Arrival::pair(
+                n,
+                an2_sched::InputPort::new(i),
+                an2_sched::OutputPort::new(7),
+            )
+        };
+        let sent = (1 << 11) + 5;
+        for _ in 0..sent {
+            engine.step_slot(&[to_seven(5), to_seven(6)]);
+        }
+        assert!(engine.queued() > 1000, "the queues outlive the wrap");
+        while engine.queued() > 0 {
+            engine.step_slot(&[]);
+        }
+        let r = engine.report();
+        assert_eq!(
+            r.departures_per_flow,
+            vec![(5 * 1024 + 7, sent), (6 * 1024 + 7, sent)]
+        );
+        assert_eq!((r.departures, r.delay.count()), (2 * sent, 2 * sent));
+        assert_eq!(engine.active_pairs(), 0);
+        assert_eq!(engine.verify_conservation(), Ok(()));
+    }
+
+    /// Serves one diagonal per call: at call `k`, each pair
+    /// `(i, i + k mod n)` that holds a cell.
+    struct Diagonals {
+        calls: usize,
+    }
+
+    impl Scheduler for Diagonals {
+        fn schedule(&mut self, requests: &an2_sched::RequestMatrix) -> an2_sched::Matching {
+            let n = requests.n();
+            let mut m = an2_sched::Matching::new(n);
+            for i in 0..n {
+                let (i, j) = (
+                    an2_sched::InputPort::new(i),
+                    an2_sched::OutputPort::new((i + self.calls) % n),
+                );
+                if requests.has(i, j) {
+                    m.pair(i, j).unwrap();
+                }
+            }
+            self.calls += 1;
+            m
+        }
+
+        fn name(&self) -> &'static str {
+            "diagonals"
+        }
+    }
+
+    #[test]
+    fn every_pair_queued_at_once_reaches_handle_n_squared() {
+        // At N=4 a pair entry's handle field has the 5 bits that 16 = n²
+        // needs: the largest handle the slab hands out, once every pair
+        // holds cells. Clock drift holds scheduling off for 8 slots while
+        // input i sends to output (i + s) mod 4 at slot s, so each pair
+        // queues two cells, 4 slots apart. Then one diagonal is served per
+        // slot: pair (i, i + d) sends at slots 8 + d and 12 + d, so in
+        // FIFO order each of the 32 cells waits exactly 8 slots.
+        let n = 4;
+        let mut engine = BatchCrossbar::new(n, Diagonals { calls: 0 });
+        let mut plan = FaultPlan::from_events(vec![drift(0, 8)]);
+        let mut log = FaultLog::new();
+        for slot in 0..16 {
+            let arrivals: Vec<Arrival> = (0..n)
+                .filter(|_| slot < 8)
+                .map(|i| {
+                    Arrival::pair(
+                        n,
+                        an2_sched::InputPort::new(i),
+                        an2_sched::OutputPort::new((i + slot) % n),
+                    )
+                })
+                .collect();
+            engine.step_faulted(&arrivals, &mut plan, &mut log);
+            if slot == 7 {
+                let mut handles: Vec<u32> = engine
+                    .pairs
+                    .iter()
+                    .map(|&e| engine.packing.handle(e))
+                    .collect();
+                handles.sort_unstable();
+                assert_eq!(handles, (1..=16).collect::<Vec<u32>>());
+                assert_eq!(engine.active_pairs(), 16);
+            }
+        }
+        let r = engine.report();
+        assert_eq!((r.departures, r.delay.count()), (32, 32));
+        assert_eq!((r.delay.max(), r.delay.mean()), (8, 8.0));
+        assert_eq!(
+            r.departures_per_flow,
+            (0..16).map(|p| (p, 2)).collect::<Vec<_>>()
+        );
+        assert_eq!(engine.active_pairs(), 0);
         assert_eq!(engine.verify_conservation(), Ok(()));
     }
 
@@ -934,7 +1149,11 @@ mod tests {
             warmup_slots: 0,
             measure_slots: 50,
         };
-        let r = simulate(&mut batch, &mut RateMatrixTraffic::uniform(512, 0.3, 2), cfg);
+        let r = simulate(
+            &mut batch,
+            &mut RateMatrixTraffic::uniform(512, 0.3, 2),
+            cfg,
+        );
         assert!(r.is_conserved());
         assert!(r.departures > 0);
     }

@@ -32,7 +32,6 @@ pub struct ReferenceVoq {
     flow_output: DetHashMap<FlowId, OutputPort>,
     eligible: Vec<Vec<VecDeque<FlowId>>>,
     total: usize,
-    per_input: Vec<usize>,
     requests: RequestMatrix,
     capacity: Option<usize>,
     pair_count: Vec<Vec<usize>>,
@@ -59,7 +58,6 @@ impl ReferenceVoq {
             flow_output: DetHashMap::default(),
             eligible: vec![vec![VecDeque::new(); n]; n],
             total: 0,
-            per_input: vec![0; n],
             requests: RequestMatrix::new(n),
             capacity: None,
             pair_count: vec![vec![0; n]; n],
@@ -93,19 +91,9 @@ impl ReferenceVoq {
         self.total == 0
     }
 
-    /// Queued cells at input `i`.
-    pub fn input_occupancy(&self, i: InputPort) -> usize {
-        self.per_input[i.index()]
-    }
-
     /// Queued cells of pair `(i, j)`.
     pub fn pair_occupancy(&self, i: InputPort, j: OutputPort) -> usize {
         self.pair_count[i.index()][j.index()]
-    }
-
-    /// Queued cells of one flow.
-    pub fn flow_occupancy(&self, flow: FlowId) -> usize {
-        self.flows.get(&flow).map_or(0, VecDeque::len)
     }
 
     /// Arrival slot of the oldest head cell among the pair's flows.
@@ -145,7 +133,6 @@ impl ReferenceVoq {
         q.push_back((self.next_seq, cell));
         self.next_seq += 1;
         self.total += 1;
-        self.per_input[i.index()] += 1;
         self.pair_count[i.index()][j.index()] += 1;
         PushOutcome::Admitted
     }
@@ -171,7 +158,6 @@ impl ReferenceVoq {
             self.requests.clear(i, j);
         }
         self.total -= 1;
-        self.per_input[i.index()] -= 1;
         self.pair_count[i.index()][j.index()] -= 1;
         Some(cell)
     }
@@ -216,7 +202,6 @@ impl ReferenceVoq {
         }
         self.pair_count[oi][nj] += kept;
         self.total -= dropped;
-        self.per_input[oi] -= dropped;
         self.drops_total += dropped as u64;
         self.drops_per_input[oi] += dropped as u64;
         if kept > 0 {
@@ -243,7 +228,6 @@ impl ReferenceVoq {
                 }
                 self.pair_count[i.index()][j.index()] -= count;
                 self.total -= count;
-                self.per_input[i.index()] -= count;
                 self.drops_total += count as u64;
                 self.drops_per_input[i.index()] += count as u64;
                 count
