@@ -58,7 +58,7 @@
 
 use an2_sched::rng::{SelectRng, Xoshiro256};
 use an2_sched::{with_port_width, PimN, RequestMatrixN, Scheduler};
-use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, SwitchFaults};
+use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, PortSide, SwitchFaults};
 use an2_sim::metrics::QuantileSketch;
 use an2_sim::slab::{QueueSlab, NO_QUEUE};
 use an2_task::{task_seed, Fnv, Pool};
@@ -392,8 +392,10 @@ impl<const W: usize> SwitchShard<W> {
     /// Applies this switch's due fault events (mask changes, on-the-wire
     /// cell losses, clock drift), runs the bounded-backoff
     /// re-reservation probe for a failed ring link, then the ordinary
-    /// inject/schedule/transmit sequence. A cell sent while the ring link
-    /// is physically down is lost here, at the sender. With an empty plan
+    /// inject/schedule/transmit sequence. The ring output stays masked
+    /// from a link's failure until a probe re-reserves it, so no cell is
+    /// sent onto a dead link; should one be, it is lost here, at the
+    /// sender, and counted. With an empty plan
     /// the slot is bit-identical to a fault-free one — the RNG draw order
     /// never depends on fault state.
     // an2-lint: hot
@@ -408,6 +410,14 @@ impl<const W: usize> SwitchShard<W> {
                 // Physical repair only: the output stays masked until a
                 // re-reservation probe succeeds.
                 FaultKind::LinkUp { output: 0, .. } => self.link_up = true,
+                // Nor does a port recovery unmask the ring output while
+                // the re-reservation loop runs: the link may still be
+                // down, and cells sent onto it would be lost.
+                FaultKind::PortRecover {
+                    side: PortSide::Output,
+                    port: 0,
+                    ..
+                } if self.reserving => {}
                 kind => {
                     if let FaultKind::LinkDown { output: 0, .. } = kind {
                         // The outgoing ring link died: start the
@@ -1105,35 +1115,46 @@ mod tests {
     }
 
     #[test]
-    fn cells_sent_on_a_dead_ring_link_are_dropped_at_the_sender() {
-        // Switch 7's ring link dies at slot 100 and stays down; at slot
-        // 110 a port recovery unmasks its ring output anyway, so the
-        // scheduler sends ring cells onto the dead link. Each such cell
-        // is lost at the sender and must be counted as dropped, or the
-        // run breaks conservation.
+    fn a_port_recovery_leaves_a_dead_ring_link_masked() {
+        // Switch 7's ring link dies at slot 100. A port recovery on its
+        // ring output at slot 110 must not unmask it while the link is
+        // down: the run must equal the one without the recovery, not send
+        // ring cells onto the dead link to be lost at the sender. Once
+        // the link is repaired, the re-reservation probe unmasks it as
+        // usual.
         let cfg = small();
-        let down = FaultEvent {
-            slot: 100,
-            kind: FaultKind::LinkDown { switch: 7, output: 0 },
-        };
-        let unmask = FaultEvent {
-            slot: 110,
-            kind: FaultKind::PortRecover {
+        let event = |slot, kind| FaultEvent { slot, kind };
+        let down = event(100, FaultKind::LinkDown { switch: 7, output: 0 });
+        let unmask = event(
+            110,
+            FaultKind::PortRecover {
                 switch: 7,
                 side: PortSide::Output,
                 port: 0,
             },
-        };
+        );
+        let up = event(140, FaultKind::LinkUp { switch: 7, output: 0 });
         let run =
             |events| run_shard_net_faulted(&cfg, &FaultPlan::from_events(events), &Pool::serial());
         let (masked, r) = (run(vec![down]), run(vec![down, unmask]));
         assert!(masked.is_conserved() && r.is_conserved(), "{r}");
         assert_eq!(r.recoveries, 0, "the link never comes back");
-        assert!(
-            r.dropped > masked.dropped + 10,
-            "cells sent after the unmask must be dropped: {} vs {} with the output masked",
-            r.dropped,
-            masked.dropped
+        assert_eq!(
+            (r.dropped, r.delivered, r.digest),
+            (masked.dropped, masked.delivered, masked.digest),
+            "a port recovery unmasked a dead ring link"
+        );
+        assert_eq!(r.faults_applied, masked.faults_applied + 1);
+        let (repaired, r) = (run(vec![down, up]), run(vec![down, unmask, up]));
+        assert_eq!(r.recoveries, 1, "the probe unmasks the repaired link");
+        assert_eq!(
+            (r.dropped, r.delivered, r.recovery_slots, r.digest),
+            (
+                repaired.dropped,
+                repaired.delivered,
+                repaired.recovery_slots,
+                repaired.digest
+            )
         );
     }
 }

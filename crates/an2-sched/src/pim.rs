@@ -27,12 +27,16 @@
 //! benches through the identical code path.
 //!
 //! `W` is a capacity, not a cost: the loop runs on the words an `n`-port
-//! switch actually uses. When the width rule of
-//! [`with_port_width!`](crate::with_port_width) gives `n` one word
-//! (`n <= 64`), every per-call port set is one word wide whatever `W` is,
-//! so a four-word `Pim` at the paper's 16 ports costs what a one-word one
-//! does; above that the loop runs on all `W` words. The grant draw scheme
-//! stays keyed to `W` alone, so narrowing the loop changes no decision.
+//! switch actually uses, and its per-input grant store follows the same
+//! rule. When the width rule of [`with_port_width!`](crate::with_port_width)
+//! gives `n` one word (`n <= 64`), every per-call port set is one word wide
+//! whatever `W` is, a grant draw reads one word of its column, and each
+//! input's grants are one `u64` mask, so a four-word `Pim` at the paper's
+//! 16 ports costs what a one-word one does. Above that the loop runs on all
+//! `W` words and keeps each input's grants in an inline list that spills to
+//! a bitset. The grant draw scheme stays keyed to `W` alone, and both grant
+//! stores answer an accept policy with the same member, so neither choice
+//! changes a decision.
 //!
 //! There is one iteration loop. [`Scheduler::schedule`] and
 //! [`PimN::schedule_from`] run it as is; [`PimN::schedule_with_stats`] and
@@ -43,17 +47,187 @@
 
 use crate::check::Contract;
 use crate::matching::MatchingN;
-use crate::port::{InputPort, OutputPort, PortSetN};
+use crate::port::{select_in_word, InputPort, OutputPort, PortSetN};
 use crate::requests::RequestMatrixN;
 use crate::rng::{SelectRng, Xoshiro256};
 use crate::scheduler::{PortMaskN, Scheduler};
 
 /// Grants per input kept in the inline sorted list before spilling to the
-/// bitset scratch. An input collects `Binomial(unmatched outputs,
-/// 1/unmatched inputs)` grants per iteration — approximately `Poisson(1)`
-/// under symmetric load — so more than eight is a `~1e-6` event even at
-/// `N = 1024`.
+/// bitset scratch (switches above 64 ports; see [`Grants`]). An input
+/// collects `Binomial(unmatched outputs, 1/unmatched inputs)` grants per
+/// iteration — approximately `Poisson(1)` under symmetric load — so more
+/// than eight is a `~1e-6` event even at `N = 1024`.
 const GRANT_INLINE: usize = 8;
+
+/// The grants each input holds in one iteration, waiting for the accept
+/// phase. Its shape follows the width rule: the loop's `V` is 1 exactly
+/// when `n <= 64`, and [`Grants::for_ports`] allocates only the
+/// representation that `V` reads.
+///
+/// - `V == 1`: one `u64` mask per input. The first grant of an iteration
+///   restarts the mask without a branch; Random accept picks the mask's
+///   `k`-th set bit, RoundRobin its first set bit at or after the pointer
+///   and LowestIndex its lowest one.
+/// - `V > 1`: the first [`GRANT_INLINE`] grants in an inline list, in
+///   ascending output order (outputs grant in ascending order), spilling to
+///   a bitset past that.
+///
+/// Either shape keeps each input's grant count beside it, so Random accept
+/// sizes its draw with one load (the default x86-64 target has no popcount
+/// instruction).
+///
+/// Both answer the same questions with the same members: the `k`-th
+/// smallest grant, and the first grant at or after a pointer, wrapping.
+/// So every accept decision and every draw is the same whichever shape
+/// the loop runs on.
+#[derive(Clone, Debug)]
+struct Grants<const W: usize> {
+    /// How many grants input `i` holds.
+    counts: Vec<u16>,
+    /// `V == 1`: input `i`'s grants as a bit mask over the outputs.
+    masks: Vec<u64>,
+    /// `V > 1`: the first [`GRANT_INLINE`] grants to input `i`, ascending.
+    lists: Vec<[u16; GRANT_INLINE]>,
+    /// `V > 1`: input `i`'s grant set, written only once it holds more
+    /// than [`GRANT_INLINE`] grants.
+    spills: Vec<PortSetN<W>>,
+}
+
+impl<const W: usize> Grants<W> {
+    /// The store for an `n`-port switch: counts, and masks when the width
+    /// rule gives `n` one word, lists and spills otherwise.
+    fn for_ports(n: usize) -> Self {
+        let one_word = crate::with_port_width!(n, V => V == 1);
+        let per_input = |used: bool| if used { n } else { 0 };
+        Self {
+            counts: vec![0; n],
+            masks: vec![0; per_input(one_word)],
+            lists: vec![[0; GRANT_INLINE]; per_input(!one_word)],
+            spills: vec![PortSetN::new(); per_input(!one_word)],
+        }
+    }
+
+    /// Records output `j`'s grant to input `i`; `fresh` says it is `i`'s
+    /// first grant of the iteration, which restarts `i`'s store.
+    // an2-lint: hot
+    #[inline]
+    fn grant<const V: usize>(&mut self, i: usize, j: usize, fresh: bool) {
+        let Some(count) = self.counts.get_mut(i) else {
+            return;
+        };
+        let held = if fresh { 0 } else { *count };
+        // Each output grants at most once per iteration, so `held` stays
+        // below `n <= 1024` and the count never saturates.
+        *count = held.saturating_add(1);
+        if V == 1 {
+            debug_assert!(j < 64, "a one-word grant store holds outputs 0..64");
+            if let Some(mask) = self.masks.get_mut(i) {
+                // All ones keeps the earlier grants, zero drops them.
+                let keep = u64::from(fresh).wrapping_sub(1);
+                *mask = *mask & keep | 1u64 << (j & 63);
+            }
+            return;
+        }
+        let (Some(list), Some(spill)) = (self.lists.get_mut(i), self.spills.get_mut(i)) else {
+            return;
+        };
+        if let Some(slot) = list.get_mut(usize::from(held)) {
+            *slot = j as u16;
+        } else {
+            if usize::from(held) == GRANT_INLINE {
+                // The inline list overflowed: spill it to the bitset and
+                // keep going there.
+                spill.clear();
+                for &g in list.iter() {
+                    spill.insert(usize::from(g));
+                }
+            }
+            spill.insert(j);
+        }
+    }
+
+    /// How many grants input `i` holds.
+    // an2-lint: hot
+    #[inline]
+    fn held(&self, i: usize) -> usize {
+        self.counts.get(i).map_or(0, |&c| usize::from(c))
+    }
+
+    /// Input `i`'s `k`-th smallest grant (`k` below its [`held`](Self::held) count).
+    // an2-lint: hot
+    #[inline]
+    fn grant_at<const V: usize>(&self, i: usize, k: usize) -> usize {
+        debug_assert!(k < self.held(i), "rank {k} past input {i}'s grants");
+        if V == 1 {
+            let mask = self.masks.get(i).copied().unwrap_or(0);
+            return select_in_word(mask, k as u32) as usize;
+        }
+        if self.held(i) <= GRANT_INLINE {
+            self.lists
+                .get(i)
+                .and_then(|list| list.get(k))
+                .map_or(0, |&g| usize::from(g))
+        } else {
+            self.spills
+                .get(i)
+                .and_then(|s| s.select_nth(k))
+                .unwrap_or(0)
+        }
+    }
+
+    /// Input `i`'s first grant at or after output `start`, wrapping to
+    /// its smallest (`i` holds at least one grant; `start < n`).
+    // an2-lint: hot
+    #[inline]
+    fn grant_from<const V: usize>(&self, i: usize, start: usize) -> usize {
+        debug_assert!(self.held(i) > 0, "input {i} holds no grant");
+        if V == 1 {
+            let mask = self.masks.get(i).copied().unwrap_or(0);
+            let after = mask & !0u64 << (start & 63);
+            let pick = if after != 0 { after } else { mask };
+            return pick.trailing_zeros() as usize;
+        }
+        let count = self.held(i);
+        if count <= GRANT_INLINE {
+            // The list-shaped twin of `PortSetN::first_at_or_after`.
+            let list = self
+                .lists
+                .get(i)
+                .and_then(|l| l.get(..count))
+                .unwrap_or(&[]);
+            let grant = |g: &u16| usize::from(*g);
+            list.iter()
+                .map(grant)
+                .find(|&g| g >= start)
+                .or_else(|| list.first().map(grant))
+                .unwrap_or(0)
+        } else {
+            self.spills
+                .get(i)
+                .and_then(|s| s.first_at_or_after(start))
+                .unwrap_or(0)
+        }
+    }
+
+    /// Input `i`'s grants as a port set, for the recorder.
+    // an2-lint: cold
+    fn grant_set(&self, i: usize) -> PortSetN<W> {
+        if !self.masks.is_empty() {
+            let mut set = PortSetN::new();
+            set.words_mut()[0] = self.masks[i];
+            return set;
+        }
+        let count = usize::from(self.counts[i]);
+        if count <= GRANT_INLINE {
+            self.lists[i][..count]
+                .iter()
+                .map(|&g| usize::from(g))
+                .collect()
+        } else {
+            self.spills[i]
+        }
+    }
+}
 
 /// Rejection-sampling attempts per wide grant draw before falling back to
 /// the exact rank-select (see [`grant_draw_with`]).
@@ -231,19 +405,10 @@ pub struct PimN<R: SelectRng = Xoshiro256, const W: usize = 4> {
     /// every real configuration, in which case it is never read on the
     /// accept path beyond one predictable branch.
     accept_skew: usize,
-    /// Scratch: `grants_to[i]`, the grant set of input `i`, written only
-    /// when it collects more than [`GRANT_INLINE`] grants in one iteration
-    /// (the inline list spills here). Owned by the scheduler, like every
-    /// scratch below, so `schedule()` touches no heap after construction.
-    grants_to: Vec<PortSetN<W>>,
-    /// Scratch: grants received by input `i` this iteration, valid only for
-    /// inputs in the iteration's granted set.
-    grant_count: Vec<u16>,
-    /// Scratch: the first [`GRANT_INLINE`] grants to input `i`, in ascending
-    /// output order (outputs are visited in ascending order, so pushes
-    /// arrive sorted). `list[k]` is therefore the `k`-th smallest grant —
-    /// the same member a rank-select on the equivalent bitset would return.
-    grant_list: Vec<[u16; GRANT_INLINE]>,
+    /// Scratch: the grants each input holds this iteration, valid only
+    /// for inputs in the iteration's granted set. Owned by the scheduler,
+    /// so `schedule()` touches no heap after construction.
+    grants: Grants<W>,
     /// Healthy input ports; failed inputs never request or accept.
     active_inputs: PortSetN<W>,
     /// Healthy output ports; failed outputs never listen or grant.
@@ -331,9 +496,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             input_rng,
             accept_ptr: vec![0; n],
             accept_skew: 0,
-            grants_to: vec![PortSetN::new(); n],
-            grant_count: vec![0; n],
-            grant_list: vec![[0; GRANT_INLINE]; n],
+            grants: Grants::for_ports(n),
             active_inputs: PortSetN::all(n),
             active_outputs: PortSetN::all(n),
         }
@@ -535,7 +698,27 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             let mut any_request = false;
             for j in candidates.iter() {
                 let out = OutputPort::new(j);
-                let choice = if inputs_full {
+                let choice = if V == 1 {
+                    // One word holds the eligible set: the column's first
+                    // word (the only one an `n <= 64` switch uses) masked
+                    // by the unmatched inputs. The cached column length
+                    // sizes the draw while every input is unmatched, which
+                    // spares a popcount.
+                    let eligible = requests.col(out).words()[0] & unmatched_inputs.words()[0];
+                    let len = if inputs_full {
+                        requests.col_len(out)
+                    } else {
+                        eligible.count_ones() as usize
+                    };
+                    grant_draw_with(
+                        &mut self.output_rng[j],
+                        len,
+                        n,
+                        Self::WIDE_DRAW,
+                        |p| eligible >> (p & 63) & 1 == 1,
+                        |k| select_in_word(eligible, k as u32) as usize,
+                    )
+                } else if inputs_full {
                     // Every input is unmatched and healthy, so the
                     // eligibility intersection is the identity, the cached
                     // column length sizes the draw for free, and the
@@ -560,34 +743,12 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                     )
                 };
                 // `choice` is `Some` exactly when the eligible set was
-                // non-empty, so it doubles as the any-request signal.
+                // non-empty, so it doubles as the any-request signal. An
+                // input's first grant of the iteration restarts its store.
                 if let Some(i) = choice {
                     any_request = true;
-                    if granted.insert(i) {
-                        // First grant for `i` this iteration: restart its
-                        // inline list.
-                        self.grant_count[i] = 1;
-                        self.grant_list[i][0] = j as u16;
-                    } else {
-                        let count = self.grant_count[i] as usize;
-                        if count < GRANT_INLINE {
-                            self.grant_list[i][count] = j as u16;
-                        } else {
-                            if count == GRANT_INLINE {
-                                // Inline list overflowed: spill it to the
-                                // bitset scratch and keep going there.
-                                self.grants_to[i].clear();
-                                for &g in &self.grant_list[i] {
-                                    self.grants_to[i].insert(g as usize);
-                                }
-                            }
-                            self.grants_to[i].insert(j);
-                        }
-                        // Each output grants at most once per iteration.
-                        debug_assert!(count < n, "more grants than outputs");
-                        // an2-lint: allow(overflow-discipline) count < n <= 1024 grants per input (debug-asserted above), far below u16::MAX
-                        self.grant_count[i] = (count + 1) as u16;
-                    }
+                    let fresh = granted.insert(i);
+                    self.grants.grant::<V>(i, j, fresh);
                 }
             }
             if !any_request {
@@ -597,43 +758,22 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             // ---- Accept phase ------------------------------------------
             // Only inputs actually holding a grant are visited; the skipped
             // inputs have empty grant sets and would draw nothing anyway.
-            // The inline list holds the grants in ascending output order, so
-            // `list[k]` is the `k`-th smallest — the same member a bitset
-            // rank-select returns for the same drawn rank. `iter()` walks a
-            // snapshot of the words, so shrinking `unmatched_*` mid-loop is
-            // sound.
+            // The grant store answers with the `k`-th smallest grant — the
+            // member a bitset rank-select returns for the same drawn rank —
+            // whatever its shape. `iter()` walks a snapshot of the words, so
+            // shrinking `unmatched_*` mid-loop is sound.
             for i in granted.iter() {
-                let count = self.grant_count[i] as usize;
-                let list = &self.grant_list[i];
                 let j = match self.accept {
                     AcceptPolicy::Random => {
-                        let k = self.input_rng[i].index(count);
-                        if count <= GRANT_INLINE {
-                            list[k] as usize
-                        } else {
-                            self.grants_to[i].select_nth(k).expect("rank < count")
-                        }
+                        let k = self.input_rng[i].index(self.grants.held(i));
+                        self.grants.grant_at::<V>(i, k)
                     }
                     AcceptPolicy::RoundRobin => {
-                        let j = if count <= GRANT_INLINE {
-                            // First grant at or after the pointer, wrapping
-                            // — the list-shaped twin of
-                            // `PortSetN::first_at_or_after`.
-                            let ptr = self.accept_ptr[i];
-                            list[..count]
-                                .iter()
-                                .map(|&g| g as usize)
-                                .find(|&g| g >= ptr)
-                                .unwrap_or(list[0] as usize)
-                        } else {
-                            self.grants_to[i]
-                                .first_at_or_after(self.accept_ptr[i])
-                                .expect("non-empty grant set")
-                        };
+                        let j = self.grants.grant_from::<V>(i, self.accept_ptr[i]);
                         self.accept_ptr[i] = (j + 1) % n;
                         j
                     }
-                    AcceptPolicy::LowestIndex => list[0] as usize,
+                    AcceptPolicy::LowestIndex => self.grants.grant_from::<V>(i, 0),
                 };
                 let j = if self.accept_skew == 0 {
                     // Conflict-freedom holds structurally here: each output
@@ -689,8 +829,8 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     /// own state. `requesters` and `listeners` are the unmatched inputs
     /// and outputs the iteration started from, `granted` the inputs that
     /// received a grant: an output's requests are its column restricted to
-    /// the requesters, an input's grants its inline list (or its spilled
-    /// bitset), and its accept — if it made one — its pair in `matching`.
+    /// the requesters, an input's grants what its grant store holds, and
+    /// its accept — if it made one — its pair in `matching`.
     /// Returns the unresolved-request count after the iteration.
     // an2-lint: cold
     #[cold]
@@ -716,15 +856,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             }
             let mut grant_sets = vec![PortSetN::new(); self.n];
             for i in granted.iter() {
-                let count = self.grant_count[i] as usize;
-                grant_sets[i] = if count <= GRANT_INLINE {
-                    self.grant_list[i][..count]
-                        .iter()
-                        .map(|&g| g as usize)
-                        .collect()
-                } else {
-                    self.grants_to[i]
-                };
+                grant_sets[i] = self.grants.grant_set(i);
             }
             let accepts = granted
                 .iter()

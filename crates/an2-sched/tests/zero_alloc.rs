@@ -14,8 +14,8 @@
 use an2_sched::islip::{RoundRobinMatching, WideRoundRobinMatching};
 use an2_sched::maximum::MaximumMatching;
 use an2_sched::{
-    AcceptPolicy, IterationLimit, Pim, PortMask, RequestMatrix, RequestMatrixN, Scheduler, WidePim,
-    WideRequestMatrix,
+    AcceptPolicy, InputPort, IterationLimit, OutputPort, Pim, PimN, PortMask, RequestMatrix,
+    RequestMatrixN, Scheduler, WidePim, WideRequestMatrix,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,6 +92,11 @@ fn schedulers_do_not_allocate_after_warmup() {
         let dense = RequestMatrix::from_fn(n, |_, _| true);
         let sparse = RequestMatrix::from_fn(n, |i, j| (i * 7 + j) % 5 == 0);
         for reqs in [&dense, &sparse] {
+            // The one-word width runs the same one-word grant store as the
+            // four-word `Pim` does at n <= 64.
+            let narrow_reqs = RequestMatrixN::<1>::from_fn(n, |i, j| {
+                reqs.has(InputPort::new(i), OutputPort::new(j))
+            });
             for policy in [
                 AcceptPolicy::Random,
                 AcceptPolicy::RoundRobin,
@@ -100,6 +105,8 @@ fn schedulers_do_not_allocate_after_warmup() {
                 for limit in [IterationLimit::Fixed(4), IterationLimit::ToCompletion] {
                     let mut pim = Pim::with_options(n, 42, limit, policy);
                     assert_zero_alloc(&mut pim, reqs, "pim");
+                    let mut narrow = PimN::<_, 1>::with_options(n, 42, limit, policy);
+                    assert_zero_alloc(&mut narrow, &narrow_reqs, "pim (one word)");
                 }
             }
             assert_zero_alloc(&mut RoundRobinMatching::islip(n, 4), reqs, "islip");

@@ -72,14 +72,12 @@
 //! stamps, so runs may pass 2^32 slots and both are exact for any cell
 //! that has waited fewer than 2^32 slots.
 //!
-//! Delay statistics are collected twice: the exact [`DelayStats`]
-//! histogram (what the pinned report digests cover) and the O(1)-memory
-//! [`QuantileSketch`] (what long network runs keep when the exact
-//! histogram would grow unboundedly).
+//! Delay statistics are collected once, in the exact [`DelayStats`]
+//! histogram that the report carries and the pinned digests cover.
 
 use crate::cell::{Arrival, FlowId};
 use crate::fault::{FaultLog, FaultPlan, LostArrivals, SwitchFaults};
-use crate::metrics::{DelayStats, QuantileSketch, SwitchReport};
+use crate::metrics::{DelayStats, SwitchReport};
 use crate::model::SwitchModel;
 use crate::slab::{QueueSlab, NO_QUEUE};
 use an2_sched::{InputPort, MatchingN, OutputPort, PortMaskN, PortSetN, RequestMatrixN, Scheduler};
@@ -116,6 +114,11 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     pairs: Vec<u32>,
     /// How `pairs` splits each entry, fixed by `n`.
     packing: PairPacking,
+    /// Whether a slot reads the pair-table lines it will update before
+    /// updating them ([`warm`]): only where the width rule gives `n` more
+    /// than one word. At `n <= 64` the table (16 KB at N=64) stays in
+    /// cache and a sweep is pure cost; at N=1024 (4 MB) it misses.
+    warm_table: bool,
     /// Queue records of the pairs that hold cells.
     slab: QueueSlab<u32>,
     /// Wraps of a pair's window count field, by pair index, in units of
@@ -137,7 +140,6 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     window_departed: u64,
     per_output: Vec<u64>,
     delay: DelayStats,
-    sketch: QuantileSketch,
     peak_occupancy: usize,
     /// Port health and clock drift as seen by
     /// [`BatchCrossbar::step_faulted`].
@@ -182,6 +184,7 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             requests: RequestMatrixN::new(n),
             pairs: vec![0; n * n],
             packing,
+            warm_table: an2_sched::with_port_width!(n, V => V > 1),
             slab: QueueSlab::with_capacity((4 * n).min(n * n)),
             count_carries: BTreeMap::new(),
             drops: Vec::new(),
@@ -193,7 +196,6 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             window_departed: 0,
             per_output: vec![0; n],
             delay: DelayStats::new(),
-            sketch: QuantileSketch::new(),
             peak_occupancy: 0,
             faults: SwitchFaults::new(n),
             admitted_total: 0,
@@ -290,12 +292,6 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             ));
         }
         Ok(())
-    }
-
-    /// The streaming quantile sketch over measured delays (same samples as
-    /// the exact histogram in [`SwitchReport::delay`]).
-    pub fn quantiles(&self) -> &QuantileSketch {
-        &self.sketch
     }
 
     /// Input–output pairs with at least one queued cell — the active-pair
@@ -416,18 +412,15 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         let stamp = slot as u32;
         let (n, packing) = (self.n, self.packing);
         debug_assert_eq!(self.pairs.len(), n * n);
-        // Warming sweep: the slot's arrivals address random pairs, and the
-        // update loop below chains dependent loads into each pair's table
-        // line. Reading the lines first issues the misses as independent
-        // loads the core overlaps, so the updates hit L1. (A prefetch
-        // intrinsic would need unsafe; a black-boxed read is the safe
-        // equivalent.)
-        let mut warm = 0u32;
-        for a in arrivals {
-            let p = a.input.index().wrapping_mul(n) + a.output.index();
-            warm = warm.wrapping_add(self.pairs.get(p).copied().unwrap_or(0));
+        if self.warm_table {
+            let at = |a: &Arrival| {
+                a.input
+                    .index()
+                    .wrapping_mul(n)
+                    .wrapping_add(a.output.index())
+            };
+            warm(&self.pairs, arrivals.iter().map(at));
         }
-        std::hint::black_box(warm);
         let mut seen = PortSetN::<W>::new();
         for a in arrivals {
             let (i, j) = (a.input.index(), a.output.index());
@@ -496,13 +489,11 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         // is at most the window's age: `slot - d >= measure_start`.
         debug_assert!(self.slot >= self.measure_start);
         let window = self.slot.wrapping_sub(self.measure_start);
-        // Same warming sweep as for the arrivals, over the matched pairs.
-        let mut warm = 0u32;
-        for (i, j) in matching.pairs() {
-            let p = i.index().wrapping_mul(n) + j.index();
-            warm = warm.wrapping_add(self.pairs.get(p).copied().unwrap_or(0));
+        if self.warm_table {
+            let at =
+                |(i, j): (InputPort, OutputPort)| i.index().wrapping_mul(n).wrapping_add(j.index());
+            warm(&self.pairs, matching.pairs().map(at));
         }
-        std::hint::black_box(warm);
         for (i, j) in matching.pairs() {
             debug_assert!(
                 i.index() < n && j.index() < n,
@@ -537,7 +528,6 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
             self.per_output[j.index()] += 1;
             if d <= window {
                 self.delay.record(d);
-                self.sketch.record(d);
             }
         }
     }
@@ -588,6 +578,20 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         }
         &mut self.drops
     }
+}
+
+/// Warming sweep: a slot's arrivals and matches address random pairs, and
+/// the update loops chain dependent loads into each pair's table line.
+/// Reading the lines at `entries` first issues the misses as independent
+/// loads the core overlaps, so the updates hit L1. (A prefetch intrinsic
+/// would need unsafe; a black-boxed read is the safe equivalent.)
+// an2-lint: hot
+#[inline]
+fn warm(pairs: &[u32], entries: impl Iterator<Item = usize>) {
+    let sum = entries.fold(0u32, |sum, p| {
+        sum.wrapping_add(pairs.get(p).copied().unwrap_or(0))
+    });
+    std::hint::black_box(sum);
 }
 
 /// Records one wrap of pair `p`'s count field in `carries`.
@@ -766,7 +770,6 @@ impl<const W: usize, S: Scheduler<W>> SwitchModel for BatchCrossbar<S, W> {
         }
         self.count_carries.clear();
         self.delay = DelayStats::new();
-        self.sketch = QuantileSketch::new();
         self.peak_occupancy = 0;
     }
 
@@ -1123,21 +1126,6 @@ mod tests {
         assert_eq!(engine.pair_drops(2, 9), 10);
         assert_eq!(engine.dropped(), 10);
         assert_eq!(engine.verify_drop_ledger(), Ok(()));
-    }
-
-    #[test]
-    fn sketch_tracks_exact_histogram() {
-        let mut batch = BatchCrossbar::new(8, Pim::new(8, 3));
-        let cfg = SimConfig {
-            warmup_slots: 200,
-            measure_slots: 2000,
-        };
-        let r = simulate(&mut batch, &mut RateMatrixTraffic::uniform(8, 0.9, 5), cfg);
-        let q = batch.quantiles();
-        assert_eq!(q.count(), r.delay.count());
-        assert_eq!(q.max(), r.delay.max());
-        let (approx, exact) = (q.quantile(0.99), r.delay.percentile(0.99));
-        assert!(approx <= exact && exact - approx <= approx / 8 + 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Histogram-backed delay statistics in units of cell slots.
 ///
-/// Exact mean/variance/max; percentiles are exact for delays below the
+/// Exact mean/max; percentiles are exact for delays below the
 /// histogram cap and conservative (reported as the cap) above it.
 ///
 /// # Examples
@@ -29,7 +29,6 @@ use std::fmt;
 pub struct DelayStats {
     count: u64,
     sum: u128,
-    sum_sq: u128,
     max: u64,
     /// hist[d] = cells with delay d, for d < CAP; larger delays land in the
     /// overflow counter (still exact in mean/max, conservative in
@@ -48,12 +47,11 @@ impl DelayStats {
     }
 
     /// Records one cell's queueing delay in slots.
-    // an2-lint: allow(overflow-discipline) count/sum/sum_sq are monotone u64/u128 accumulators; 2^64 recorded cells is unreachable
+    // an2-lint: allow(overflow-discipline) count/sum are monotone u64/u128 accumulators; 2^64 recorded cells is unreachable
     // an2-lint: allow(panic-freedom) the HIST_CAP check right above bounds the histogram index
     pub fn record(&mut self, delay_slots: u64) {
         self.count += 1;
         self.sum += delay_slots as u128;
-        self.sum_sq += (delay_slots as u128) * (delay_slots as u128);
         self.max = self.max.max(delay_slots);
         if (delay_slots as usize) < HIST_CAP {
             if self.hist.len() <= delay_slots as usize {
@@ -78,16 +76,6 @@ impl DelayStats {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Population variance of the delay (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.mean();
-        (self.sum_sq as f64 / n) - mean * mean
     }
 
     /// Largest recorded delay.
@@ -122,7 +110,6 @@ impl DelayStats {
     pub fn merge(&mut self, other: &DelayStats) {
         self.count += other.count;
         self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
         self.max = self.max.max(other.max);
         if self.hist.len() < other.hist.len() {
             self.hist.resize(other.hist.len(), 0);
@@ -226,8 +213,8 @@ impl QuantileSketch {
     /// Records one delay sample. O(1), allocation-free (enforced by the
     /// counting-allocator test in `tests/alloc_probe.rs`).
     #[inline]
-    // an2-lint: allow(overflow-discipline) count/sum/sum_sq are monotone u64/u128 accumulators; 2^64 recorded cells is unreachable
-    // an2-lint: allow(panic-freedom) the HIST_CAP check right above bounds the histogram index
+    // an2-lint: allow(overflow-discipline) count/sum are monotone u64/u128 accumulators; 2^64 recorded cells is unreachable
+    // an2-lint: allow(panic-freedom) bucket_of maps every u64 below SKETCH_BUCKETS (the last octave's top sub-bucket is the table's last entry)
     pub fn record(&mut self, delay_slots: u64) {
         self.count += 1;
         self.sum += delay_slots as u128;
@@ -312,7 +299,7 @@ impl fmt::Display for QuantileSketch {
 }
 
 /// Measured result of one switch simulation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SwitchReport {
     /// Delay of every measured departed cell.
     pub delay: DelayStats,
@@ -392,20 +379,18 @@ mod tests {
         let d = DelayStats::new();
         assert_eq!(d.count(), 0);
         assert_eq!(d.mean(), 0.0);
-        assert_eq!(d.variance(), 0.0);
         assert_eq!(d.max(), 0);
         assert_eq!(d.percentile(0.99), 0);
     }
 
     #[test]
-    fn mean_variance_max() {
+    fn mean_max_and_percentiles() {
         let mut d = DelayStats::new();
         for x in [2u64, 4, 4, 4, 5, 5, 7, 9] {
             d.record(x);
         }
         assert_eq!(d.count(), 8);
         assert!((d.mean() - 5.0).abs() < 1e-12);
-        assert!((d.variance() - 4.0).abs() < 1e-12);
         assert_eq!(d.max(), 9);
         assert_eq!(d.percentile(0.5), 4);
         assert_eq!(d.percentile(1.0), 9);

@@ -15,13 +15,14 @@
 use an2_sched::islip::RoundRobinMatchingN;
 use an2_sched::maximum::MaximumMatchingN;
 use an2_sched::rng::{SelectRng, Xoshiro256};
-use an2_sched::{AcceptPolicy, InputPort, IterationLimit, OutputPort, Pim, Scheduler};
+use an2_sched::{AcceptPolicy, InputPort, IterationLimit, OutputPort, Pim, PimN, Scheduler};
 use an2_sim::batch::BatchCrossbar;
 use an2_sim::cell::Arrival;
 use an2_sim::metrics::SwitchReport;
 use an2_sim::model::SwitchModel;
+use an2_sim::sim::{simulate, SimConfig};
 use an2_sim::switch::CrossbarSwitch;
-use an2_sim::traffic::{BurstyTraffic, Traffic};
+use an2_sim::traffic::{BurstyTraffic, RateMatrixTraffic, Traffic};
 use an2_task::Fnv;
 
 /// FNV-1a over the full report, matching `determinism.rs`'s field walk.
@@ -193,5 +194,45 @@ fn batch_crossbar_reproduces_the_golden_digests() {
             got, GOLDEN[which][size][shape],
             "BatchCrossbar: scheduler {which} n {n} traffic {shape}"
         );
+    }
+}
+
+/// The width an engine is compiled at is a capacity, not a decision: at
+/// n <= 64 the one-word engine and the four-word one the benchmark pins
+/// (`BatchCrossbar<Pim, 4>`) run PIM's loop on one word with one grant
+/// mask per input, and must report alike, field for field, under bursty
+/// and client-server load, with every accept policy.
+#[test]
+fn one_word_and_four_word_engines_report_alike() {
+    let cfg = SimConfig {
+        warmup_slots: 200,
+        measure_slots: 2_000,
+    };
+    let traffic = |shape: usize, n: usize, seed: u64| -> Box<dyn Traffic> {
+        if shape == 0 {
+            Box::new(BurstyTraffic::new(n, 0.8, 32.0, seed))
+        } else {
+            Box::new(RateMatrixTraffic::client_server(n, 4, 0.9, 0.05, seed))
+        }
+    };
+    for n in [16, 64] {
+        for shape in 0..2 {
+            for policy in [
+                AcceptPolicy::Random,
+                AcceptPolicy::RoundRobin,
+                AcceptPolicy::LowestIndex,
+            ] {
+                let seed = 0x51de_0000 + (n * 10 + shape) as u64;
+                let limit = IterationLimit::Fixed(4);
+                let mut narrow: BatchCrossbar<_, 1> =
+                    BatchCrossbar::new(n, PimN::<_, 1>::with_options(n, seed, limit, policy));
+                let mut wide: BatchCrossbar<_, 4> =
+                    BatchCrossbar::new(n, Pim::with_options(n, seed, limit, policy));
+                let a = simulate(&mut narrow, &mut *traffic(shape, n, seed), cfg);
+                let b = simulate(&mut wide, &mut *traffic(shape, n, seed), cfg);
+                assert!(a.departures > 0, "n {n} traffic {shape}: nothing crossed");
+                assert_eq!(a, b, "n {n} traffic {shape} policy {policy:?}");
+            }
+        }
     }
 }
