@@ -56,7 +56,7 @@
 //! Cells carry the low 32 bits of their injection slot, and a delay is
 //! the wrapping difference of two stamps, so runs may pass 2^32 slots.
 
-use an2_sched::rng::{SelectRng, Xoshiro256};
+use an2_sched::rng::{Bernoulli, SelectRng, Xoshiro256};
 use an2_sched::{with_port_width, PimN, RequestMatrixN, Scheduler};
 use an2_sim::fault::{FaultEvent, FaultKind, FaultPlan, LostArrivals, PortSide, SwitchFaults};
 use an2_sim::metrics::QuantileSketch;
@@ -259,7 +259,9 @@ struct SwitchShard<const W: usize> {
     switches: usize,
     radix: usize,
     span: usize,
-    host_load: f64,
+    /// Whether a host port injects a cell this slot, as
+    /// `rng.bernoulli(host_load)` would decide it.
+    host_fires: Bernoulli,
     rng: Xoshiro256,
     sched: PimN<Xoshiro256, W>,
     requests: RequestMatrixN<W>,
@@ -313,7 +315,7 @@ impl<const W: usize> SwitchShard<W> {
             switches: cfg.switches,
             radix: cfg.radix,
             span: cfg.span,
-            host_load: cfg.host_load,
+            host_fires: Bernoulli::new(cfg.host_load),
             rng: Xoshiro256::seed_from(seed),
             sched: PimN::new(cfg.radix, seed),
             requests: RequestMatrixN::new(cfg.radix),
@@ -491,7 +493,7 @@ impl<const W: usize> SwitchShard<W> {
             }
         }
         for h in 1..self.radix {
-            if self.rng.bernoulli(self.host_load) {
+            if self.host_fires.sample(&mut self.rng) {
                 let d = (self.k + 1 + self.rng.index(self.span)) % self.switches;
                 let q = 1 + self.rng.index(self.radix - 1);
                 self.injected += 1;

@@ -31,12 +31,14 @@
 //! rule. When the width rule of [`with_port_width!`](crate::with_port_width)
 //! gives `n` one word (`n <= 64`), every per-call port set is one word wide
 //! whatever `W` is, a grant draw reads one word of its column, and each
-//! input's grants are one `u64` mask, so a four-word `Pim` at the paper's
-//! 16 ports costs what a one-word one does. Above that the loop runs on all
-//! `W` words and keeps each input's grants in an inline list that spills to
-//! a bitset. The grant draw scheme stays keyed to `W` alone, and both grant
-//! stores answer an accept policy with the same member, so neither choice
-//! changes a decision.
+//! input's grants are one `u64` mask in an array on the call's stack, so a
+//! four-word `Pim` at the paper's 16 ports costs what a one-word one does.
+//! That one-word loop runs through [`run_word_kernel`], compiled for the
+//! host's BMI2 and POPCNT where the CPU has them. Above that the loop runs
+//! on all `W` words and keeps each input's grants in an inline list that
+//! spills to a bitset. The grant draw scheme stays keyed to `W` alone, and
+//! both grant stores answer an accept policy with the same member, so
+//! neither choice changes a decision.
 //!
 //! There is one iteration loop. [`Scheduler::schedule`] and
 //! [`PimN::schedule_from`] run it as is; [`PimN::schedule_with_stats`] and
@@ -47,10 +49,13 @@
 
 use crate::check::Contract;
 use crate::matching::MatchingN;
-use crate::port::{select_in_word, InputPort, OutputPort, PortSetN};
+use crate::port::{
+    run_word_kernel, InputPort, OutputPort, PortSetN, Portable, WordKernel, WordOps,
+};
 use crate::requests::RequestMatrixN;
 use crate::rng::{SelectRng, Xoshiro256};
 use crate::scheduler::{PortMaskN, Scheduler};
+use std::hint::select_unpredictable;
 
 /// Grants per input kept in the inline sorted list before spilling to the
 /// bitset scratch (switches above 64 ports; see [`Grants`]). An input
@@ -60,77 +65,156 @@ use crate::scheduler::{PortMaskN, Scheduler};
 const GRANT_INLINE: usize = 8;
 
 /// The grants each input holds in one iteration, waiting for the accept
-/// phase. Its shape follows the width rule: the loop's `V` is 1 exactly
-/// when `n <= 64`, and [`Grants::for_ports`] allocates only the
-/// representation that `V` reads.
+/// phase. Its shape follows the width rule, like the loop's `V`:
 ///
-/// - `V == 1`: one `u64` mask per input. The first grant of an iteration
-///   restarts the mask without a branch; Random accept picks the mask's
-///   `k`-th set bit, RoundRobin its first set bit at or after the pointer
-///   and LowestIndex its lowest one.
-/// - `V > 1`: the first [`GRANT_INLINE`] grants in an inline list, in
-///   ascending output order (outputs grant in ascending order), spilling to
-///   a bitset past that.
-///
-/// Either shape keeps each input's grant count beside it, so Random accept
-/// sizes its draw with one load (the default x86-64 target has no popcount
-/// instruction).
+/// - `V == 1` (`n <= 64`): [`WordGrants`], one `u64` mask and a count per
+///   input in fixed arrays local to one call.
+/// - `V > 1`: [`Grants`], the scheduler's heap store of inline lists that
+///   spill to bitsets.
 ///
 /// Both answer the same questions with the same members: the `k`-th
 /// smallest grant, and the first grant at or after a pointer, wrapping.
 /// So every accept decision and every draw is the same whichever shape
 /// the loop runs on.
-#[derive(Clone, Debug)]
+trait GrantStore<const W: usize> {
+    /// Records output `j`'s grant to input `i`; `fresh` says it is `i`'s
+    /// first grant of the iteration, which restarts `i`'s store.
+    fn grant(&mut self, i: usize, j: usize, fresh: bool);
+
+    /// How many grants input `i` holds.
+    fn held(&self, i: usize) -> usize;
+
+    /// Input `i`'s `k`-th smallest grant (`k` below its [`held`](Self::held)
+    /// count), selected in a word by `bits` where the store is words.
+    fn grant_at<B: WordOps>(&self, i: usize, k: usize, bits: B) -> usize;
+
+    /// Input `i`'s first grant at or after output `start`, wrapping to
+    /// its smallest (`i` holds at least one grant; `start < n`).
+    fn grant_from(&self, i: usize, start: usize) -> usize;
+
+    /// Input `i`'s grants as a port set, for the recorder.
+    fn grant_set(&self, i: usize) -> PortSetN<W>;
+}
+
+/// The one-word grant store: input `i`'s grants as a bit mask over the
+/// outputs, and their count. It lives on the stack of one call, so the
+/// loop writes it without a bounds check or a reload of a heap pointer;
+/// restarting an input on its first grant of an iteration is branch-free,
+/// so the arrays need no clearing between iterations. The count spares
+/// Random accept a popcount on hosts without one.
+#[derive(Debug)]
+struct WordGrants {
+    masks: [u64; 64],
+    counts: [u8; 64],
+}
+
+impl WordGrants {
+    #[inline(always)]
+    fn new() -> Self {
+        Self {
+            masks: [0; 64],
+            counts: [0; 64],
+        }
+    }
+}
+
+impl<const W: usize> GrantStore<W> for WordGrants {
+    // an2-lint: hot
+    #[inline(always)]
+    fn grant(&mut self, i: usize, j: usize, fresh: bool) {
+        debug_assert!(i < 64 && j < 64, "a one-word grant store holds ports 0..64");
+        // Whether an input's grant is its first of the iteration is as
+        // random as the draws, so the restart must not be a branch.
+        if let Some(mask) = self.masks.get_mut(i & 63) {
+            *mask = select_unpredictable(fresh, 0, *mask) | 1u64 << (j & 63);
+        }
+        if let Some(count) = self.counts.get_mut(i & 63) {
+            // Each output grants at most once per iteration, so a count
+            // stays at most 64.
+            *count = select_unpredictable(fresh, 0, *count).wrapping_add(1);
+        }
+    }
+
+    // an2-lint: hot
+    #[inline(always)]
+    fn held(&self, i: usize) -> usize {
+        self.counts.get(i & 63).map_or(0, |&c| usize::from(c))
+    }
+
+    // an2-lint: hot
+    #[inline(always)]
+    fn grant_at<B: WordOps>(&self, i: usize, k: usize, bits: B) -> usize {
+        debug_assert!(
+            k < GrantStore::<W>::held(self, i),
+            "rank {k} past input {i}'s grants"
+        );
+        let mask = self.masks.get(i & 63).copied().unwrap_or(0);
+        bits.select(mask, k as u32) as usize
+    }
+
+    // an2-lint: hot
+    #[inline(always)]
+    fn grant_from(&self, i: usize, start: usize) -> usize {
+        let mask = self.masks.get(i & 63).copied().unwrap_or(0);
+        debug_assert!(mask != 0, "input {i} holds no grant");
+        let after = mask & !0u64 << (start & 63);
+        let pick = if after != 0 { after } else { mask };
+        pick.trailing_zeros() as usize
+    }
+
+    // an2-lint: cold
+    fn grant_set(&self, i: usize) -> PortSetN<W> {
+        let mut set = PortSetN::new();
+        set.words_mut()[0] = self.masks[i];
+        set
+    }
+}
+
+/// The multi-word grant store (`n > 64`), owned by the scheduler: the first
+/// [`GRANT_INLINE`] grants of each input in an inline list, in ascending
+/// output order (outputs grant in ascending order), spilling to a bitset
+/// past that, and each input's grant count.
+#[derive(Clone, Debug, Default)]
 struct Grants<const W: usize> {
     /// How many grants input `i` holds.
     counts: Vec<u16>,
-    /// `V == 1`: input `i`'s grants as a bit mask over the outputs.
-    masks: Vec<u64>,
-    /// `V > 1`: the first [`GRANT_INLINE`] grants to input `i`, ascending.
+    /// The first [`GRANT_INLINE`] grants to input `i`, ascending.
     lists: Vec<[u16; GRANT_INLINE]>,
-    /// `V > 1`: input `i`'s grant set, written only once it holds more
-    /// than [`GRANT_INLINE`] grants.
+    /// Input `i`'s grant set, written only once it holds more than
+    /// [`GRANT_INLINE`] grants.
     spills: Vec<PortSetN<W>>,
 }
 
 impl<const W: usize> Grants<W> {
-    /// The store for an `n`-port switch: counts, and masks when the width
-    /// rule gives `n` one word, lists and spills otherwise.
+    /// The store for an `n`-port switch: empty when the width rule gives
+    /// `n` one word (the loop then keeps a [`WordGrants`] per call).
     fn for_ports(n: usize) -> Self {
-        let one_word = crate::with_port_width!(n, V => V == 1);
-        let per_input = |used: bool| if used { n } else { 0 };
+        if crate::with_port_width!(n, V => V == 1) {
+            return Self::default();
+        }
         Self {
             counts: vec![0; n],
-            masks: vec![0; per_input(one_word)],
-            lists: vec![[0; GRANT_INLINE]; per_input(!one_word)],
-            spills: vec![PortSetN::new(); per_input(!one_word)],
+            lists: vec![[0; GRANT_INLINE]; n],
+            spills: vec![PortSetN::new(); n],
         }
     }
+}
 
-    /// Records output `j`'s grant to input `i`; `fresh` says it is `i`'s
-    /// first grant of the iteration, which restarts `i`'s store.
+impl<const W: usize> GrantStore<W> for Grants<W> {
     // an2-lint: hot
     #[inline]
-    fn grant<const V: usize>(&mut self, i: usize, j: usize, fresh: bool) {
-        let Some(count) = self.counts.get_mut(i) else {
+    fn grant(&mut self, i: usize, j: usize, fresh: bool) {
+        let (Some(count), Some(list), Some(spill)) = (
+            self.counts.get_mut(i),
+            self.lists.get_mut(i),
+            self.spills.get_mut(i),
+        ) else {
             return;
         };
         let held = if fresh { 0 } else { *count };
         // Each output grants at most once per iteration, so `held` stays
         // below `n <= 1024` and the count never saturates.
         *count = held.saturating_add(1);
-        if V == 1 {
-            debug_assert!(j < 64, "a one-word grant store holds outputs 0..64");
-            if let Some(mask) = self.masks.get_mut(i) {
-                // All ones keeps the earlier grants, zero drops them.
-                let keep = u64::from(fresh).wrapping_sub(1);
-                *mask = *mask & keep | 1u64 << (j & 63);
-            }
-            return;
-        }
-        let (Some(list), Some(spill)) = (self.lists.get_mut(i), self.spills.get_mut(i)) else {
-            return;
-        };
         if let Some(slot) = list.get_mut(usize::from(held)) {
             *slot = j as u16;
         } else {
@@ -146,22 +230,16 @@ impl<const W: usize> Grants<W> {
         }
     }
 
-    /// How many grants input `i` holds.
     // an2-lint: hot
     #[inline]
     fn held(&self, i: usize) -> usize {
         self.counts.get(i).map_or(0, |&c| usize::from(c))
     }
 
-    /// Input `i`'s `k`-th smallest grant (`k` below its [`held`](Self::held) count).
     // an2-lint: hot
     #[inline]
-    fn grant_at<const V: usize>(&self, i: usize, k: usize) -> usize {
+    fn grant_at<B: WordOps>(&self, i: usize, k: usize, _bits: B) -> usize {
         debug_assert!(k < self.held(i), "rank {k} past input {i}'s grants");
-        if V == 1 {
-            let mask = self.masks.get(i).copied().unwrap_or(0);
-            return select_in_word(mask, k as u32) as usize;
-        }
         if self.held(i) <= GRANT_INLINE {
             self.lists
                 .get(i)
@@ -175,18 +253,10 @@ impl<const W: usize> Grants<W> {
         }
     }
 
-    /// Input `i`'s first grant at or after output `start`, wrapping to
-    /// its smallest (`i` holds at least one grant; `start < n`).
     // an2-lint: hot
     #[inline]
-    fn grant_from<const V: usize>(&self, i: usize, start: usize) -> usize {
+    fn grant_from(&self, i: usize, start: usize) -> usize {
         debug_assert!(self.held(i) > 0, "input {i} holds no grant");
-        if V == 1 {
-            let mask = self.masks.get(i).copied().unwrap_or(0);
-            let after = mask & !0u64 << (start & 63);
-            let pick = if after != 0 { after } else { mask };
-            return pick.trailing_zeros() as usize;
-        }
         let count = self.held(i);
         if count <= GRANT_INLINE {
             // The list-shaped twin of `PortSetN::first_at_or_after`.
@@ -209,14 +279,8 @@ impl<const W: usize> Grants<W> {
         }
     }
 
-    /// Input `i`'s grants as a port set, for the recorder.
     // an2-lint: cold
     fn grant_set(&self, i: usize) -> PortSetN<W> {
-        if !self.masks.is_empty() {
-            let mut set = PortSetN::new();
-            set.words_mut()[0] = self.masks[i];
-            return set;
-        }
         let count = usize::from(self.counts[i]);
         if count <= GRANT_INLINE {
             self.lists[i][..count]
@@ -405,9 +469,11 @@ pub struct PimN<R: SelectRng = Xoshiro256, const W: usize = 4> {
     /// every real configuration, in which case it is never read on the
     /// accept path beyond one predictable branch.
     accept_skew: usize,
-    /// Scratch: the grants each input holds this iteration, valid only
-    /// for inputs in the iteration's granted set. Owned by the scheduler,
-    /// so `schedule()` touches no heap after construction.
+    /// Scratch above 64 ports: the grants each input holds this
+    /// iteration, valid only for inputs in the iteration's granted set.
+    /// Owned by the scheduler, so `schedule()` touches no heap after
+    /// construction; empty at `n <= 64`, where each call keeps a
+    /// [`WordGrants`] on its stack.
     grants: Grants<W>,
     /// Healthy input ports; failed inputs never request or accept.
     active_inputs: PortSetN<W>,
@@ -562,7 +628,9 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             initial.n(),
             self.n
         );
-        self.run_at_width::<false>(requests, initial, None)
+        let mut matching = initial;
+        self.run_at_width::<false>(requests, &mut matching, None);
+        matching
     }
 
     /// Schedules one time slot, invoking `observer` with a full
@@ -590,8 +658,9 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             stats: PimStats::default(),
             observer,
         };
-        let m = self.run_at_width::<true>(requests, MatchingN::new(self.n), Some(&mut rec));
-        (m, rec.stats)
+        let mut matching = MatchingN::new(self.n);
+        self.run_at_width::<true>(requests, &mut matching, Some(&mut rec));
+        (matching, rec.stats)
     }
 
     /// Whether the grant draw samples by rejection: keyed to the width's
@@ -600,24 +669,58 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     const WIDE_DRAW: bool = PortSetN::<W>::CAPACITY > 256;
 
     /// Runs [`run_from`](Self::run_from) on the words `n` uses: one when
-    /// the width rule gives `n` one word, all `W` otherwise.
+    /// the width rule gives `n` one word, all `W` otherwise. The one-word
+    /// loop keeps its grants in a [`WordGrants`] on its own stack and runs
+    /// through [`run_word_kernel`], on the host's BMI2 and POPCNT where the
+    /// CPU has them; the multi-word loop runs the portable build on the
+    /// scheduler's [`Grants`].
     #[inline]
     fn run_at_width<const RECORD: bool>(
         &mut self,
         requests: &RequestMatrixN<W>,
-        initial: MatchingN<W>,
+        matching: &mut MatchingN<W>,
         rec: Option<&mut Recorder<'_, W>>,
-    ) -> MatchingN<W> {
+    ) {
         if crate::with_port_width!(self.n, V => V == 1) {
-            self.run_from::<1, RECORD>(requests, initial, rec)
+            run_word_kernel(OneWordRun::<R, W, RECORD> {
+                pim: self,
+                requests,
+                matching,
+                rec,
+            });
         } else {
-            self.run_from::<W, RECORD>(requests, initial, rec)
+            self.run_wide::<RECORD>(requests, matching, rec);
         }
     }
 
+    /// The multi-word loop on the scheduler's [`Grants`], borrowed out for
+    /// the call. The loop's first act is the size assert, so the store is
+    /// borrowed out only when the sizes agree: a caught size panic leaves
+    /// it in place.
+    #[inline(never)]
+    fn run_wide<const RECORD: bool>(
+        &mut self,
+        requests: &RequestMatrixN<W>,
+        matching: &mut MatchingN<W>,
+        rec: Option<&mut Recorder<'_, W>>,
+    ) {
+        let mut grants = if requests.n() == self.n {
+            std::mem::take(&mut self.grants)
+        } else {
+            Grants::default()
+        };
+        // The multi-word loop selects through `PortSetN`, never through
+        // its `WordOps`, so the portable build costs it nothing.
+        self.run_from::<W, RECORD, _, _>(requests, matching, rec, Portable, &mut grants);
+        self.grants = grants;
+    }
+
     /// The iteration loop behind every entry point, on `V`-word port sets
-    /// (`n <= V * 64`). `RECORD` selects at compile time whether `rec`
-    /// (then `Some`) is written: the
+    /// (`n <= V * 64`) with the grant store `grants` of the width rule's
+    /// shape and the word instructions `bits`. It is always inlined into
+    /// its entry, so that the one-word loop compiles inside the host-bit
+    /// entry of [`run_word_kernel`]. `RECORD` selects at compile time
+    /// whether `rec` (then `Some`) is written: the
     /// `schedule()` and `schedule_from` instantiations (`RECORD = false`)
     /// carry no recording code at all and perform **zero heap
     /// allocations**.
@@ -641,12 +744,15 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     /// from its grant stream.
     // an2-lint: hot
     // an2-lint: allow(panic-freedom) the leading assert_eq pins requests.n() == self.n (documented contract), so every port index stays < n; rank-select expects hold because rank < len by the draw construction
-    fn run_from<const V: usize, const RECORD: bool>(
+    #[inline(always)]
+    fn run_from<const V: usize, const RECORD: bool, B: WordOps, G: GrantStore<W>>(
         &mut self,
         requests: &RequestMatrixN<W>,
-        initial: MatchingN<W>,
+        matching: &mut MatchingN<W>,
         mut rec: Option<&mut Recorder<'_, W>>,
-    ) -> MatchingN<W> {
+        bits: B,
+        grants: &mut G,
+    ) {
         assert_eq!(
             requests.n(),
             self.n,
@@ -656,7 +762,6 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         );
         let n = self.n;
         debug_assert!(n <= PortSetN::<V>::CAPACITY, "{n} ports on {V} words");
-        let mut matching = initial;
 
         let max_iters = match self.limit {
             IterationLimit::Fixed(k) => k,
@@ -716,7 +821,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                         n,
                         Self::WIDE_DRAW,
                         |p| eligible >> (p & 63) & 1 == 1,
-                        |k| select_in_word(eligible, k as u32) as usize,
+                        |k| bits.select(eligible, k as u32) as usize,
                     )
                 } else if inputs_full {
                     // Every input is unmatched and healthy, so the
@@ -748,7 +853,7 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                 if let Some(i) = choice {
                     any_request = true;
                     let fresh = granted.insert(i);
-                    self.grants.grant::<V>(i, j, fresh);
+                    grants.grant(i, j, fresh);
                 }
             }
             if !any_request {
@@ -765,15 +870,15 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
             for i in granted.iter() {
                 let j = match self.accept {
                     AcceptPolicy::Random => {
-                        let k = self.input_rng[i].index(self.grants.held(i));
-                        self.grants.grant_at::<V>(i, k)
+                        let k = self.input_rng[i].index(grants.held(i));
+                        grants.grant_at(i, k, bits)
                     }
                     AcceptPolicy::RoundRobin => {
-                        let j = self.grants.grant_from::<V>(i, self.accept_ptr[i]);
+                        let j = grants.grant_from(i, self.accept_ptr[i]);
                         self.accept_ptr[i] = (j + 1) % n;
                         j
                     }
-                    AcceptPolicy::LowestIndex => self.grants.grant_from::<V>(i, 0),
+                    AcceptPolicy::LowestIndex => grants.grant_from(i, 0),
                 };
                 let j = if self.accept_skew == 0 {
                     // Conflict-freedom holds structurally here: each output
@@ -801,10 +906,10 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
 
             if RECORD {
                 if let Some(rec) = rec.as_deref_mut() {
-                    let unresolved = self.record_iteration(
-                        rec,
+                    let unresolved = rec.record_iteration(
+                        grants,
                         requests,
-                        &matching,
+                        matching,
                         &requesters.to_width(),
                         &listeners.to_width(),
                         &granted.to_width(),
@@ -821,12 +926,46 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
                 rec.stats.completed = matching.is_maximal(requests);
             }
         }
-        matching
     }
+}
 
-    /// Writes one finished iteration into `rec`: its [`PimStats`] entry
-    /// and, when tracing, the [`IterationRecord`] rebuilt from the loop's
-    /// own state. `requesters` and `listeners` are the unmatched inputs
+/// PIM's one-word loop as a [`WordKernel`], so that [`run_word_kernel`]
+/// can compile it for the host's word instructions.
+struct OneWordRun<'a, 'o, R: SelectRng, const W: usize, const RECORD: bool> {
+    pim: &'a mut PimN<R, W>,
+    requests: &'a RequestMatrixN<W>,
+    matching: &'a mut MatchingN<W>,
+    rec: Option<&'a mut Recorder<'o, W>>,
+}
+
+impl<R: SelectRng, const W: usize, const RECORD: bool> WordKernel
+    for OneWordRun<'_, '_, R, W, RECORD>
+{
+    type Output = ();
+
+    #[inline(always)]
+    fn run_on<B: WordOps>(self, bits: B) {
+        self.pim.run_from::<1, RECORD, B, _>(
+            self.requests,
+            self.matching,
+            self.rec,
+            bits,
+            &mut WordGrants::new(),
+        )
+    }
+}
+
+/// Where a recording run ([`PimN::schedule_with_stats`],
+/// [`PimN::schedule_traced`]) writes each iteration.
+struct Recorder<'a, const W: usize> {
+    stats: PimStats,
+    observer: Option<&'a mut dyn FnMut(&IterationRecord<W>)>,
+}
+
+impl<const W: usize> Recorder<'_, W> {
+    /// Writes one finished iteration: its [`PimStats`] entry and, when
+    /// tracing, the [`IterationRecord`] rebuilt from the loop's own state
+    /// and its grant store `grants`. `requesters` and `listeners` are the unmatched inputs
     /// and outputs the iteration started from, `granted` the inputs that
     /// received a grant: an output's requests are its column restricted to
     /// the requesters, an input's grants what its grant store holds, and
@@ -836,8 +975,8 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     #[cold]
     #[inline(never)]
     fn record_iteration(
-        &self,
-        rec: &mut Recorder<'_, W>,
+        &mut self,
+        grants: &impl GrantStore<W>,
         requests: &RequestMatrixN<W>,
         matching: &MatchingN<W>,
         requesters: &PortSetN<W>,
@@ -845,18 +984,19 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
         granted: &PortSetN<W>,
     ) -> usize {
         let unresolved = matching.unresolved_requests(requests);
-        let stats = &mut rec.stats;
+        let n = requests.n();
+        let stats = &mut self.stats;
         stats.iterations_run += 1;
         stats.matches_after.push(matching.len());
         stats.unresolved_after.push(unresolved);
-        if let Some(observer) = rec.observer.as_deref_mut() {
-            let mut request_sets = vec![PortSetN::new(); self.n];
+        if let Some(observer) = self.observer.as_deref_mut() {
+            let mut request_sets = vec![PortSetN::new(); n];
             for j in listeners.iter() {
                 request_sets[j] = requests.col(OutputPort::new(j)).intersection(requesters);
             }
-            let mut grant_sets = vec![PortSetN::new(); self.n];
+            let mut grant_sets = vec![PortSetN::new(); n];
             for i in granted.iter() {
-                grant_sets[i] = self.grants.grant_set(i);
+                grant_sets[i] = grants.grant_set(i);
             }
             let accepts = granted
                 .iter()
@@ -877,16 +1017,11 @@ impl<R: SelectRng, const W: usize> PimN<R, W> {
     }
 }
 
-/// Where a recording run ([`PimN::schedule_with_stats`],
-/// [`PimN::schedule_traced`]) writes each iteration.
-struct Recorder<'a, const W: usize> {
-    stats: PimStats,
-    observer: Option<&'a mut dyn FnMut(&IterationRecord<W>)>,
-}
-
 impl<R: SelectRng, const W: usize> Scheduler<W> for PimN<R, W> {
     fn schedule(&mut self, requests: &RequestMatrixN<W>) -> MatchingN<W> {
-        self.run_at_width::<false>(requests, MatchingN::new(self.n), None)
+        let mut matching = MatchingN::new(self.n);
+        self.run_at_width::<false>(requests, &mut matching, None);
+        matching
     }
 
     fn name(&self) -> &'static str {
@@ -1004,6 +1139,143 @@ mod tests {
                 assert_eq!(a, b, "trial {trial} n {n}");
                 assert!(a.respects(&reqs));
             }
+        }
+    }
+
+    /// Runs `pim`'s one-word loop in its portable build: what a CPU without
+    /// BMI1, BMI2 or POPCNT runs. No runtime switch reaches it on a CPU
+    /// that has them; only these tests do.
+    fn run_portable<R: SelectRng, const W: usize, const RECORD: bool>(
+        pim: &mut PimN<R, W>,
+        requests: &RequestMatrixN<W>,
+        initial: MatchingN<W>,
+        rec: Option<&mut Recorder<'_, W>>,
+    ) -> MatchingN<W> {
+        let mut matching = initial;
+        OneWordRun::<R, W, RECORD> {
+            pim,
+            requests,
+            matching: &mut matching,
+            rec,
+        }
+        .run_on(Portable);
+        matching
+    }
+
+    /// Drives every entry point on two same-seed schedulers, one through
+    /// the dispatch (the host-bit build wherever the CPU has the
+    /// instructions) and one through the portable build, and demands equal
+    /// matchings, statistics and traces, and equal streams and pointers
+    /// after every slot.
+    fn dispatch_builds_agree<const W: usize>(n: usize, seed: u64) {
+        use crate::scheduler::PortMaskN;
+        let mut root = Xoshiro256::seed_from(seed ^ n as u64);
+        for limit in [
+            IterationLimit::Fixed(1),
+            IterationLimit::Fixed(4),
+            IterationLimit::ToCompletion,
+        ] {
+            for policy in [
+                AcceptPolicy::Random,
+                AcceptPolicy::RoundRobin,
+                AcceptPolicy::LowestIndex,
+            ] {
+                let mut host = PimN::<_, W>::with_options(n, seed, limit, policy);
+                let mut portable = host.clone();
+                for slot in 0..16 {
+                    let label = format!("n {n} W {W} {limit:?} {policy:?} slot {slot}");
+                    if slot == 8 {
+                        // Half the slots run on a degraded switch.
+                        let mut mask = PortMaskN::<W>::all(n);
+                        mask.fail_input(root.index(n));
+                        mask.fail_output(root.index(n));
+                        host.set_port_mask(mask);
+                        portable.set_port_mask(mask);
+                    }
+                    let p = [0.05, 0.3, 0.7, 1.0][slot % 4];
+                    let reqs = RequestMatrixN::<W>::random(n, p, &mut root);
+                    match slot % 4 {
+                        0 => {
+                            let a = host.schedule(&reqs);
+                            let b = run_portable::<_, W, false>(
+                                &mut portable,
+                                &reqs,
+                                MatchingN::new(n),
+                                None,
+                            );
+                            assert_eq!(a, b, "{label}: schedule");
+                        }
+                        1 => {
+                            let mut initial = MatchingN::new(n);
+                            for _ in 0..n / 4 {
+                                let (i, j) = (root.index(n), root.index(n));
+                                let _ = initial.pair(InputPort::new(i), OutputPort::new(j));
+                            }
+                            let a = host.schedule_from(&reqs, initial.clone());
+                            let b =
+                                run_portable::<_, W, false>(&mut portable, &reqs, initial, None);
+                            assert_eq!(a, b, "{label}: schedule_from");
+                        }
+                        2 => {
+                            let a = host.schedule_with_stats(&reqs);
+                            let mut rec = Recorder {
+                                stats: PimStats::default(),
+                                observer: None,
+                            };
+                            let m = run_portable::<_, W, true>(
+                                &mut portable,
+                                &reqs,
+                                MatchingN::new(n),
+                                Some(&mut rec),
+                            );
+                            assert_eq!(a, (m, rec.stats), "{label}: schedule_with_stats");
+                        }
+                        _ => {
+                            let mut host_trace = Vec::new();
+                            let a =
+                                host.schedule_traced(&reqs, &mut |r| host_trace.push(r.clone()));
+                            let mut portable_trace = Vec::new();
+                            let mut observer =
+                                |r: &IterationRecord<W>| portable_trace.push(r.clone());
+                            let mut rec = Recorder {
+                                stats: PimStats::default(),
+                                observer: Some(&mut observer),
+                            };
+                            let m = run_portable::<_, W, true>(
+                                &mut portable,
+                                &reqs,
+                                MatchingN::new(n),
+                                Some(&mut rec),
+                            );
+                            assert_eq!(a, (m, rec.stats), "{label}: schedule_traced");
+                            assert_eq!(host_trace, portable_trace, "{label}: trace");
+                        }
+                    }
+                    assert!(
+                        host.output_rng == portable.output_rng,
+                        "{label}: grant streams"
+                    );
+                    assert!(
+                        host.input_rng == portable.input_rng,
+                        "{label}: accept streams"
+                    );
+                    assert_eq!(
+                        host.accept_ptr, portable.accept_ptr,
+                        "{label}: accept pointers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn host_bit_and_portable_builds_decide_alike() {
+        for (k, n) in [1usize, 2, 16, 63, 64].into_iter().enumerate() {
+            dispatch_builds_agree::<1>(n, 0xD15 + k as u64);
+            dispatch_builds_agree::<4>(n, 0xD25 + k as u64);
+            // The sixteen-word width keeps its rejection grant draw at
+            // n <= 64, inside the one-word loop.
+            dispatch_builds_agree::<16>(n, 0xD35 + k as u64);
         }
     }
 

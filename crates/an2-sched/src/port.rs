@@ -531,8 +531,14 @@ impl<const W: usize> PortSetN<W> {
 /// exactly that position in ~3 cycles; elsewhere a branchless-ish binary
 /// search over popcounts of narrower halves does the same in ~25. Both
 /// return identical values, so the choice never affects a scheduling
-/// decision — only how fast it is made. (`is_x86_feature_detected!`
-/// caches, so the probe costs one predictable load per call.)
+/// decision — only how fast it is made.
+///
+/// This form probes the CPU on every select (`is_x86_feature_detected!`
+/// caches, so the probe is one predictable load, but the PDEP sits behind
+/// a call that cannot inline). It serves [`PortSetN::select_nth`] and the
+/// multi-word kernels. PIM's one-word loop instead dispatches once per
+/// call through [`run_word_kernel`], which compiles the whole loop with
+/// PDEP inline ([`WordOps::select`]).
 #[inline]
 pub(crate) fn select_in_word(word: u64, k: u32) -> u32 {
     debug_assert!(k < word.count_ones());
@@ -560,6 +566,89 @@ pub(crate) fn select_in_word(word: u64, k: u32) -> u32 {
 #[inline]
 unsafe fn select_in_word_bmi2(word: u64, k: u32) -> u32 {
     std::arch::x86_64::_pdep_u64(1u64 << k, word).trailing_zeros()
+}
+
+/// The word instructions a one-word kernel is compiled for. A kernel
+/// generic over `WordOps` is one source with two builds: [`Portable`] for
+/// any CPU, and the host-bit build that [`run_word_kernel`] selects when
+/// the CPU has BMI1, BMI2 and POPCNT. Both return identical values, so the
+/// build never changes a decision.
+pub(crate) trait WordOps: Copy {
+    /// Position of the `k`-th set bit of `word` (`k < word.count_ones()`).
+    fn select(self, word: u64, k: u32) -> u32;
+}
+
+/// The portable word instructions: the binary-search select, and whatever
+/// `count_ones` the default target compiles to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Portable;
+
+impl WordOps for Portable {
+    #[inline(always)]
+    fn select(self, word: u64, k: u32) -> u32 {
+        select_in_word_generic(word, k)
+    }
+}
+
+/// Proof that the running CPU has BMI1, BMI2 and POPCNT: only
+/// [`run_word_kernel`] makes one, after detecting all three, and hands it
+/// to a kernel compiled with them enabled.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct HostBits(());
+
+#[cfg(target_arch = "x86_64")]
+impl WordOps for HostBits {
+    #[inline(always)]
+    fn select(self, word: u64, k: u32) -> u32 {
+        debug_assert!(k < word.count_ones());
+        // SAFETY: `select_in_word_bmi2` requires BMI2, and a `HostBits`
+        // value exists only once `run_word_kernel` has detected BMI2 on this
+        // CPU (its field is private to this module). Inside the host-bit
+        // entry the call inlines to one PDEP.
+        unsafe { select_in_word_bmi2(word, k) }
+    }
+}
+
+/// A loop over one-word port sets that [`run_word_kernel`] runs on the
+/// best word instructions the CPU has. `run_on` should be `#[inline(always)]`
+/// down to the loop, so that the whole loop is compiled inside the
+/// host-bit entry and its `count_ones`, `trailing_zeros` and
+/// [`WordOps::select`] become single instructions there.
+pub(crate) trait WordKernel {
+    /// What the loop returns.
+    type Output;
+    /// Runs the loop with the word instructions `bits`.
+    fn run_on<B: WordOps>(self, bits: B) -> Self::Output;
+}
+
+/// Runs `kernel` compiled for the host's BMI1, BMI2 and POPCNT when the
+/// CPU has all three, and its portable build otherwise. The CPU is probed
+/// once per call (three cached loads). Both builds are the same source and
+/// decide alike; `pim`'s tests hold them to equal matchings and RNG
+/// streams.
+#[inline]
+pub(crate) fn run_word_kernel<K: WordKernel>(kernel: K) -> K::Output {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("bmi1")
+        && std::arch::is_x86_feature_detected!("bmi2")
+        && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: `run_with_host_bits` is `unsafe` to call only because of
+        // its `#[target_feature]`s, and the branch above just detected all
+        // three on this CPU.
+        return unsafe { run_with_host_bits(kernel) };
+    }
+    kernel.run_on(Portable)
+}
+
+/// The host-bit entry: `kernel`, inlined here, is compiled with BMI1, BMI2
+/// and POPCNT enabled. Callers must have detected all three
+/// ([`run_word_kernel`] does).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi1,bmi2,popcnt")]
+fn run_with_host_bits<K: WordKernel>(kernel: K) -> K::Output {
+    kernel.run_on(HostBits(()))
 }
 
 #[inline]
@@ -742,6 +831,32 @@ mod tests {
                     "word {w:#x} k {k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn word_ops_builds_agree_with_the_generic_select() {
+        // The host-bit build of a one-word kernel selects by PDEP and the
+        // portable one by binary search; both must equal the generic code.
+        struct Selects(u64);
+        impl super::WordKernel for Selects {
+            type Output = Vec<u32>;
+            fn run_on<B: super::WordOps>(self, bits: B) -> Vec<u32> {
+                (0..self.0.count_ones())
+                    .map(|k| bits.select(self.0, k))
+                    .collect()
+            }
+        }
+        let mut rng = crate::rng::Xoshiro256::seed_from(0x5E1);
+        let words = [1u64, u64::MAX, 0x8000_0000_0000_0001, 0x5555_5555_5555_5555]
+            .into_iter()
+            .chain((0..64).map(|_| crate::rng::SelectRng::next_u64(&mut rng)));
+        for w in words {
+            let want: Vec<u32> = (0..w.count_ones())
+                .map(|k| super::select_in_word_generic(w, k))
+                .collect();
+            assert_eq!(super::run_word_kernel(Selects(w)), want, "word {w:#x}");
+            assert_eq!(Selects(w).run_on(super::Portable), want, "word {w:#x}");
         }
     }
 

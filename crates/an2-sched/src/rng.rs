@@ -35,10 +35,16 @@ pub trait SelectRng {
     /// make this spin (e.g. a constant 0 is rejected indefinitely for
     /// some `n`); a constant `u64::MAX` is always accepted.
     ///
+    /// This is the one implementation every generator uses (no impl
+    /// overrides it). The common case — one word, one multiply — inlines
+    /// into the caller; only a draw that may be rejected (probability
+    /// `< n / 2^64`) calls the out-of-line tail.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     // an2-lint: allow(panic-freedom) the n > 0 assert is this API's documented "# Panics" contract
+    #[inline]
     fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot draw an index from an empty range");
         let n = n as u64;
@@ -48,16 +54,9 @@ pub trait SelectRng {
         // runs in the astronomically rare `lo < n` case. The accept/reject
         // outcome per draw is identical either way, keeping the stream of
         // consumed words bit-compatible with the always-divide form.
-        let x = self.next_u64();
-        let mut m = (x as u128) * (n as u128);
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                let x = self.next_u64();
-                m = (x as u128) * (n as u128);
-                lo = m as u64;
-            }
+        let m = (self.next_u64() as u128) * (n as u128);
+        if (m as u64) < n {
+            return lemire_tail(self, n, m);
         }
         (m >> 64) as usize
     }
@@ -98,9 +97,97 @@ pub trait SelectRng {
     }
 }
 
+/// The rejection tail of [`SelectRng::index`]: `m` is the first draw's
+/// product, whose low word fell below `n`. Kept out of line so that the
+/// accepted draw inlines as a multiply and a compare.
+#[cold]
+#[inline(never)]
+fn lemire_tail<R: SelectRng + ?Sized>(rng: &mut R, n: u64, mut m: u128) -> usize {
+    let threshold = n.wrapping_neg() % n;
+    while (m as u64) < threshold {
+        m = (rng.next_u64() as u128) * (n as u128);
+    }
+    (m >> 64) as usize
+}
+
+/// The top 53 bits of `x` as a double in `[0, 1)`: exactly
+/// `(x >> 11) as f64 * 2^-53`, built without an integer-to-float
+/// conversion instruction.
+///
+/// x86-64's `cvtsi2sd` writes only the low lane of its register, so it
+/// waits on whatever last wrote that register unless the compiler breaks
+/// the dependency with an `xorps`; in a loop that feeds each draw through
+/// `ln` and a division, a dropped break chains every conversion onto the
+/// previous iteration's result. Here the double is assembled from integer
+/// ops: a nonzero 53-bit `v` with `lz` leading zeros has its top bit at
+/// `63 - lz`, so `v * 2^-53` has the biased exponent `1033 - lz` and the
+/// bits below the top one as its mantissa. Shifting the top bit to bit 52
+/// and adding `(1032 - lz) << 52` carries it into the exponent field.
+/// Every bit of `v` fits the mantissa, so the result is bit-identical to
+/// the conversion. (Two exact 27-bit half conversions, `2^52` OR-ed in
+/// and subtracted, are also exact, but their four dependent float ops
+/// left the ln-driven traffic loop ~10% slower than this form.)
+///
+/// [`SelectRng::uniform_f64`] keeps the conversion: where the compiler
+/// keeps its `xorps` it is the cheaper of the two, and with this form in
+/// its place `RateMatrixTraffic`'s loop and the ring's `bernoulli` ran
+/// slower (`paper16_clientserver` −4%, `ring1000` −12% end to end).
+#[inline]
+pub fn unit_f64(x: u64) -> f64 {
+    let v = x >> 11;
+    if v == 0 {
+        return 0.0;
+    }
+    let lz = v.leading_zeros();
+    f64::from_bits(((v << lz) >> 11) + ((1032 - u64::from(lz)) << 52))
+}
+
 impl<R: SelectRng + ?Sized> SelectRng for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+}
+
+/// A Bernoulli trial of fixed probability, decided on integers: it draws
+/// exactly when [`SelectRng::bernoulli`] with the same `p` draws and returns
+/// the same outcome, without converting the draw to a double.
+///
+/// `bernoulli` compares `v * 2^-53 < p` for the 53-bit draw `v`, which is
+/// `v < p * 2^53` (scaling by a power of two is exact), which for an
+/// integer `v` is `v < ceil(p * 2^53)`. A source that fires with one
+/// probability every slot precomputes that ceiling once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Bernoulli {
+    /// `p <= 0`: never fires, draws nothing.
+    Never,
+    /// `p >= 1`: always fires, draws nothing.
+    Always,
+    /// Fires when the draw's top 53 bits are below this bound.
+    Below(u64),
+}
+
+impl Bernoulli {
+    /// The trial that fires with probability `p`, as `bernoulli(p)` does
+    /// (a NaN `p` draws and never fires, as there).
+    pub fn new(p: f64) -> Self {
+        if p <= 0.0 {
+            Self::Never
+        } else if p >= 1.0 {
+            Self::Always
+        } else {
+            // `p * 2^53` is exact, and below 2^53 so its ceiling fits.
+            Self::Below((p * (1u64 << 53) as f64).ceil() as u64)
+        }
+    }
+
+    /// Runs the trial on `rng`.
+    #[inline]
+    pub fn sample<R: SelectRng + ?Sized>(self, rng: &mut R) -> bool {
+        match self {
+            Self::Never => false,
+            Self::Always => true,
+            Self::Below(bound) => rng.next_u64() >> 11 < bound,
+        }
     }
 }
 
@@ -331,6 +418,81 @@ mod tests {
         assert!((hits as f64 / 100_000.0 - 0.3).abs() < 0.01);
         assert!(!rng.bernoulli(0.0));
         assert!(rng.bernoulli(1.0));
+    }
+
+    /// The words a conversion could round differently: zero, the top
+    /// value, powers of two at either end of the 53 bits, both halves'
+    /// boundaries and the bits below the 53 kept.
+    const EDGE_WORDS: [u64; 12] = [
+        0,
+        u64::MAX,
+        1 << 11,
+        (1 << 11) - 1,
+        1 << 63,
+        (1 << 38) - 1,
+        1 << 38,
+        (1 << 38) | ((1 << 38) - 1),
+        0x8000_0000_0000_07FF,
+        0xFFFF_FFFF_FFFF_F800,
+        0x0000_0040_0000_0000,
+        0x5555_5555_5555_5555,
+    ];
+
+    #[test]
+    fn unit_f64_is_the_conversion_bit_for_bit() {
+        let conversion = |x: u64| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut rng = Xoshiro256::seed_from(0x0F64);
+        let random: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        for &x in EDGE_WORDS.iter().chain(&random) {
+            assert_eq!(
+                unit_f64(x).to_bits(),
+                conversion(x).to_bits(),
+                "word {x:#x}"
+            );
+        }
+        assert!(unit_f64(u64::MAX) < 1.0);
+    }
+
+    #[test]
+    fn bernoulli_trial_draws_and_decides_as_bernoulli() {
+        // A fixed word stream, so every edge word meets every probability.
+        #[derive(Clone)]
+        struct Words(Vec<u64>, usize);
+        impl SelectRng for Words {
+            fn next_u64(&mut self) -> u64 {
+                self.1 += 1;
+                self.0[(self.1 - 1) % self.0.len()]
+            }
+        }
+        let mut rng = Xoshiro256::seed_from(0xB37);
+        let words: Vec<u64> = EDGE_WORDS
+            .iter()
+            .copied()
+            .chain((0..4096).map(|_| rng.next_u64()))
+            .collect();
+        let on_grid = |v: u64| (v as f64) * (1.0 / (1u64 << 53) as f64);
+        let probabilities = [
+            -1.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            on_grid(1),
+            on_grid(12345),
+            0.015,
+            0.3,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            2.0,
+            f64::NAN,
+        ];
+        for p in probabilities {
+            let trial = Bernoulli::new(p);
+            let (mut a, mut b) = (Words(words.clone(), 0), Words(words.clone(), 0));
+            for k in 0..words.len() {
+                assert_eq!(trial.sample(&mut a), b.bernoulli(p), "p {p} word {k}");
+                assert_eq!(a.1, b.1, "p {p}: draw counts part at word {k}");
+            }
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub struct BatchCrossbar<S, const W: usize = 4> {
     pairs: Vec<u32>,
     /// How `pairs` splits each entry, fixed by `n`.
     packing: PairPacking,
-    /// Whether a slot reads the pair-table lines it will update before
+    /// Whether a slot reads the pair-table lines of its arrivals before
     /// updating them ([`warm`]): only where the width rule gives `n` more
     /// than one word. At `n <= 64` the table (16 KB at N=64) stays in
     /// cache and a sweep is pure cost; at N=1024 (4 MB) it misses.
@@ -489,11 +489,10 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
         // is at most the window's age: `slot - d >= measure_start`.
         debug_assert!(self.slot >= self.measure_start);
         let window = self.slot.wrapping_sub(self.measure_start);
-        if self.warm_table {
-            let at =
-                |(i, j): (InputPort, OutputPort)| i.index().wrapping_mul(n).wrapping_add(j.index());
-            warm(&self.pairs, matching.pairs().map(at));
-        }
+        // No warming sweep over the matched pairs: at light load they are
+        // mostly this slot's own arrivals, whose lines `advance` has just
+        // warmed, and on the N=256/1024 scaling rows at loads 0.25 and 0.5
+        // (backlogged pairs) a sweep here measured no faster than none.
         for (i, j) in matching.pairs() {
             debug_assert!(
                 i.index() < n && j.index() < n,
@@ -580,11 +579,12 @@ impl<const W: usize, S: Scheduler<W>> BatchCrossbar<S, W> {
     }
 }
 
-/// Warming sweep: a slot's arrivals and matches address random pairs, and
-/// the update loops chain dependent loads into each pair's table line.
-/// Reading the lines at `entries` first issues the misses as independent
-/// loads the core overlaps, so the updates hit L1. (A prefetch intrinsic
-/// would need unsafe; a black-boxed read is the safe equivalent.)
+/// Warming sweep: a slot's arrivals address random pairs, and the update
+/// loop chains dependent loads into each pair's table line. Reading the
+/// lines at `entries` first issues the misses as independent loads the
+/// core overlaps, so the updates hit L1. (A prefetch intrinsic would need
+/// unsafe; a black-boxed read is the safe equivalent.) The matched pairs
+/// get no sweep of their own (see `transmit`).
 // an2-lint: hot
 #[inline]
 fn warm(pairs: &[u32], entries: impl Iterator<Item = usize>) {

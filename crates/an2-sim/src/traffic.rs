@@ -16,7 +16,7 @@
 //! at most one cell per slot.
 
 use crate::cell::Arrival;
-use an2_sched::rng::{SelectRng, Xoshiro256};
+use an2_sched::rng::{unit_f64, SelectRng, Xoshiro256};
 use an2_sched::{InputPort, OutputPort};
 
 /// A per-slot arrival process for an `n`-port switch.
@@ -267,8 +267,11 @@ impl SparseUniformTraffic {
             Some(ls) => {
                 // u ∈ [0, 1); ln(0) = −inf gives an infinite gap, which the
                 // saturating cast turns into "no more arrivals this slot" —
-                // the correct limit for a zero-probability draw.
-                let u = self.rng.uniform_f64();
+                // the correct limit for a zero-probability draw. `unit_f64`
+                // is `uniform_f64` without a conversion instruction, whose
+                // false dependency would chain each gap onto the last one's
+                // `ln` and division.
+                let u = unit_f64(self.rng.next_u64());
                 (u.ln() / ls) as usize
             }
         }
